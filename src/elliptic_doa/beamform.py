@@ -27,9 +27,13 @@ reduction additionally maps each sensor to its first elliptic-quadrant
 mirror (same radius when placement noise is zero), cutting distinct radii to
 P/4 + 1 per ring.
 
-The expansion itself is a plain weighted projection: for one ring,
-H_m(f_k) = (1/P) sum_p H[p,k] exp(+j m phi_p) W_{m,p}(f_k), and concentric
-rings average their per-ring mode matrices.
+The expansion H_m(f_k) = (1/P) sum_p H[p,k] exp(+j m phi_p) W_{m,p}(f_k)
+runs over ring representatives and never forms a (2 M_h + 1) x P operator:
+modes +m and -m share W_m, and on a symmetric ring the four quadrant mirrors
+share it too, so their data fold into parity pairs first.  A circle needs no
+separate path (the DFT phase-mode excitation of uniform circular arrays,
+Davies 1983; Mathews & Zoltowski, IEEE TSP 1994).  Concentric rings average
+their per-ring mode matrices.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .channel import ChannelMatrix, FrequencyGrid
 from .constants import SPEED_OF_LIGHT
 from .errors import DomainError, InstabilityError, ValidationError
 from .geometry import SensorArray
-from .specfun import bessel_j, bessel_j_prime, bessel_j_table
+from .specfun import bessel_j_table
 
 DESIGNS = ("robust", "plain", "average")
 REDUCTIONS = ("none", "symmetric")
@@ -68,38 +72,14 @@ def _denominators(jtab: np.ndarray, design: str) -> np.ndarray:
     identity, J'_0 = -J_1 included.
     """
     m_top = jtab.shape[0] - 2
-    j = jtab[: m_top + 1]
-    if design == "plain":
-        return j.astype(complex)
-    jp = np.empty_like(j)
-    jp[0] = -jtab[1]
-    jp[1:] = 0.5 * (jtab[0:m_top] - jtab[2: m_top + 2])
-    return j + 1j * jp
-
-
-def make_filter(design: str, m: int, radius_m: float, f_hz: float,
-                floor: float = DENOMINATOR_FLOOR) -> complex:
-    """Single filter weight at one (mode, radius, frequency).
-
-    The "average" design uses the robust form; callers pass the averaged
-    radius.  Raises InstabilityError when the denominator magnitude falls
-    below ``floor`` (the error names mode, radius and frequency; bank-level
-    errors name the sensor index as well).
-    """
-    if design not in DESIGNS:
-        raise DomainError(f"unknown filter design {design!r}")
-    x = 2.0 * math.pi * f_hz * radius_m / SPEED_OF_LIGHT
-    jm = bessel_j(m, x)
-    if design == "plain":
-        den = complex(jm, 0.0)
-    else:
-        den = jm + 1j * bessel_j_prime(m, x)
-    if abs(den) < floor:
-        raise InstabilityError(
-            f"filter denominator |{den:.3e}| below floor {floor:.1e} "
-            f"at m={m}, r={radius_m} m, f={f_hz} Hz")
-    num = 1.0 if design == "plain" else 2.0
-    return num / (complex(_jpow(m)) * den)
+    den = np.zeros(jtab[: m_top + 1].shape, dtype=complex)
+    den.real = jtab[: m_top + 1]
+    if design != "plain":
+        jp = den.imag
+        jp[0] = -jtab[1]
+        np.subtract(jtab[0:m_top], jtab[2: m_top + 2], out=jp[1:])
+        jp[1:] *= 0.5
+    return den
 
 
 def mode_limit(array: SensorArray, grid: FrequencyGrid, threshold: float,
@@ -161,7 +141,7 @@ class FilterBank:
     """Frequency-dependent phase-mode weights for every ring of an array.
 
     Weights are represented compactly (non-negative modes x distinct radii)
-    and materialized on demand; `unique_eval_count` reports how many
+    and evaluated per frequency sample; `unique_eval_count` reports how many
     independent (mode, sensor) filter evaluations per frequency sample the
     representation implies, which is the quantity the reduction factors
     compare (signed modes x all sensors when reduction is "none").
@@ -173,7 +153,6 @@ class FilterBank:
     mode_half: int
     reduction: str
     floor: float = DENOMINATOR_FLOOR
-    compensated: bool = False
     ring_unique_radii: list = field(default_factory=list)
     ring_sensor_map: list = field(default_factory=list)
 
@@ -187,6 +166,11 @@ class FilterBank:
         return int(modes * sum(r.size for r in self.ring_unique_radii))
 
     @property
+    def folded(self) -> bool:
+        """True when the expansion folds each ring's quadrant mirrors."""
+        return self.reduction == "symmetric" and self.design != "average"
+
+    @property
     def dense_weight_count(self) -> int:
         return int(self.mode_count * self.array.total_sensors)
 
@@ -198,7 +182,7 @@ class FilterBank:
         """
         r = self.ring_unique_radii[ring]
         x = (2.0 * np.pi / SPEED_OF_LIGHT) * np.outer(self.grid.frequencies, r)
-        tab = bessel_j_table(self.mode_half + 1, x.ravel(), compensated=self.compensated)
+        tab = bessel_j_table(self.mode_half + 1, x.ravel(), compensated=False)
         return tab.reshape(self.mode_half + 2, self.grid.samples, r.size)
 
     def weights_from_jtable(self, ring: int, jtab: np.ndarray, k: int) -> np.ndarray:
@@ -213,40 +197,7 @@ class FilterBank:
                 f"m={int(m_bad)}, p={p_bad} (ring {ring}), f={self.grid.frequencies[k]} Hz")
         num = 1.0 if self.design == "plain" else 2.0
         orders = np.arange(self.mode_half + 1)
-        return num / (_jpow(orders)[:, None] * den)
-
-    def weights_at(self, ring: int, k: int) -> np.ndarray:
-        """(mode_half + 1, U) weights at one frequency; rows are modes 0..M_h."""
-        return self.weights_from_jtable(ring, self.ring_jtable(ring), k)
-
-    def expanded_weights(self, ring: int, k: int) -> np.ndarray:
-        """Dense (2*mode_half + 1, P) weights at one frequency.
-
-        Row i is mode m = i - mode_half; W_{-m} == W_{+m} exactly by parity.
-        """
-        w = self.weights_at(ring, k)
-        gather = w[:, self.ring_sensor_map[ring]]
-        abs_m = np.abs(np.arange(-self.mode_half, self.mode_half + 1))
-        return gather[abs_m]
-
-    def dump_csv(self, path) -> None:
-        """Debug dump `m,p,ring,f_hz,re,im` of the dense bank.
-
-        Size scales as modes x sensors x samples; intended for small cases.
-        """
-        freqs = self.grid.frequencies
-        with open(path, "w") as fh:
-            fh.write("m,p,ring,f_hz,re,im\n")
-            for ring in range(self.array.ring_count):
-                jtab = self.ring_jtable(ring)
-                for k in range(self.grid.samples):
-                    w = self.weights_from_jtable(ring, jtab, k)
-                    gather = w[:, self.ring_sensor_map[ring]]
-                    for i, m in enumerate(range(-self.mode_half, self.mode_half + 1)):
-                        row = gather[abs(m)]
-                        for p in range(row.size):
-                            fh.write(f"{m},{p},{ring},{freqs[k]:.17g},"
-                                     f"{row[p].real:.17g},{row[p].imag:.17g}\n")
+        return np.divide(num * _jpow(-orders)[:, None], den, out=den)
 
 
 def _quadrant_map(sensor_count: int) -> np.ndarray:
@@ -267,7 +218,7 @@ def _quadrant_map(sensor_count: int) -> np.ndarray:
 
 def build_bank(array: SensorArray, grid: FrequencyGrid, design: str = "robust",
                mode_half: int = 0, reduction: str = "none",
-               floor: float = DENOMINATOR_FLOOR, compensated: bool = False) -> FilterBank:
+               floor: float = DENOMINATOR_FLOOR) -> FilterBank:
     """Construct the filter bank for an array over a frequency grid.
 
     reduction="symmetric" exploits the four-fold radius symmetry of an
@@ -282,7 +233,7 @@ def build_bank(array: SensorArray, grid: FrequencyGrid, design: str = "robust",
     if mode_half < 0:
         raise DomainError(f"mode_half must be >= 0, got {mode_half}")
     bank = FilterBank(array=array, grid=grid, design=design, mode_half=mode_half,
-                      reduction=reduction, floor=floor, compensated=compensated)
+                      reduction=reduction, floor=floor)
     for ring in range(array.ring_count):
         spec = array.ring_spec(ring)
         radii = array.ring_radii(ring)
@@ -316,26 +267,68 @@ def build_bank(array: SensorArray, grid: FrequencyGrid, design: str = "robust",
 def phase_mode_expand(channel: ChannelMatrix, ring: int, bank: FilterBank) -> ModeMatrix:
     """Expand one ring's sensor data into mode space.
 
-    H_m(f_k) = (1/P) sum_p H[p, k] exp(+j m phi_p) W_{m,p}(f_k); the p sum
-    runs in ascending sensor order for determinism.
+    Sums over representatives r at azimuth alpha + theta_r.  A folded ring
+    (FilterBank.folded) takes r = 0..P/4, whose mirrors P/2 - r, P/2 + r and
+    P - r sit at pi - theta_r, pi + theta_r and -theta_r; with
+    A = H_r +- H_{P/2+r}, B = H_{P-r} +- H_{P/2-r} (sign = parity of m),
+
+        H_{+-m} = e^{+-jm alpha}/P sum_r W_{m,r} [cos(m theta_r)(A + B) +- j sin(m theta_r)(A - B)],
+
+    the r = 0 and r = P/4 orbits, which list each sensor twice, at weight
+    1/2.  Realized azimuths miss these ideal mirrors by eps ~ 1e-16 rad (the
+    rounding of eta_p), which the data carry; each sensor therefore enters
+    once more as jm eps H, the first-order term of e^{jm eps} (the second is
+    below 1e-25).  Any other ring is its own fold: r = p, alpha = 0, B = 0.
     """
     if bank.array is not channel.array and bank.array != channel.array:
         raise ValidationError("bank and channel refer to different arrays")
     if bank.grid != channel.grid:
         raise ValidationError("bank and channel grids differ")
-    data = channel.ring_rows(ring)
-    p = data.shape[0]
-    phi_p = channel.array.ring_azimuths(ring)
-    m_signed = np.arange(-bank.mode_half, bank.mode_half + 1)
-    basis = np.exp(1j * np.outer(m_signed, phi_p)) / p
-    abs_m = np.abs(m_signed)
-    smap = bank.ring_sensor_map[ring]
+    # the table build is the memory peak: only the output may exist before it
+    out = np.empty((2 * bank.mode_half + 1, channel.grid.samples), dtype=complex)
     jtab = bank.ring_jtable(ring)
-    out = np.empty((m_signed.size, channel.grid.samples), dtype=complex)
+    data = channel.ring_rows(ring).T  # (K, P)
+    p = data.shape[1]
+    phi = channel.array.ring_azimuths(ring)
+    orders = np.arange(bank.mode_half + 1)
+    if bank.folded:
+        r = np.arange(p // 4 + 1)
+        alpha = math.radians(channel.array.ring_spec(ring).rotation_deg)
+        theta = phi[r] - alpha
+        members = np.stack([r, p // 2 + r, (p - r) % p, p // 2 - r])
+        ideal = alpha + np.stack([theta, np.pi + theta, -theta, np.pi - theta])
+        by_parity = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 1.0], [1.0, -1.0]])
+        side = np.array([1.0, 1.0, -1.0, -1.0])  # member of A or of B
+        twice = [0, -1]  # the r = 0 and r = P/4 orbits list each sensor twice
+        parity = orders % 2
+    else:
+        r, alpha, theta, parity = np.arange(p), 0.0, phi, np.zeros_like(orders)
+        members, ideal = r[None], phi[None]
+        by_parity, side, twice = np.ones((1, 1)), np.ones(1), []
+    eps = np.angle(np.exp(1j * (phi[members] - ideal)))
+    # coef[d, s, r, e * C + c]: weight of member s in A + B (d = 0) or A - B
+    # (d = 1), for parity column c of the data (e = 0) or of its eps-weighted
+    # first-order term (e = 1)
+    scale = np.stack([np.ones_like(eps), eps], axis=-1)[..., None] * by_parity[:, None, None]
+    coef = scale.reshape(*eps.shape, -1)
+    coef = np.stack([coef, coef * side[:, None, None]])
+    coef[:, :, twice] *= 0.5
+    sums, diffs = np.einsum("ksr,dsrc->dkrc", data[:, members], coef)
+    first_order = parity + by_parity.shape[1]
+    jm = 1j * orders
+    angle = np.outer(orders, theta)
+    cos_mt, sin_mt = np.cos(angle), np.sin(angle)
+    wcol = bank.ring_sensor_map[ring][r]
+    rot = np.exp(1j * orders * alpha) / p
     for k in range(channel.grid.samples):
-        w = bank.weights_from_jtable(ring, jtab, k)
-        dense = w[abs_m][:, smap]
-        out[:, k] = (basis * dense) @ data[:, k]
+        w = bank.weights_from_jtable(ring, jtab, k)[:, wcol]
+        cos_part = (w * cos_mt) @ sums[k]
+        sin_part = 1j * ((w * sin_mt) @ diffs[k])
+        even, odd = cos_part[orders, parity], sin_part[orders, parity]
+        even_1 = jm * cos_part[orders, first_order]
+        odd_1 = jm * sin_part[orders, first_order]
+        out[bank.mode_half:, k] = rot * (even + odd + even_1 + odd_1)
+        out[bank.mode_half::-1, k] = rot.conj() * (even - odd - even_1 + odd_1)
     return ModeMatrix(values=out, mode_half=bank.mode_half, grid=channel.grid)
 
 

@@ -55,12 +55,20 @@ def _load_scenario(args) -> dict:
     cfg = get_preset(args.preset) if args.preset else load_config(args.config)
     if args.seed is not None:
         cfg["seed"] = int(args.seed)
-    proc = cfg.setdefault("processing", {})
+    cfg["processing"] = _with_pad_flags(cfg.get("processing"), args)
+    return cfg
+
+
+def _with_pad_flags(proc, args) -> dict:
+    """A config's processing section with the --pad-* overrides applied."""
+    proc = {} if proc is None else proc
+    if not isinstance(proc, dict):
+        raise ConfigError("processing must be an object")
     if args.pad_az is not None:
         proc["pad_az"] = args.pad_az
     if args.pad_delay is not None:
         proc["pad_delay"] = args.pad_delay
-    return cfg
+    return proc
 
 
 def _out_dir(args, name: str) -> Path:
@@ -89,7 +97,10 @@ def _cmd_sweep(args) -> int:
         if "=" not in spec:
             raise ConfigError(f"--axis wants PATH=v1,v2,...: got {spec!r}")
         path, values = spec.split("=", 1)
-        parsed = [json.loads(v) for v in values.split(",")]
+        try:
+            parsed = [json.loads(v) for v in values.split(",")]
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"--axis values must be JSON scalars: {spec!r} ({exc.msg})") from exc
         cfg.setdefault("sweep", {}).setdefault("axes", []).append(
             {"path": path, "values": parsed})
     out = _out_dir(args, cfg.get("name", "sweep"))
@@ -120,13 +131,8 @@ def _cmd_audit(args) -> int:
 def _cmd_ingest(args) -> int:
     array = SensorArray.from_csv(args.geometry)
     ch = ingest_channel(args.channel, array)
-    proc = {}
-    if args.config:
-        proc = load_config(args.config).get("processing", {})
-    if args.pad_az is not None:
-        proc["pad_az"] = args.pad_az
-    if args.pad_delay is not None:
-        proc["pad_delay"] = args.pad_delay
+    proc = _with_pad_flags(load_config(args.config).get("processing")
+                           if args.config else None, args)
     scenario = resolve_ingested(array, ch.grid, proc, name=args.name,
                                 allow_undersampled=args.allow_undersampled,
                                 force_modes=args.force_modes)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import __version__
-from .beamform import build_bank, expand_array, mode_limit
+from .beamform import DESIGNS, REDUCTIONS, build_bank, expand_array, mode_limit
 from .channel import (
     ChannelMatrix,
     FrequencyGrid,
@@ -100,13 +100,13 @@ def set_path(cfg: dict, path: str, value) -> None:
             for item in node:
                 descend(item, rest)
             return
-        key = int(head) if isinstance(node, list) else head
         try:
+            key = int(head) if isinstance(node, list) else head
             if rest:
                 descend(node[key], rest)
             else:
                 node[key] = value
-        except (KeyError, IndexError, TypeError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad sweep path {path!r}: {exc}") from exc
 
     descend(cfg, tokens)
@@ -143,6 +143,8 @@ def _require(cfg: dict, key: str):
 def _resolve_processing(proc_cfg: dict, array: SensorArray, grid: FrequencyGrid,
                         allow_undersampled: bool, force_modes: bool) -> dict:
     """Pin every processing knob against a realized array and grid."""
+    if proc_cfg is not None and not isinstance(proc_cfg, dict):
+        raise ConfigError("processing must be an object")
     proc = dict(_PROCESSING_DEFAULTS)
     proc.update(proc_cfg or {})
     unknown = set(proc) - set(_PROCESSING_DEFAULTS)
@@ -151,7 +153,7 @@ def _resolve_processing(proc_cfg: dict, array: SensorArray, grid: FrequencyGrid,
     if proc["model"] not in ("planewave", "spherical"):
         raise ConfigError(f"unknown model {proc['model']!r}")
     design = proc["design"]
-    if design not in ("robust", "plain", "average"):
+    if design not in DESIGNS:
         raise ConfigError(f"unknown design {design!r}")
 
     r_min = None
@@ -185,7 +187,7 @@ def _resolve_processing(proc_cfg: dict, array: SensorArray, grid: FrequencyGrid,
         clean = all(s is not None and s.sigma_m == 0.0 and s.sensors % 4 == 0
                     for s in specs)
         reduction = "symmetric" if (clean and design != "average") else "none"
-    elif reduction not in ("none", "symmetric"):
+    elif reduction not in REDUCTIONS:
         raise ConfigError(f"unknown reduction {reduction!r}")
 
     audit = nyquist_audit(array, grid.f_max_hz)
@@ -199,7 +201,10 @@ def _resolve_processing(proc_cfg: dict, array: SensorArray, grid: FrequencyGrid,
     pad_delay = int(proc["pad_delay"])
     if pad_az < 1 or pad_delay < 1:
         raise ConfigError("pad factors must be >= 1")
-    excl = tuple(int(v) for v in proc["exclusion_cells"])
+    try:
+        excl = tuple(int(v) for v in proc["exclusion_cells"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"exclusion_cells must be two non-negative integers: {exc}") from exc
     if len(excl) != 2 or any(v < 0 for v in excl):
         raise ConfigError("exclusion_cells must be two non-negative integers")
     if proc["exclusion_deg"] is not None:
@@ -292,17 +297,8 @@ def resolve(cfg: dict, allow_undersampled: bool = False,
     proc = _resolve_processing(cfg.get("processing", {}), array, grid,
                                allow_undersampled=allow_undersampled,
                                force_modes=force_modes)
-    model = proc["model"]
-    if model == "spherical" and any(w.distance_m is None for w in scene):
+    if proc["model"] == "spherical" and any(w.distance_m is None for w in scene):
         raise ValidationError("spherical model requires distance_m on every wave")
-    design = proc["design"]
-    mh = proc["mode_half"]
-    limit = proc["mode_limit"]
-    reduction = proc["reduction"]
-    audit = proc["nyquist"]
-    pad_az, pad_delay = proc["pad_az"], proc["pad_delay"]
-    excl = proc["exclusion_cells"]
-    snr_db = proc["snr_db"]
 
     resolved_cfg = {
         "name": name,
@@ -313,22 +309,13 @@ def resolve(cfg: dict, allow_undersampled: bool = False,
         "scene": [{"azimuth_deg": w.azimuth_deg, "delay_s": w.delay_s,
                    "elevation_deg": w.elevation_deg, "amplitude": w.amplitude,
                    "distance_m": w.distance_m} for w in scene],
-        "processing": {"model": model, "design": design, "modes": 2 * mh + 1,
-                       "mode_threshold": float(proc["mode_threshold"]),
-                       "reduction": reduction, "pad_az": pad_az,
-                       "pad_delay": pad_delay, "exclusion_cells": list(excl),
-                       "exclusion_deg": proc["exclusion_deg"], "snr_db": snr_db},
+        "processing": None,  # pinned by _assemble
     }
     if allow_undersampled:
         resolved_cfg["allow_undersampled"] = True
     if "sweep" in cfg:
         resolved_cfg["sweep"] = cfg["sweep"]
-
-    return ResolvedScenario(
-        name=name, config=resolved_cfg, array=array, grid=grid, scene=scene,
-        model=model, design=design, mode_half=mh, mode_limit_value=limit,
-        reduction=reduction, pad_az=pad_az, pad_delay=pad_delay,
-        exclusion_cells=excl, snr_db=snr_db, seed=seed, nyquist=audit)
+    return _assemble(name, resolved_cfg, array, grid, scene, seed, proc)
 
 
 def resolve_ingested(array: SensorArray, grid: FrequencyGrid, proc_cfg: dict,
@@ -342,22 +329,27 @@ def resolve_ingested(array: SensorArray, grid: FrequencyGrid, proc_cfg: dict,
         "name": name,
         "grid": {"f_start_hz": grid.f_start_hz, "bandwidth_hz": grid.bandwidth_hz,
                  "samples": grid.samples},
-        "processing": {"model": proc["model"], "design": proc["design"],
-                       "modes": 2 * proc["mode_half"] + 1,
-                       "mode_threshold": proc["mode_threshold"],
-                       "reduction": proc["reduction"], "pad_az": proc["pad_az"],
-                       "pad_delay": proc["pad_delay"],
-                       "exclusion_cells": list(proc["exclusion_cells"]),
-                       "exclusion_deg": proc["exclusion_deg"],
-                       "snr_db": proc["snr_db"]},
+        "processing": None,  # pinned by _assemble
     }
+    return _assemble(name, resolved_cfg, array, grid, [], 0, proc)
+
+
+def _assemble(name: str, config: dict, array: SensorArray, grid: FrequencyGrid,
+              scene: list, seed: int, proc: dict) -> ResolvedScenario:
+    """Scenario from resolved processing; writes config's processing section."""
+    config["processing"] = {
+        "model": proc["model"], "design": proc["design"],
+        "modes": 2 * proc["mode_half"] + 1, "mode_threshold": proc["mode_threshold"],
+        "reduction": proc["reduction"], "pad_az": proc["pad_az"],
+        "pad_delay": proc["pad_delay"], "exclusion_cells": list(proc["exclusion_cells"]),
+        "exclusion_deg": proc["exclusion_deg"], "snr_db": proc["snr_db"]}
     return ResolvedScenario(
-        name=name, config=resolved_cfg, array=array, grid=grid, scene=[],
+        name=name, config=config, array=array, grid=grid, scene=scene,
         model=proc["model"], design=proc["design"], mode_half=proc["mode_half"],
         mode_limit_value=proc["mode_limit"], reduction=proc["reduction"],
         pad_az=proc["pad_az"], pad_delay=proc["pad_delay"],
         exclusion_cells=proc["exclusion_cells"], snr_db=proc["snr_db"],
-        seed=0, nyquist=proc["nyquist"])
+        seed=seed, nyquist=proc["nyquist"])
 
 
 @dataclass

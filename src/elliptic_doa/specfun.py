@@ -83,7 +83,7 @@ def _series_j(m: int, x: float) -> float:
     raise NumericError(f"series failed to converge for m={m}, x={x}")
 
 
-def _miller_scalar(m: int, x: float, compensated: bool = True) -> float:
+def _miller_scalar(m: int, x: float) -> float:
     """Normalized downward recurrence for a single order. m >= 0, x > 0."""
     nstart = _start_order(m, x)
     jh, jl = 0.0, 0.0
@@ -102,12 +102,9 @@ def _miller_scalar(m: int, x: float, compensated: bool = True) -> float:
             break
         if order % 2 == 0:
             sh, sl = dd_add(sh, sl, 2.0 * jh, 2.0 * jl)
-        if compensated:
-            ch, cl = dd_mul_d(i2h, i2l, float(order))
-            th, tl = dd_mul(ch, cl, jh, jl)
-            njh, njl = dd_add(th, tl, -jph, -jpl)
-        else:
-            njh, njl = (2.0 * order) / x * jh - jph, 0.0
+        ch, cl = dd_mul_d(i2h, i2l, float(order))
+        th, tl = dd_mul(ch, cl, jh, jl)
+        njh, njl = dd_add(th, tl, -jph, -jpl)
         jph, jpl = jh, jl
         jh, jl = njh, njl
         if abs(jh) > _RESCALE_THRESHOLD:

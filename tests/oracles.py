@@ -2,7 +2,9 @@
 
 Everything here is deliberately written the slow, literal way (mpmath
 arbitrary precision, plain Python loops over the defining sums) so it shares
-no code path with the package.
+no code path with the package.  The dense filter-bank views at the end are
+the exception: they read a package FilterBank back out in the literal
+(mode x sensor) layout, which only tests need.
 """
 
 import cmath
@@ -115,3 +117,29 @@ def brute_spherical_entry(wave_amp, wave_delay, wave_az_deg, wave_el_deg,
                     - 2.0 * dist_m * r * math.sin(theta) * math.cos(phi - phi_p))
     h0 = wave_amp * cmath.exp(2j * math.pi * f_hz * wave_delay)
     return (dist_m / d_p) * h0 * cmath.exp(2j * math.pi * f_hz * (dist_m - d_p) / C)
+
+
+def bank_weights_at(bank, ring, k):
+    """(mode_half + 1, U) weights of one ring at one frequency; rows are m = 0..M_h."""
+    return bank.weights_from_jtable(ring, bank.ring_jtable(ring), k)
+
+
+def bank_dense_weights(bank, ring, k):
+    """Dense (2 mode_half + 1, P) weights; row i is mode m = i - mode_half."""
+    gather = bank_weights_at(bank, ring, k)[:, bank.ring_sensor_map[ring]]
+    abs_m = np.abs(np.arange(-bank.mode_half, bank.mode_half + 1))
+    return gather[abs_m]
+
+
+def dump_bank_csv(bank, path):
+    """Write the dense bank as `m,p,ring,f_hz,re,im` rows (small cases only)."""
+    freqs = bank.grid.frequencies
+    with open(path, "w") as fh:
+        fh.write("m,p,ring,f_hz,re,im\n")
+        for ring in range(bank.array.ring_count):
+            for k in range(bank.grid.samples):
+                dense = bank_dense_weights(bank, ring, k)
+                for i, m in enumerate(range(-bank.mode_half, bank.mode_half + 1)):
+                    for p, w in enumerate(dense[i]):
+                        fh.write(f"{m},{p},{ring},{freqs[k]:.17g},"
+                                 f"{w.real:.17g},{w.imag:.17g}\n")

@@ -16,6 +16,9 @@ J0_1 = 0.7651976865579666
 J1_1 = 0.44005058574493355
 FIRST_J0_ROOT = 2.404825557695773
 
+# Rounding of a phase m * phi (|phi| <= pi) per unit m, in rad: pi * 2**-53
+PHASE_ROUNDING = math.pi * 2.0**-53
+
 
 def make_array(a=0.5, ecc=0.0, sensors=720, alpha=0.0, sigma=0.0, seed=0):
     return geometry.build_concentric([geometry.EllipseSpec(
@@ -57,29 +60,39 @@ class TestModeLimit:
             beamform.mode_limit(make_array(sensors=8), small_grid(), 0.0)
 
 
+def single_weight(design, m, radius_m, f_hz):
+    """W_m at one radius and frequency, read from a four-sensor circle's bank."""
+    corners = [(radius_m, 0.0), (0.0, radius_m), (-radius_m, 0.0), (0.0, -radius_m)]
+    arr = geometry.SensorArray(rings=[(None, [geometry.Sensor(index=i, x_m=x, y_m=y)
+                                              for i, (x, y) in enumerate(corners)])])
+    grid = channel.FrequencyGrid(f_start_hz=f_hz, bandwidth_hz=1e9, samples=2)
+    bank = beamform.build_bank(arr, grid, design=design, mode_half=m)
+    return oracles.bank_weights_at(bank, 0, 0)[m, 0]
+
+
 class TestMakeFilter:
     def test_robust_value_from_bessel_oracle(self):
         f = SPEED_OF_LIGHT / (2 * math.pi)  # makes x = r exactly
-        got = beamform.make_filter("robust", 0, 1.0, f)
+        got = single_weight("robust", 0, 1.0, f)
         want = 2.0 / complex(J0_1, -J1_1)  # J'_0 = -J_1 folds into -jJ_1
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_plain_at_small_argument(self):
         f = SPEED_OF_LIGHT / (2 * math.pi)
-        got = beamform.make_filter("plain", 0, 1e-8, f)
+        got = single_weight("plain", 0, 1e-8, f)
         assert got == pytest.approx(1.0 + 0.0j, rel=1e-9)
 
     def test_plain_null_raises(self):
         f = SPEED_OF_LIGHT / (2 * math.pi)
         with pytest.raises(InstabilityError):
-            beamform.make_filter("plain", 0, FIRST_J0_ROOT, f)
+            single_weight("plain", 0, FIRST_J0_ROOT, f)
         # the robust form rides through the same argument
-        w = beamform.make_filter("robust", 0, FIRST_J0_ROOT, f)
+        w = single_weight("robust", 0, FIRST_J0_ROOT, f)
         assert np.isfinite(w.real) and np.isfinite(w.imag)
 
     def test_unknown_design(self):
         with pytest.raises(DomainError):
-            beamform.make_filter("fancy", 0, 1.0, 1e9)
+            single_weight("fancy", 0, 1.0, 1e9)
 
 
 class TestBank:
@@ -110,8 +123,8 @@ class TestBank:
         full = beamform.build_bank(arr, grid, mode_half=20, reduction="none")
         red = beamform.build_bank(arr, grid, mode_half=20, reduction="symmetric")
         for k in range(4):
-            a = full.expanded_weights(0, k)
-            b = red.expanded_weights(0, k)
+            a = oracles.bank_dense_weights(full, 0, k)
+            b = oracles.bank_dense_weights(red, 0, k)
             assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
 
     def test_bitwise_sharing_where_radii_identical(self):
@@ -121,8 +134,8 @@ class TestBank:
         full = beamform.build_bank(arr, grid, mode_half=6, reduction="none")
         radii = arr.ring_radii(0)
         rep = red.ring_sensor_map[0]
-        w_red = red.expanded_weights(0, 0)
-        w_full = full.expanded_weights(0, 0)
+        w_red = oracles.bank_dense_weights(red, 0, 0)
+        w_full = oracles.bank_dense_weights(full, 0, 0)
         shared = radii == red.ring_unique_radii[0][rep]
         assert shared.any()
         assert np.array_equal(w_red[:, shared], w_full[:, shared])
@@ -156,7 +169,7 @@ class TestBank:
         grid = small_grid(samples=2)
         arr = make_array(ecc=0.5, sensors=16)
         bank = beamform.build_bank(arr, grid, mode_half=5)
-        w = bank.expanded_weights(0, 1)
+        w = oracles.bank_dense_weights(bank, 0, 1)
         for m in range(1, 6):
             assert np.array_equal(w[5 - m], w[5 + m])
 
@@ -170,7 +183,7 @@ class TestBank:
         grid = channel.FrequencyGrid(f_start_hz=f0, bandwidth_hz=1e9, samples=2)
         bank = beamform.build_bank(arr, grid, design="plain", mode_half=2)
         with pytest.raises(InstabilityError, match="m=0"):
-            bank.weights_at(0, 0)
+            oracles.bank_weights_at(bank, 0, 0)
 
     def test_mode_limit_keeps_bank_stable(self):
         arr = make_array(ecc=0.7, sensors=128)
@@ -186,7 +199,7 @@ class TestBank:
         grid = small_grid(samples=2)
         bank = beamform.build_bank(arr, grid, mode_half=1)
         path = tmp_path / "bank.csv"
-        bank.dump_csv(path)
+        oracles.dump_bank_csv(bank, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "m,p,ring,f_hz,re,im"
         assert len(lines) == 1 + 3 * 8 * 2
@@ -290,3 +303,95 @@ class TestExpansion:
             beamform.concentric_expand([mm_a, mm_c])
         with pytest.raises(ValidationError):
             beamform.concentric_expand([])
+
+
+def literal_tolerance(want, arr, ch, bank):
+    """Largest expected |fast - literal| entry, from two error regimes.
+
+    Bessel tables: the bank's plain-float64 tables sit ~1e-14 of the
+    envelope from the mpmath oracle, which the unfolded kernel always met
+    as 1e-12 of the largest mode.  Phases: the literal sum rounds m phi_p,
+    the kernel m theta_r, each by up to m PHASE_ROUNDING rad (the fold's
+    mirror deviations are carried to first order, the rest is below
+    1e-25), and |W| amplifies that: |error| <= 2 M_h PHASE_ROUNDING
+    max|W| max|H|.  This regime dominates once |W| reaches ~1e3.
+    """
+    w_max = max(float(np.abs(oracles.bank_weights_at(bank, ring, k)).max())
+                for ring in range(arr.ring_count) for k in range(bank.grid.samples))
+    phases = 2 * bank.mode_half * PHASE_ROUNDING * w_max * np.abs(ch.values).max()
+    return 1e-12 * np.abs(want).max() + phases
+
+
+def literal_radii(arr, ring, design):
+    if design != "average":
+        return arr.ring_radii(ring)
+    spec = arr.ring_spec(ring)
+    return np.full(spec.sensors, 0.5 * (spec.semi_major_m + spec.semi_minor_m))
+
+
+class TestFoldedExpansion:
+    """The representative kernel against the literal per-sensor sum."""
+
+    @pytest.mark.parametrize("ecc,alpha,sensors,mode_half,reduction,design,sigma", [
+        pytest.param(0.9, 0.0, 40, 8, "symmetric", "robust", 0.0, id="ellipse-rot0"),
+        pytest.param(0.7, 37.0, 36, 6, "symmetric", "robust", 0.0, id="ellipse-rot37"),
+        pytest.param(0.5, 200.0, 32, 7, "symmetric", "robust", 0.0, id="ellipse-rot200"),
+        # |W| reaches ~2e5 at m = 24 here: the phase regime dominates
+        pytest.param(0.0, 0.0, 64, 24, "symmetric", "robust", 0.0, id="circle"),
+        # the r = 0 and r = P/4 orbits have two members each
+        pytest.param(0.6, 0.0, 4, 1, "symmetric", "robust", 0.0, id="p4"),
+        pytest.param(0.6, 10.0, 8, 3, "symmetric", "robust", 0.0, id="p8"),
+        pytest.param(0.5, 0.0, 30, 6, "none", "robust", 1e-3, id="perturbed-unreduced"),
+        pytest.param(0.5, 45.0, 24, 5, "symmetric", "plain", 0.0, id="plain"),
+        pytest.param(0.5, 0.0, 24, 5, "none", "average", 0.0, id="average"),
+    ])
+    def test_matches_literal(self, ecc, alpha, sensors, mode_half, reduction, design, sigma):
+        arr = make_array(a=0.15, ecc=ecc, sensors=sensors, alpha=alpha, sigma=sigma, seed=3)
+        grid = small_grid(samples=3, f_start=4e9, bw=1e9)
+        wave = channel.IncidentWave(azimuth_deg=72.5, delay_s=3e-9)
+        ch = channel.superpose([wave], arr, grid)
+        bank = beamform.build_bank(arr, grid, design=design, mode_half=mode_half,
+                                   reduction=reduction)
+        assert bank.folded == (reduction == "symmetric" and design != "average")
+        got = beamform.phase_mode_expand(ch, 0, bank).values
+        want = oracles.brute_phase_mode(
+            ch.values, arr.ring_azimuths(0), literal_radii(arr, 0, design),
+            grid.frequencies, mode_half=mode_half,
+            design="plain" if design == "plain" else "robust")
+        assert np.abs(got - want).max() <= literal_tolerance(want, arr, ch, bank)
+
+    def test_three_rings_match_mean_of_literals(self):
+        arr = geometry.build_concentric([
+            geometry.EllipseSpec(semi_major_m=0.15, eccentricity=0.7, sensors=24),
+            geometry.EllipseSpec(semi_major_m=0.12, eccentricity=0.5,
+                                 rotation_deg=90.0, sensors=28),
+            geometry.EllipseSpec(semi_major_m=0.1, sensors=16),
+        ])
+        grid = small_grid(samples=3, f_start=4e9, bw=1e9)
+        wave = channel.IncidentWave(azimuth_deg=-40.0, delay_s=2e-9)
+        ch = channel.superpose([wave], arr, grid)
+        bank = beamform.build_bank(arr, grid, mode_half=5, reduction="symmetric")
+        got = beamform.expand_array(ch, bank).values
+        want = np.mean([oracles.brute_phase_mode(
+            ch.ring_rows(i), arr.ring_azimuths(i), arr.ring_radii(i),
+            grid.frequencies, mode_half=5) for i in range(3)], axis=0)
+        assert np.abs(got - want).max() <= literal_tolerance(want, arr, ch, bank)
+
+    def test_mirror_deviation_enters_to_first_order(self):
+        # turn every sensor off its ideal mirror azimuth by up to 1e-8 rad;
+        # without the first-order term the fold would miss by ~M_h 1e-8 |W|
+        spec = geometry.EllipseSpec(semi_major_m=0.15, eccentricity=0.7, sensors=36)
+        xy = geometry.SensorArray(rings=[(spec, geometry.build_ellipse(spec))]).ring_xy(0)
+        turn = 1e-8 * np.random.default_rng(5).uniform(-1.0, 1.0, size=36)
+        c, s = np.cos(turn), np.sin(turn)
+        arr = geometry.SensorArray(rings=[(spec, [
+            geometry.Sensor(index=i, x_m=x * ci - y * si, y_m=x * si + y * ci)
+            for i, (x, y, ci, si) in enumerate(zip(xy[:, 0], xy[:, 1], c, s))])])
+        grid = small_grid(samples=3, f_start=4e9, bw=1e9)
+        ch = channel.superpose([channel.IncidentWave(azimuth_deg=72.5, delay_s=3e-9)],
+                               arr, grid)
+        bank = beamform.build_bank(arr, grid, mode_half=6, reduction="symmetric")
+        got = beamform.phase_mode_expand(ch, 0, bank).values
+        want = oracles.brute_phase_mode(ch.values, arr.ring_azimuths(0), arr.ring_radii(0),
+                                        grid.frequencies, mode_half=6)
+        assert np.abs(got - want).max() <= literal_tolerance(want, arr, ch, bank)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,3 +268,48 @@ class TestCli:
         a = (tmp_path / "a" / "spectrum.csv").read_bytes()
         b = (tmp_path / "b" / "spectrum.csv").read_bytes()
         assert a != b
+
+    @pytest.mark.parametrize("extra,edit", [
+        (["sweep", "--axis", "scene.0.azimuth_deg=0,abc"], None),
+        (["sweep", "--axis", "scene.x.azimuth_deg=0"], None),
+        (["run"], lambda cfg: cfg.update(processing=[1])),
+        (["run", "--pad-az", "2"], lambda cfg: cfg.update(processing=[1])),
+        (["run"], lambda cfg: cfg["processing"].update(exclusion_cells=5)),
+    ], ids=["axis-value-not-json", "axis-path-not-index", "processing-not-object",
+            "processing-not-object-with-pad-flag", "exclusion-cells-not-list"])
+    def test_malformed_input_exits_1_with_one_line(self, tmp_path, capsys, extra, edit):
+        cfg = small_scenario()
+        if edit is not None:
+            edit(cfg)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = cli.main([extra[0], "--config", str(cfg_path),
+                       "--out-dir", str(tmp_path / "o"), *extra[1:]])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("config error: ")
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    """The expansion runs through matmul; BLAS threading must not move a bit."""
+    cfg = small_scenario()
+    cfg["array"] = [
+        {"semi_major_m": 0.15, "eccentricity": 0.9, "rotation_deg": 22.5, "sensors": 256},
+        {"semi_major_m": 0.15, "sensors": 256},
+    ]
+    cfg["allow_undersampled"] = True  # the flattened ring's ends are sparse
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-m", "elliptic_doa.cli", "run",
+                        "--config", str(cfg_path), "--out-dir", str(out)],
+                       env=env, check=True, capture_output=True)
+        outputs.append([(out / name).read_bytes() for name in ("spectrum.csv", "peaks.txt")])
+    assert outputs[0] == outputs[1]
