@@ -14,6 +14,7 @@ from .beamform import (
     build_bank,
     concentric_expand,
     expand_array,
+    make_filter,
     mode_limit,
     phase_mode_expand,
 )
@@ -52,7 +53,7 @@ __all__ = [
     "IncidentWave", "FrequencyGrid", "ChannelMatrix", "wave_response_center",
     "synthesize_planewave", "synthesize_spherical", "superpose", "add_awgn",
     "export_channel", "ingest_channel",
-    "FilterBank", "ModeMatrix", "build_bank", "mode_limit",
+    "FilterBank", "ModeMatrix", "build_bank", "make_filter", "mode_limit",
     "phase_mode_expand", "concentric_expand", "expand_array",
     "JointSpectrum", "PeakReport", "joint_spectrum", "find_peaks",
 ]

@@ -48,7 +48,7 @@ from .channel import ChannelMatrix, FrequencyGrid
 from .constants import SPEED_OF_LIGHT
 from .errors import DomainError, InstabilityError, ValidationError
 from .geometry import SensorArray
-from .specfun import bessel_j_table
+from .specfun import bessel_j, bessel_j_prime, bessel_j_table
 
 DESIGNS = ("robust", "plain", "average")
 REDUCTIONS = ("none", "symmetric")
@@ -72,14 +72,38 @@ def _denominators(jtab: np.ndarray, design: str) -> np.ndarray:
     identity, J'_0 = -J_1 included.
     """
     m_top = jtab.shape[0] - 2
-    den = np.zeros(jtab[: m_top + 1].shape, dtype=complex)
-    den.real = jtab[: m_top + 1]
+    den = jtab[: m_top + 1].astype(complex)
     if design != "plain":
         jp = den.imag
         jp[0] = -jtab[1]
         np.subtract(jtab[0:m_top], jtab[2: m_top + 2], out=jp[1:])
         jp[1:] *= 0.5
     return den
+
+
+def make_filter(design: str, m: int, radius_m: float, f_hz: float,
+                floor: float = DENOMINATOR_FLOOR) -> complex:
+    """Single filter weight at one (mode, radius, frequency).
+
+    The "average" design uses the robust form; callers pass the averaged
+    radius.  Raises InstabilityError when the denominator magnitude falls
+    below ``floor`` (the error names mode, radius and frequency; bank-level
+    errors name the sensor index as well).
+    """
+    if design not in DESIGNS:
+        raise DomainError(f"unknown filter design {design!r}")
+    x = 2.0 * math.pi * f_hz * radius_m / SPEED_OF_LIGHT
+    jm = bessel_j(m, x)
+    if design == "plain":
+        den = complex(jm, 0.0)
+    else:
+        den = jm + 1j * bessel_j_prime(m, x)
+    if abs(den) < floor:
+        raise InstabilityError(
+            f"filter denominator |{den:.3e}| below floor {floor:.1e} "
+            f"at m={m}, r={radius_m} m, f={f_hz} Hz")
+    num = 1.0 if design == "plain" else 2.0
+    return num / (complex(_jpow(m)) * den)
 
 
 def mode_limit(array: SensorArray, grid: FrequencyGrid, threshold: float,
@@ -272,13 +296,11 @@ def phase_mode_expand(channel: ChannelMatrix, ring: int, bank: FilterBank) -> Mo
     P - r sit at pi - theta_r, pi + theta_r and -theta_r; with
     A = H_r +- H_{P/2+r}, B = H_{P-r} +- H_{P/2-r} (sign = parity of m),
 
-        H_{+-m} = e^{+-jm alpha}/P sum_r W_{m,r} [cos(m theta_r)(A + B) +- j sin(m theta_r)(A - B)],
+    H_{+-m} = e^{+-jm alpha}/P sum_r W_{m,r} [cos(m theta_r)(A + B) +- j sin(m theta_r)(A - B)],
 
     the r = 0 and r = P/4 orbits, which list each sensor twice, at weight
-    1/2.  Realized azimuths miss these ideal mirrors by eps ~ 1e-16 rad (the
-    rounding of eta_p), which the data carry; each sensor therefore enters
-    once more as jm eps H, the first-order term of e^{jm eps} (the second is
-    below 1e-25).  Any other ring is its own fold: r = p, alpha = 0, B = 0.
+    1/2; realized mirrors miss these ideal azimuths by rounding (<= 3e-15
+    rad).  Any other ring is its own fold: r = p, alpha = 0, B = 0.
     """
     if bank.array is not channel.array and bank.array != channel.array:
         raise ValidationError("bank and channel refer to different arrays")
@@ -289,46 +311,27 @@ def phase_mode_expand(channel: ChannelMatrix, ring: int, bank: FilterBank) -> Mo
     jtab = bank.ring_jtable(ring)
     data = channel.ring_rows(ring).T  # (K, P)
     p = data.shape[1]
-    phi = channel.array.ring_azimuths(ring)
     orders = np.arange(bank.mode_half + 1)
     if bank.folded:
         r = np.arange(p // 4 + 1)
         alpha = math.radians(channel.array.ring_spec(ring).rotation_deg)
-        theta = phi[r] - alpha
-        members = np.stack([r, p // 2 + r, (p - r) % p, p // 2 - r])
-        ideal = alpha + np.stack([theta, np.pi + theta, -theta, np.pi - theta])
-        by_parity = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 1.0], [1.0, -1.0]])
-        side = np.array([1.0, 1.0, -1.0, -1.0])  # member of A or of B
-        twice = [0, -1]  # the r = 0 and r = P/4 orbits list each sensor twice
-        parity = orders % 2
+        h = data[:, np.stack([r, p // 2 + r, p - r, p // 2 - r]) % p]  # (K, 4, R)
+        h[:, :, [0, -1]] *= 0.5  # the r = 0 and r = P/4 orbits list each sensor twice
+        a = np.stack([h[:, 0] + h[:, 1], h[:, 0] - h[:, 1]], axis=-1)  # (K, R, parity)
+        b = np.stack([h[:, 2] + h[:, 3], h[:, 2] - h[:, 3]], axis=-1)
+        sums, diffs, parity = a + b, a - b, orders % 2
     else:
-        r, alpha, theta, parity = np.arange(p), 0.0, phi, np.zeros_like(orders)
-        members, ideal = r[None], phi[None]
-        by_parity, side, twice = np.ones((1, 1)), np.ones(1), []
-    eps = np.angle(np.exp(1j * (phi[members] - ideal)))
-    # coef[d, s, r, e * C + c]: weight of member s in A + B (d = 0) or A - B
-    # (d = 1), for parity column c of the data (e = 0) or of its eps-weighted
-    # first-order term (e = 1)
-    scale = np.stack([np.ones_like(eps), eps], axis=-1)[..., None] * by_parity[:, None, None]
-    coef = scale.reshape(*eps.shape, -1)
-    coef = np.stack([coef, coef * side[:, None, None]])
-    coef[:, :, twice] *= 0.5
-    sums, diffs = np.einsum("ksr,dsrc->dkrc", data[:, members], coef)
-    first_order = parity + by_parity.shape[1]
-    jm = 1j * orders
-    angle = np.outer(orders, theta)
+        r, alpha, parity = np.arange(p), 0.0, np.zeros_like(orders)
+        sums = diffs = data[:, :, None]
+    angle = np.outer(orders, channel.array.ring_azimuths(ring)[r] - alpha)
     cos_mt, sin_mt = np.cos(angle), np.sin(angle)
-    wcol = bank.ring_sensor_map[ring][r]
-    rot = np.exp(1j * orders * alpha) / p
+    wcol, rot = bank.ring_sensor_map[ring][r], np.exp(1j * orders * alpha) / p
     for k in range(channel.grid.samples):
         w = bank.weights_from_jtable(ring, jtab, k)[:, wcol]
-        cos_part = (w * cos_mt) @ sums[k]
-        sin_part = 1j * ((w * sin_mt) @ diffs[k])
-        even, odd = cos_part[orders, parity], sin_part[orders, parity]
-        even_1 = jm * cos_part[orders, first_order]
-        odd_1 = jm * sin_part[orders, first_order]
-        out[bank.mode_half:, k] = rot * (even + odd + even_1 + odd_1)
-        out[bank.mode_half::-1, k] = rot.conj() * (even - odd - even_1 + odd_1)
+        even = ((w * cos_mt) @ sums[k])[orders, parity]
+        odd = 1j * ((w * sin_mt) @ diffs[k])[orders, parity]
+        out[bank.mode_half:, k] = rot * (even + odd)
+        out[bank.mode_half::-1, k] = rot.conj() * (even - odd)
     return ModeMatrix(values=out, mode_half=bank.mode_half, grid=channel.grid)
 
 

@@ -309,13 +309,19 @@ def resolve(cfg: dict, allow_undersampled: bool = False,
         "scene": [{"azimuth_deg": w.azimuth_deg, "delay_s": w.delay_s,
                    "elevation_deg": w.elevation_deg, "amplitude": w.amplitude,
                    "distance_m": w.distance_m} for w in scene],
-        "processing": None,  # pinned by _assemble
+        "processing": _processing_section(proc),
     }
     if allow_undersampled:
         resolved_cfg["allow_undersampled"] = True
     if "sweep" in cfg:
         resolved_cfg["sweep"] = cfg["sweep"]
-    return _assemble(name, resolved_cfg, array, grid, scene, seed, proc)
+    return ResolvedScenario(
+        name=name, config=resolved_cfg, array=array, grid=grid, scene=scene,
+        model=proc["model"], design=proc["design"], mode_half=proc["mode_half"],
+        mode_limit_value=proc["mode_limit"], reduction=proc["reduction"],
+        pad_az=proc["pad_az"], pad_delay=proc["pad_delay"],
+        exclusion_cells=proc["exclusion_cells"], snr_db=proc["snr_db"],
+        seed=seed, nyquist=proc["nyquist"])
 
 
 def resolve_ingested(array: SensorArray, grid: FrequencyGrid, proc_cfg: dict,
@@ -329,27 +335,24 @@ def resolve_ingested(array: SensorArray, grid: FrequencyGrid, proc_cfg: dict,
         "name": name,
         "grid": {"f_start_hz": grid.f_start_hz, "bandwidth_hz": grid.bandwidth_hz,
                  "samples": grid.samples},
-        "processing": None,  # pinned by _assemble
+        "processing": _processing_section(proc),
     }
-    return _assemble(name, resolved_cfg, array, grid, [], 0, proc)
-
-
-def _assemble(name: str, config: dict, array: SensorArray, grid: FrequencyGrid,
-              scene: list, seed: int, proc: dict) -> ResolvedScenario:
-    """Scenario from resolved processing; writes config's processing section."""
-    config["processing"] = {
-        "model": proc["model"], "design": proc["design"],
-        "modes": 2 * proc["mode_half"] + 1, "mode_threshold": proc["mode_threshold"],
-        "reduction": proc["reduction"], "pad_az": proc["pad_az"],
-        "pad_delay": proc["pad_delay"], "exclusion_cells": list(proc["exclusion_cells"]),
-        "exclusion_deg": proc["exclusion_deg"], "snr_db": proc["snr_db"]}
     return ResolvedScenario(
-        name=name, config=config, array=array, grid=grid, scene=scene,
+        name=name, config=resolved_cfg, array=array, grid=grid, scene=[],
         model=proc["model"], design=proc["design"], mode_half=proc["mode_half"],
         mode_limit_value=proc["mode_limit"], reduction=proc["reduction"],
         pad_az=proc["pad_az"], pad_delay=proc["pad_delay"],
         exclusion_cells=proc["exclusion_cells"], snr_db=proc["snr_db"],
-        seed=seed, nyquist=proc["nyquist"])
+        seed=0, nyquist=proc["nyquist"])
+
+
+def _processing_section(proc: dict) -> dict:
+    """The manifest's processing section: every knob as resolved."""
+    return {"model": proc["model"], "design": proc["design"],
+            "modes": 2 * proc["mode_half"] + 1, "mode_threshold": proc["mode_threshold"],
+            "reduction": proc["reduction"], "pad_az": proc["pad_az"],
+            "pad_delay": proc["pad_delay"], "exclusion_cells": list(proc["exclusion_cells"]),
+            "exclusion_deg": proc["exclusion_deg"], "snr_db": proc["snr_db"]}
 
 
 @dataclass

@@ -36,6 +36,7 @@ from .channel import FrequencyGrid
 from .errors import DegenerateInputError, DomainError
 
 DEFAULT_EXCLUSION_CELLS = (5, 5)
+TIE_RTOL = 1e-10  # two bins straddling an arrival's mirror axis differ by ~1e-12
 
 
 def joint_spectrum(modes: ModeMatrix, pad_az: int = 1, pad_delay: int = 1) -> "JointSpectrum":
@@ -164,6 +165,15 @@ def _local_maxima_mask(s: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _strongest(values: np.ndarray) -> tuple:
+    """(azimuth bin, delay bin) of the maximum.  Entries within TIE_RTOL of it
+    tie, so rounding cannot move the pick; ties go to the bin farther from
+    azimuth 0 (mirrored scenes pick mirrored bins), then to the lowest pair."""
+    tied = np.flatnonzero(values >= values.max() * (1.0 - TIE_RTOL))
+    q = tied // values.shape[1]
+    return np.unravel_index(int(tied[np.argmax(np.minimum(q, values.shape[0] - q))]), values.shape)
+
+
 def find_peaks(spectrum: JointSpectrum,
                expected: Optional[tuple] = None,
                exclusion_cells: tuple = DEFAULT_EXCLUSION_CELLS,
@@ -172,8 +182,8 @@ def find_peaks(spectrum: JointSpectrum,
 
     With ``expected`` = (phi_deg, tau_s), the main peak is the maximum within
     the exclusion window around the expected bin (so a wrong global maximum
-    shows up as delta_db < 0); otherwise it is the global maximum.  Ties
-    break toward the lowest (azimuth bin, delay bin) pair.
+    shows up as delta_db < 0); otherwise it is the global maximum.  Both
+    picks break ties as `_strongest` does.
     """
     s = spectrum.magnitudes
     if not np.any(s > 0.0):
@@ -188,17 +198,14 @@ def find_peaks(spectrum: JointSpectrum,
         dk = np.abs(np.arange(n_d) - k0)
         return (dq[:, None] <= excl_q) & (dk[None, :] <= excl_k)
 
+    flat = s
     if expected is not None:
         phi_e, tau_e = expected
         q_e = int(round(phi_e / 360.0 * n_az)) % n_az
         k_e = min(max(int(round(tau_e * spectrum.pad_delay * spectrum.grid.bandwidth_hz)), 0),
                   n_d - 1)
-        region = window_mask(q_e, k_e)
-        flat = np.where(region, s, -1.0)
-        idx = int(flat.argmax())
-    else:
-        idx = int(s.argmax())
-    q_main, k_main = np.unravel_index(idx, s.shape)
+        flat = np.where(window_mask(q_e, k_e), s, -1.0)
+    q_main, k_main = _strongest(flat)
     main = SpectrumPeak(phi_deg=spectrum.azimuth_of_bin(int(q_main)),
                         tau_s=spectrum.delay_of_bin(int(k_main)),
                         magnitude=float(s[q_main, k_main]))
@@ -207,9 +214,7 @@ def find_peaks(spectrum: JointSpectrum,
     exclusion = window_mask(int(q_main), int(k_main))
     candidates = maxima_mask & ~exclusion
     if candidates.any():
-        flat = np.where(candidates, s, -1.0)
-        a_idx = int(flat.argmax())
-        qa, ka = np.unravel_index(a_idx, s.shape)
+        qa, ka = _strongest(np.where(candidates, s, -1.0))
         artifact = SpectrumPeak(phi_deg=spectrum.azimuth_of_bin(int(qa)),
                                 tau_s=spectrum.delay_of_bin(int(ka)),
                                 magnitude=float(s[qa, ka]))

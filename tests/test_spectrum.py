@@ -112,6 +112,23 @@ def test_find_peaks_with_expected_window():
     assert free.delta_db == pytest.approx(-anchored.delta_db, abs=1e-9)
 
 
+@pytest.mark.parametrize("nudge", [0.0, 1e-13, -1e-13])
+def test_half_bin_tie_ignores_rounding(nudge):
+    # an arrival exactly between bins 9 and 10 (of 84) leaves them equal up
+    # to rounding: the pick must not follow that rounding, and the mirrored
+    # arrival must pick the mirrored bin
+    tau = 5 / GRID.bandwidth_hz
+    for phi, want, other in (((9.5 * 360.0) / 84, 10, 9), (-(9.5 * 360.0) / 84, 74, 75)):
+        sp = spectrum.joint_spectrum(ideal_modes(10, GRID, phi, tau), pad_az=4)
+        sp.magnitudes[other, 5] *= 1.0 + nudge
+        for expected in (None, (phi % 360.0, tau)):
+            assert spectrum.find_peaks(sp, expected=expected).main.phi_deg == \
+                sp.azimuth_of_bin(want)
+    # a real difference still wins
+    sp.magnitudes[75, 5] *= 1.0 + 1e-6
+    assert spectrum.find_peaks(sp).main.phi_deg == sp.azimuth_of_bin(75)
+
+
 def test_two_ray_ranked_maxima():
     mh = 40
     tau1, tau2 = 4 / GRID.bandwidth_hz, 8 / GRID.bandwidth_hz
