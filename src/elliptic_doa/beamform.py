@@ -38,6 +38,7 @@ their per-ring mode matrices.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -125,10 +126,16 @@ def mode_limit(array: SensorArray, grid: FrequencyGrid, threshold: float,
     if r_min_m is None:
         r_min_m = array.min_radius_m
     x_min = 2.0 * math.pi * grid.f_start_hz * r_min_m / SPEED_OF_LIGHT
+    return _mode_limit_at(x_min, threshold, "plain" if design == "plain" else "robust")
+
+
+@functools.lru_cache(maxsize=1024)
+def _mode_limit_at(x_min: float, threshold: float, design: str) -> int:
+    """mode_limit's search at one argument; sweep points share it."""
     cap = int(math.ceil(x_min)) + 64
     while True:
         jtab = bessel_j_table(cap + 1, np.array([x_min]))
-        mags = np.abs(_denominators(jtab, "plain" if design == "plain" else "robust"))[:, 0]
+        mags = np.abs(_denominators(jtab, design))[:, 0]
         failing = np.flatnonzero(mags < threshold)
         if failing.size:
             first = int(failing[0])
@@ -141,7 +148,10 @@ def mode_limit(array: SensorArray, grid: FrequencyGrid, threshold: float,
 
 @dataclass(frozen=True)
 class ModeMatrix:
-    """Mode-space response: values[i, k] holds mode m = i - mode_half."""
+    """Mode-space response: values[i, k] holds mode m = i - mode_half.
+
+    An optional trailing axis stacks points: values[i, k, b] is point b.
+    """
 
     values: np.ndarray
     mode_half: int
@@ -149,7 +159,7 @@ class ModeMatrix:
 
     def __post_init__(self):
         expected = (2 * self.mode_half + 1, self.grid.samples)
-        if self.values.shape != expected:
+        if self.values.shape[:2] != expected or self.values.ndim not in (2, 3):
             raise ValidationError(
                 f"mode matrix shape {self.values.shape} != {expected}")
         if not np.all(np.isfinite(self.values)):
@@ -247,8 +257,9 @@ def build_bank(array: SensorArray, grid: FrequencyGrid, design: str = "robust",
 
     reduction="symmetric" exploits the four-fold radius symmetry of an
     unperturbed ring; it requires sigma = 0 and P divisible by 4 on every
-    ring and is rejected otherwise.  The "average" design needs ellipse
-    parameters (it evaluates at (a+b)/2) and therefore a built geometry.
+    ring, whatever the design, and is rejected otherwise.  The "average"
+    design needs ellipse parameters (it evaluates at (a+b)/2) and therefore
+    a built geometry.
     """
     if design not in DESIGNS:
         raise DomainError(f"unknown filter design {design!r}")
@@ -262,6 +273,13 @@ def build_bank(array: SensorArray, grid: FrequencyGrid, design: str = "robust",
         spec = array.ring_spec(ring)
         radii = array.ring_radii(ring)
         p = radii.size
+        if reduction == "symmetric":
+            if spec is None or spec.sigma_m != 0.0:
+                raise ValidationError(
+                    "symmetric reduction requires exact (sigma = 0) placement")
+            if p % 4 != 0:
+                raise ValidationError(
+                    f"symmetric reduction requires P divisible by 4, got {p}")
         if design == "average":
             if spec is None:
                 raise ValidationError(
@@ -270,12 +288,6 @@ def build_bank(array: SensorArray, grid: FrequencyGrid, design: str = "robust",
             bank.ring_unique_radii.append(np.array([rbar]))
             bank.ring_sensor_map.append(np.zeros(p, dtype=np.intp))
         elif reduction == "symmetric":
-            if spec is None or spec.sigma_m != 0.0:
-                raise ValidationError(
-                    "symmetric reduction requires exact (sigma = 0) placement")
-            if p % 4 != 0:
-                raise ValidationError(
-                    f"symmetric reduction requires P divisible by 4, got {p}")
             rep = _quadrant_map(p)
             # collapse bitwise-equal representative radii too (a circle's
             # quadrant radii all round to the same few doubles)
@@ -301,37 +313,47 @@ def phase_mode_expand(channel: ChannelMatrix, ring: int, bank: FilterBank) -> Mo
     the r = 0 and r = P/4 orbits, which list each sensor twice, at weight
     1/2; realized mirrors miss these ideal azimuths by rounding (<= 3e-15
     rad).  Any other ring is its own fold: r = p, alpha = 0, B = 0.
+
+    A channel with a trailing point axis, values[p, k, b], yields mode
+    values[i, k, b]: each frequency's weights W o cos(m theta) and
+    W o sin(m theta) are formed once and applied to all points by one
+    stacked matmul, which numpy runs as one GEMM per point with the shapes
+    of a single-point call.  Every point therefore gets the bits it would
+    get alone.
     """
     if bank.array is not channel.array and bank.array != channel.array:
         raise ValidationError("bank and channel refer to different arrays")
     if bank.grid != channel.grid:
         raise ValidationError("bank and channel grids differ")
+    values = channel.ring_rows(ring)
     # the table build is the memory peak: only the output may exist before it
-    out = np.empty((2 * bank.mode_half + 1, channel.grid.samples), dtype=complex)
+    out = np.empty((2 * bank.mode_half + 1,) + values.shape[1:], dtype=complex)
     jtab = bank.ring_jtable(ring)
-    data = channel.ring_rows(ring).T  # (K, P)
-    p = data.shape[1]
+    data = np.moveaxis(values.reshape(values.shape[:2] + (-1,)), 0, -1)  # (K, B, P)
+    p = data.shape[-1]
     orders = np.arange(bank.mode_half + 1)
     if bank.folded:
         r = np.arange(p // 4 + 1)
         alpha = math.radians(channel.array.ring_spec(ring).rotation_deg)
-        h = data[:, np.stack([r, p // 2 + r, p - r, p // 2 - r]) % p]  # (K, 4, R)
-        h[:, :, [0, -1]] *= 0.5  # the r = 0 and r = P/4 orbits list each sensor twice
-        a = np.stack([h[:, 0] + h[:, 1], h[:, 0] - h[:, 1]], axis=-1)  # (K, R, parity)
-        b = np.stack([h[:, 2] + h[:, 3], h[:, 2] - h[:, 3]], axis=-1)
+        h = data[..., np.stack([r, p // 2 + r, p - r, p // 2 - r]) % p]  # (K, B, 4, R)
+        h[..., [0, -1]] *= 0.5  # the r = 0 and r = P/4 orbits list each sensor twice
+        a = np.stack([h[..., 0, :] + h[..., 1, :], h[..., 0, :] - h[..., 1, :]],
+                     axis=-1)  # (K, B, R, parity)
+        b = np.stack([h[..., 2, :] + h[..., 3, :], h[..., 2, :] - h[..., 3, :]], axis=-1)
         sums, diffs, parity = a + b, a - b, orders % 2
     else:
         r, alpha, parity = np.arange(p), 0.0, np.zeros_like(orders)
-        sums = diffs = data[:, :, None]
+        sums = diffs = data[..., None]
     angle = np.outer(orders, channel.array.ring_azimuths(ring)[r] - alpha)
     cos_mt, sin_mt = np.cos(angle), np.sin(angle)
-    wcol, rot = bank.ring_sensor_map[ring][r], np.exp(1j * orders * alpha) / p
+    wcol, rot = bank.ring_sensor_map[ring][r], np.exp(1j * orders * alpha)[:, None] / p
+    stacked = out.reshape(out.shape[:2] + (-1,))  # (modes, K, B) view
     for k in range(channel.grid.samples):
         w = bank.weights_from_jtable(ring, jtab, k)[:, wcol]
-        even = ((w * cos_mt) @ sums[k])[orders, parity]
-        odd = 1j * ((w * sin_mt) @ diffs[k])[orders, parity]
-        out[bank.mode_half:, k] = rot * (even + odd)
-        out[bank.mode_half::-1, k] = rot.conj() * (even - odd)
+        even = ((w * cos_mt) @ sums[k])[:, orders, parity].T
+        odd = 1j * ((w * sin_mt) @ diffs[k])[:, orders, parity].T
+        stacked[bank.mode_half:, k] = rot * (even + odd)
+        stacked[bank.mode_half::-1, k] = rot.conj() * (even - odd)
     return ModeMatrix(values=out, mode_half=bank.mode_half, grid=channel.grid)
 
 

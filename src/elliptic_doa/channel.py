@@ -104,7 +104,11 @@ class FrequencyGrid:
 
 @dataclass
 class ChannelMatrix:
-    """Complex frequency response per sensor: values[p, k], p in global order."""
+    """Complex frequency response per sensor: values[p, k], p in global order.
+
+    An optional trailing axis stacks points of one array and grid:
+    values[p, k, b] is point b.
+    """
 
     array: SensorArray
     grid: FrequencyGrid
@@ -113,7 +117,7 @@ class ChannelMatrix:
 
     def __post_init__(self):
         expected = (self.array.total_sensors, self.grid.samples)
-        if self.values.shape != expected:
+        if self.values.shape[:2] != expected or self.values.ndim not in (2, 3):
             raise ChannelDimensionError(
                 f"channel shape {self.values.shape} != sensors x samples {expected}")
         if not np.all(np.isfinite(self.values)):

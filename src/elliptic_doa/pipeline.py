@@ -25,13 +25,23 @@ the run manifest records.
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import time
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from . import __version__
-from .beamform import DESIGNS, REDUCTIONS, build_bank, expand_array, mode_limit
+from .beamform import (
+    DESIGNS,
+    REDUCTIONS,
+    ModeMatrix,
+    build_bank,
+    expand_array,
+    mode_limit,
+)
 from .channel import (
     ChannelMatrix,
     FrequencyGrid,
@@ -393,15 +403,7 @@ def run_channel(scenario: ResolvedScenario, ch: ChannelMatrix) -> RunResult:
     t0 = time.perf_counter()
     bank = build_bank(ch.array, ch.grid, design=scenario.design,
                       mode_half=scenario.mode_half, reduction=scenario.reduction)
-    modes = expand_array(ch, bank)
-    spec = joint_spectrum(modes, pad_az=scenario.pad_az, pad_delay=scenario.pad_delay)
-    report = find_peaks(spec, exclusion_cells=scenario.exclusion_cells)
-    if scenario.scene:
-        first = scenario.scene[0]
-        anchored = find_peaks(spec, expected=(first.azimuth_deg, first.delay_s),
-                              exclusion_cells=scenario.exclusion_cells)
-    else:
-        anchored = report
+    spec, report, anchored = _spectrum_and_peaks(scenario, expand_array(ch, bank))
     return RunResult(scenario=scenario, channel=ch, spectrum=spec, report=report,
                      anchored=anchored, runtime_s=time.perf_counter() - t0,
                      bank_unique_evals=bank.unique_eval_count,
@@ -411,12 +413,30 @@ def run_channel(scenario: ResolvedScenario, ch: ChannelMatrix) -> RunResult:
 def run_scenario(scenario: ResolvedScenario) -> RunResult:
     """Full pipeline: synthesize, add noise, beamform, transform, report."""
     t0 = time.perf_counter()
+    result = run_channel(scenario, _synthesize(scenario))
+    result.runtime_s = time.perf_counter() - t0
+    return result
+
+
+def _synthesize(scenario: ResolvedScenario) -> ChannelMatrix:
+    """The scene's channel, plus noise from the scenario's own seed."""
     ch = superpose(scenario.scene, scenario.array, scenario.grid, model=scenario.model)
     if scenario.snr_db is not None:
         ch = add_awgn(ch, scenario.snr_db, seed=scenario.seed)
-    result = run_channel(scenario, ch)
-    result.runtime_s = time.perf_counter() - t0
-    return result
+    return ch
+
+
+def _spectrum_and_peaks(scenario: ResolvedScenario, modes: ModeMatrix):
+    """Joint spectrum, global peak report and the report anchored on the first wave."""
+    spec = joint_spectrum(modes, pad_az=scenario.pad_az, pad_delay=scenario.pad_delay)
+    report = find_peaks(spec, exclusion_cells=scenario.exclusion_cells)
+    if scenario.scene:
+        first = scenario.scene[0]
+        anchored = find_peaks(spec, expected=(first.azimuth_deg, first.delay_s),
+                              exclusion_cells=scenario.exclusion_cells)
+    else:
+        anchored = report
+    return spec, report, anchored
 
 
 def write_outputs(result: RunResult, out_dir) -> list:
@@ -441,14 +461,37 @@ def write_outputs(result: RunResult, out_dir) -> list:
     return paths
 
 
+SWEEP_BATCH_BYTES = 8 << 20
+"""Channel bytes one sweep batch may hold: 7 points of a 720-sensor,
+100-sample ring, or a single point of anything larger than the budget."""
+
+
+def _bank_key(scenario: ResolvedScenario) -> tuple:
+    """What a filter bank depends on: realized array, grid and processing."""
+    return (json.dumps(scenario.config["array"], sort_keys=True), scenario.grid,
+            scenario.design, scenario.mode_half, scenario.reduction)
+
+
 def sweep_rows(cfg: dict, allow_undersampled: bool = False,
                force_modes: bool = False):
     """Run the scenario once per sweep grid point (cartesian, row-major).
 
-    Yields dict rows: the axis values, the peak anchored near the true wave
-    (phi_deg, tau_s, delta_db), the unanchored global peak, and the resolved
-    mode count.  Determinism comes from per-point seeds in the config, so
-    evaluation order carries no state.
+    Yields dict rows in row-major order: the axis values, the peak anchored
+    near the true wave (phi_deg, tau_s, delta_db), the unanchored global
+    peak, and the resolved mode count.
+
+    Every point is resolved before any is computed, so a bad point fails
+    first.  Points whose filter bank would be the same (equal resolved
+    array section, ring seeds included, grid, design, mode count and
+    reduction) form a group that builds one bank.  A group runs in batches
+    of at most SWEEP_BATCH_BYTES of channel data (at least one point): each
+    point's channel, with noise from its own seed, joins a stacked channel
+    that one expand_array call turns into mode matrices, so a batch
+    evaluates its Bessel tables and filter weights once per frequency.
+    Spectrum and peaks then run per point.  Every numeric column equals a
+    run_scenario of that point alone, bit for bit; runtime_s is the batch's
+    wall time divided by its point count.  Determinism comes from per-point
+    seeds in the config, so evaluation order carries no state.
     """
     sweep = cfg.get("sweep")
     if not sweep or not sweep.get("axes"):
@@ -470,34 +513,58 @@ def sweep_rows(cfg: dict, allow_undersampled: bool = False,
                 raise ConfigError("sweep axis needs non-empty values")
         else:
             raise ConfigError("each sweep axis needs a path (or paths)")
-        axes.append((paths, values))
+        axes.append([list(zip(paths, row_vals)) for row_vals in values])
 
-    def recurse(i, assignment):
-        if i == len(axes):
-            point = copy.deepcopy(cfg)
-            point.pop("sweep", None)
-            for path, value in assignment:
-                set_path(point, path, value)
-            scenario = resolve(point, allow_undersampled=allow_undersampled,
-                               force_modes=force_modes)
-            result = run_scenario(scenario)
-            row = {path: value for path, value in assignment}
-            row.update({
-                "phi_deg": result.anchored.main.phi_deg,
-                "tau_s": result.anchored.main.tau_s,
-                "delta_db": result.anchored.delta_db,
-                "global_phi_deg": result.report.main.phi_deg,
-                "global_tau_s": result.report.main.tau_s,
-                "modes_total": 2 * scenario.mode_half + 1,
-                "runtime_s": result.runtime_s,
-            })
-            yield row
-            return
-        paths, values = axes[i]
-        for row_vals in values:
-            yield from recurse(i + 1, assignment + list(zip(paths, row_vals)))
+    points, groups, arrays = [], {}, {}
+    for combo in itertools.product(*axes):
+        assignment = [pair for part in combo for pair in part]
+        point = copy.deepcopy(cfg)
+        point.pop("sweep", None)
+        for path, value in assignment:
+            set_path(point, path, value)
+        scenario = resolve(point, allow_undersampled=allow_undersampled,
+                           force_modes=force_modes)
+        key = _bank_key(scenario)
+        # equal keys realize equal arrays: keep one per group
+        scenario.array = arrays.setdefault(key, scenario.array)
+        groups.setdefault(key, []).append(len(points))
+        points.append((assignment, scenario))
 
-    yield from recurse(0, [])
+    rows = [None] * len(points)
+    for members in groups.values():
+        first = points[members[0]][1]
+        bank = build_bank(first.array, first.grid, design=first.design,
+                          mode_half=first.mode_half, reduction=first.reduction)
+        point_bytes = 16 * first.array.total_sensors * first.grid.samples
+        size = max(1, SWEEP_BATCH_BYTES // point_bytes)
+        for lo in range(0, len(members), size):
+            batch = members[lo: lo + size]
+            t0 = time.perf_counter()
+            values = np.empty((first.array.total_sensors, first.grid.samples, len(batch)),
+                              dtype=complex)
+            for b, i in enumerate(batch):
+                values[..., b] = _synthesize(points[i][1]).values
+            modes = expand_array(ChannelMatrix(array=first.array, grid=first.grid,
+                                               values=values, provenance="sweep-batch"),
+                                 bank)
+            for b, i in enumerate(batch):
+                assignment, scenario = points[i]
+                _, report, anchored = _spectrum_and_peaks(scenario, ModeMatrix(
+                    values=modes.values[..., b], mode_half=modes.mode_half,
+                    grid=modes.grid))
+                rows[i] = {path: value for path, value in assignment}
+                rows[i].update({
+                    "phi_deg": anchored.main.phi_deg,
+                    "tau_s": anchored.main.tau_s,
+                    "delta_db": anchored.delta_db,
+                    "global_phi_deg": report.main.phi_deg,
+                    "global_tau_s": report.main.tau_s,
+                    "modes_total": 2 * scenario.mode_half + 1,
+                })
+            runtime_s = (time.perf_counter() - t0) / len(batch)
+            for i in batch:
+                rows[i]["runtime_s"] = runtime_s
+    yield from rows
 
 
 def write_sweep_csv(rows, path) -> int:

@@ -272,7 +272,8 @@ def _miller_table_plain(m_max: int, x: np.ndarray) -> np.ndarray:
                 arr[big] *= _RESCALE_FACTOR
             out[:, big] *= _RESCALE_FACTOR
 
-    return out / s
+    out /= s
+    return out
 
 
 def _miller_table(m_max: int, x: np.ndarray, compensated: bool) -> np.ndarray:
@@ -302,8 +303,11 @@ def bessel_j_table(m_max: int, x, compensated: bool = True) -> np.ndarray:
     if np.any(x < 0.0):
         raise DomainError("arguments must be non-negative")
 
-    out = np.zeros((int(m_max) + 1, x.size))
     tiny = x < _TINY_X_CUT
+    if x.size and not tiny.any():
+        # the recurrence's own array is the table: no second table-sized buffer
+        return _miller_table(int(m_max), x, compensated)
+    out = np.zeros((int(m_max) + 1, x.size))
     if tiny.any():
         for i in np.flatnonzero(tiny):
             xi = float(x[i])

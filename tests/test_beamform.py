@@ -93,11 +93,14 @@ class TestBank:
     def test_symmetric_requires_clean_and_divisible(self):
         grid = small_grid()
         noisy = make_array(sensors=720, sigma=1e-3, seed=1)
-        with pytest.raises(ValidationError):
-            beamform.build_bank(noisy, grid, mode_half=4, reduction="symmetric")
         odd = make_array(sensors=30)
-        with pytest.raises(ValidationError):
-            beamform.build_bank(odd, grid, mode_half=4, reduction="symmetric")
+        for design in beamform.DESIGNS:
+            with pytest.raises(ValidationError):
+                beamform.build_bank(noisy, grid, design=design, mode_half=4,
+                                    reduction="symmetric")
+            with pytest.raises(ValidationError):
+                beamform.build_bank(odd, grid, design=design, mode_half=4,
+                                    reduction="symmetric")
 
     def test_reduction_counts(self):
         grid = small_grid()
@@ -372,3 +375,48 @@ class TestFoldedExpansion:
             ch.ring_rows(i), arr.ring_azimuths(i), arr.ring_radii(i),
             grid.frequencies, mode_half=5) for i in range(3)], axis=0)
         assert np.abs(got - want).max() <= literal_tolerance(want, arr, ch, bank)
+
+
+class TestBatchedExpansion:
+    """A stack of points expands to exactly the single-point results."""
+
+    AZIMUTHS = (72.5, -10.0, 133.0)
+
+    def stack_and_points(self, arr, grid):
+        points = [channel.superpose([channel.IncidentWave(azimuth_deg=az, delay_s=3e-9)],
+                                    arr, grid).values for az in self.AZIMUTHS]
+        stack = channel.ChannelMatrix(array=arr, grid=grid, values=np.stack(points, axis=-1),
+                                      provenance="batch")
+        return stack, [channel.ChannelMatrix(array=arr, grid=grid, values=v, provenance="point")
+                       for v in points]
+
+    @pytest.mark.parametrize("ecc,alpha,sensors,reduction,design,sigma", [
+        pytest.param(0.7, 37.0, 36, "symmetric", "robust", 0.0, id="folded-ellipse"),
+        pytest.param(0.0, 0.0, 64, "symmetric", "robust", 0.0, id="circle"),
+        pytest.param(0.5, 0.0, 30, "none", "robust", 1e-3, id="perturbed-unreduced"),
+        pytest.param(0.5, 0.0, 24, "none", "average", 0.0, id="average"),
+    ])
+    def test_stack_equals_single_points(self, ecc, alpha, sensors, reduction, design, sigma):
+        arr = make_array(a=0.15, ecc=ecc, sensors=sensors, alpha=alpha, sigma=sigma, seed=3)
+        grid = small_grid(samples=3, f_start=4e9, bw=1e9)
+        bank = beamform.build_bank(arr, grid, design=design, mode_half=6, reduction=reduction)
+        stack, points = self.stack_and_points(arr, grid)
+        got = beamform.phase_mode_expand(stack, 0, bank).values
+        assert got.shape == (13, 3, len(points))
+        for b, point in enumerate(points):
+            want = beamform.phase_mode_expand(point, 0, bank).values
+            assert np.array_equal(got[..., b], want), b
+
+    def test_three_ring_array(self):
+        arr = geometry.build_concentric([
+            geometry.EllipseSpec(semi_major_m=0.15, eccentricity=0.7, sensors=24),
+            geometry.EllipseSpec(semi_major_m=0.12, eccentricity=0.5,
+                                 rotation_deg=90.0, sensors=28),
+            geometry.EllipseSpec(semi_major_m=0.1, sensors=16),
+        ])
+        grid = small_grid(samples=3, f_start=4e9, bw=1e9)
+        bank = beamform.build_bank(arr, grid, mode_half=5, reduction="symmetric")
+        stack, points = self.stack_and_points(arr, grid)
+        got = beamform.expand_array(stack, bank).values
+        for b, point in enumerate(points):
+            assert np.array_equal(got[..., b], beamform.expand_array(point, bank).values), b

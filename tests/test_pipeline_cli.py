@@ -1,3 +1,5 @@
+import copy
+import itertools
 import json
 import os
 import subprocess
@@ -158,6 +160,51 @@ class TestRun:
         for row in rows:
             want = row["scene.0.azimuth_deg"] % 360.0
             assert abs(row["phi_deg"] - want) < 4.0
+
+    def test_sweep_batches_equal_single_runs(self, monkeypatch):
+        cfg = small_scenario(snr_db=10.0)
+        azimuths, eccentricities = [0.0, 45.0, 100.0], [0.0, 0.5]
+        cfg["sweep"] = {"axes": [
+            {"path": "scene.0.azimuth_deg", "values": azimuths},
+            {"path": "array.0.eccentricity", "values": eccentricities},
+        ]}
+        # two points per batch: each eccentricity's three points span two batches
+        monkeypatch.setattr(pipeline, "SWEEP_BATCH_BYTES", 2 * 16 * 256 * 24)
+        batches = []
+        expand = pipeline.expand_array
+
+        def counting_expand(ch, bank):
+            batches.append(ch.values.shape[2])
+            return expand(ch, bank)
+
+        monkeypatch.setattr(pipeline, "expand_array", counting_expand)
+        rows = list(pipeline.sweep_rows(cfg))
+        monkeypatch.undo()
+        assert batches == [2, 1, 2, 1]
+        assert len(rows) == 6
+        for row, (az, ecc) in zip(rows, itertools.product(azimuths, eccentricities)):
+            point = copy.deepcopy(cfg)
+            del point["sweep"]
+            point["scene"][0]["azimuth_deg"] = az
+            point["array"][0]["eccentricity"] = ecc
+            sc = pipeline.resolve(point)
+            alone = pipeline.run_scenario(sc)
+            assert row.pop("runtime_s") > 0.0
+            assert row == {
+                "scene.0.azimuth_deg": az, "array.0.eccentricity": ecc,
+                "phi_deg": alone.anchored.main.phi_deg, "tau_s": alone.anchored.main.tau_s,
+                "delta_db": alone.anchored.delta_db,
+                "global_phi_deg": alone.report.main.phi_deg,
+                "global_tau_s": alone.report.main.tau_s,
+                "modes_total": 2 * sc.mode_half + 1,
+            }
+
+    def test_sweep_resolves_every_point_before_computing(self, monkeypatch):
+        cfg = small_scenario()
+        cfg["sweep"] = {"axes": [{"path": "processing.modes", "values": [61, 100001]}]}
+        monkeypatch.setattr(pipeline, "build_bank", None)  # any compute would raise TypeError
+        with pytest.raises(ValidationError, match="stability limit"):
+            list(pipeline.sweep_rows(cfg))
 
     def test_sweep_requires_axes(self):
         with pytest.raises(ConfigError):

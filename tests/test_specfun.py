@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +90,18 @@ def test_table_agrees_with_scalar_and_reference():
     fast = specfun.bessel_j_table(60, xs, compensated=False)
     env = np.abs(tab).max(axis=0)
     assert np.all(np.abs(fast - tab) <= 1e-12 * env + 1e-300)
+
+
+def test_plain_table_builds_in_one_table_sized_buffer():
+    # the recurrence fills the returned array and normalizes it in place
+    x = np.linspace(1.0, 300.0, 2000)
+    tracemalloc.start()
+    try:
+        tab = specfun.bessel_j_table(200, x, compensated=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * tab.nbytes
 
 
 def test_table_guards():
