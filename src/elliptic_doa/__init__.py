@@ -14,7 +14,6 @@ from .beamform import (
     build_bank,
     concentric_expand,
     expand_array,
-    make_filter,
     mode_limit,
     phase_mode_expand,
 )
@@ -37,23 +36,22 @@ from .geometry import (
     SensorArray,
     build_concentric,
     build_ellipse,
-    mirror_rotate_sensors,
     nyquist_audit,
     rotate_sensors,
 )
-from .specfun import BesselEval, bessel_j, bessel_j_prime, bessel_j_table
+from .specfun import bessel_j, bessel_j_prime, bessel_j_table
 from .spectrum import JointSpectrum, PeakReport, find_peaks, joint_spectrum
 
 __all__ = [
     "__version__",
     "SPEED_OF_LIGHT",
-    "BesselEval", "bessel_j", "bessel_j_prime", "bessel_j_table",
+    "bessel_j", "bessel_j_prime", "bessel_j_table",
     "EllipseSpec", "Sensor", "SensorArray", "build_ellipse", "build_concentric",
-    "rotate_sensors", "mirror_rotate_sensors", "nyquist_audit",
+    "rotate_sensors", "nyquist_audit",
     "IncidentWave", "FrequencyGrid", "ChannelMatrix", "wave_response_center",
     "synthesize_planewave", "synthesize_spherical", "superpose", "add_awgn",
     "export_channel", "ingest_channel",
-    "FilterBank", "ModeMatrix", "build_bank", "make_filter", "mode_limit",
+    "FilterBank", "ModeMatrix", "build_bank", "mode_limit",
     "phase_mode_expand", "concentric_expand", "expand_array",
     "JointSpectrum", "PeakReport", "joint_spectrum", "find_peaks",
 ]

@@ -25,7 +25,9 @@ equals j^m [J_m + j J'_m] by the parity identities, so W_{-m,p} == W_{m,p}
 exactly and only non-negative orders ever reach the Bessel kernel.  Quadrant
 reduction additionally maps each sensor to its first elliptic-quadrant
 mirror (same radius when placement noise is zero), cutting distinct radii to
-P/4 + 1 per ring.
+P/4 + 1 per ring, and the bank keeps one radius vector for all rings, so
+bitwise-equal radii of different rings (rotated copies of one ellipse) are
+evaluated once.
 
 The expansion H_m(f_k) = (1/P) sum_p H[p,k] exp(+j m phi_p) W_{m,p}(f_k)
 runs over ring representatives and never forms a (2 M_h + 1) x P operator:
@@ -33,14 +35,16 @@ modes +m and -m share W_m, and on a symmetric ring the four quadrant mirrors
 share it too, so their data fold into parity pairs first.  A circle needs no
 separate path (the DFT phase-mode excitation of uniform circular arrays,
 Davies 1983; Mathews & Zoltowski, IEEE TSP 1994).  Concentric rings average
-their per-ring mode matrices.
+their per-ring mode matrices.  One kernel does all of it: per chunk of the
+band one Bessel table over the bank's radii, per frequency one weight
+evaluation, per ring a gather and two matmuls (see _expand).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,7 +53,7 @@ from .channel import ChannelMatrix, FrequencyGrid
 from .constants import SPEED_OF_LIGHT
 from .errors import DomainError, InstabilityError, ValidationError
 from .geometry import SensorArray
-from .specfun import bessel_j, bessel_j_prime, bessel_j_table
+from .specfun import bessel_j_table
 
 DESIGNS = ("robust", "plain", "average")
 REDUCTIONS = ("none", "symmetric")
@@ -80,31 +84,6 @@ def _denominators(jtab: np.ndarray, design: str) -> np.ndarray:
         np.subtract(jtab[0:m_top], jtab[2: m_top + 2], out=jp[1:])
         jp[1:] *= 0.5
     return den
-
-
-def make_filter(design: str, m: int, radius_m: float, f_hz: float,
-                floor: float = DENOMINATOR_FLOOR) -> complex:
-    """Single filter weight at one (mode, radius, frequency).
-
-    The "average" design uses the robust form; callers pass the averaged
-    radius.  Raises InstabilityError when the denominator magnitude falls
-    below ``floor`` (the error names mode, radius and frequency; bank-level
-    errors name the sensor index as well).
-    """
-    if design not in DESIGNS:
-        raise DomainError(f"unknown filter design {design!r}")
-    x = 2.0 * math.pi * f_hz * radius_m / SPEED_OF_LIGHT
-    jm = bessel_j(m, x)
-    if design == "plain":
-        den = complex(jm, 0.0)
-    else:
-        den = jm + 1j * bessel_j_prime(m, x)
-    if abs(den) < floor:
-        raise InstabilityError(
-            f"filter denominator |{den:.3e}| below floor {floor:.1e} "
-            f"at m={m}, r={radius_m} m, f={f_hz} Hz")
-    num = 1.0 if design == "plain" else 2.0
-    return num / (complex(_jpow(m)) * den)
 
 
 def mode_limit(array: SensorArray, grid: FrequencyGrid, threshold: float,
@@ -170,15 +149,28 @@ class ModeMatrix:
         return np.arange(-self.mode_half, self.mode_half + 1)
 
 
+TABLE_CHUNK_BYTES = 8 << 20
+"""Bytes of Bessel table and folded ring data per band chunk of the
+expansion: each chunk takes as many frequency samples as fit (at least
+one), so peak memory does not grow with samples x radii."""
+
+
 @dataclass
 class FilterBank:
     """Frequency-dependent phase-mode weights for every ring of an array.
 
-    Weights are represented compactly (non-negative modes x distinct radii)
-    and evaluated per frequency sample; `unique_eval_count` reports how many
-    independent (mode, sensor) filter evaluations per frequency sample the
-    representation implies, which is the quantity the reduction factors
-    compare (signed modes x all sensors when reduction is "none").
+    All rings share one radius vector, `radii`, and sensor p of ring i takes
+    its weights from column `ring_sensor_map[i][p]`.  Symmetric reduction
+    keeps each ring's quadrant representatives (sensors 0..P/4), the average
+    design one radius per ring, and bitwise-equal radii then share a column,
+    within a ring (a circle's quadrant radii round to a few doubles) and
+    across rings (rotated copies of one ellipse agree but for a few ulps).
+    Without reduction every sensor keeps a column of its own.  Weights are
+    evaluated per frequency sample over the columns, non-negative modes
+    only; `unique_eval_count` reports how many (mode, column) filter
+    evaluations per sample the representation implies, which is the
+    quantity the reduction factors compare (signed modes x all sensors when
+    reduction is "none").
     """
 
     array: SensorArray
@@ -186,9 +178,9 @@ class FilterBank:
     design: str
     mode_half: int
     reduction: str
+    radii: np.ndarray
+    ring_sensor_map: list
     floor: float = DENOMINATOR_FLOOR
-    ring_unique_radii: list = field(default_factory=list)
-    ring_sensor_map: list = field(default_factory=list)
 
     @property
     def mode_count(self) -> int:
@@ -197,7 +189,7 @@ class FilterBank:
     @property
     def unique_eval_count(self) -> int:
         modes = self.mode_count if self.reduction == "none" else self.mode_half + 1
-        return int(modes * sum(r.size for r in self.ring_unique_radii))
+        return int(modes * self.radii.size)
 
     @property
     def folded(self) -> bool:
@@ -208,23 +200,23 @@ class FilterBank:
     def dense_weight_count(self) -> int:
         return int(self.mode_count * self.array.total_sensors)
 
-    def ring_jtable(self, ring: int) -> np.ndarray:
-        """J_m tables for one ring: shape (mode_half + 2, K, U).
+    def jtable(self, k0: int, k1: int) -> np.ndarray:
+        """J_m tables over `radii` at samples k0..k1-1: shape (mode_half + 2, k1 - k0, U).
 
-        Frequency-major layout keeps the per-sample slices contiguous for
-        the expansion loop.
+        Every entry depends on its own (radius, frequency) only, so any
+        split of the band yields the same bits.
         """
-        r = self.ring_unique_radii[ring]
-        x = (2.0 * np.pi / SPEED_OF_LIGHT) * np.outer(self.grid.frequencies, r)
+        x = (2.0 * np.pi / SPEED_OF_LIGHT) * np.outer(self.grid.frequencies[k0:k1], self.radii)
         tab = bessel_j_table(self.mode_half + 1, x.ravel(), compensated=False)
-        return tab.reshape(self.mode_half + 2, self.grid.samples, r.size)
+        return tab.reshape(self.mode_half + 2, k1 - k0, self.radii.size)
 
-    def weights_from_jtable(self, ring: int, jtab: np.ndarray, k: int) -> np.ndarray:
-        """(mode_half + 1, U) weights for one frequency sample."""
-        den = _denominators(jtab[:, k, :], self.design if self.design != "average" else "robust")
+    def weights_from_jtable(self, jk: np.ndarray, k: int) -> np.ndarray:
+        """(mode_half + 1, U) weights at sample k from its (mode_half + 2, U) table slice."""
+        den = _denominators(jk, self.design)
         mags = np.abs(den)
         if mags.min() < self.floor:
             m_bad, u_bad = np.unravel_index(int(mags.argmin()), mags.shape)
+            ring = next(i for i, cols in enumerate(self.ring_sensor_map) if (cols == u_bad).any())
             p_bad = int(np.flatnonzero(self.ring_sensor_map[ring] == u_bad)[0])
             raise InstabilityError(
                 f"filter denominator {mags.min():.3e} below floor {self.floor:.1e} at "
@@ -267,8 +259,7 @@ def build_bank(array: SensorArray, grid: FrequencyGrid, design: str = "robust",
         raise DomainError(f"unknown reduction {reduction!r}")
     if mode_half < 0:
         raise DomainError(f"mode_half must be >= 0, got {mode_half}")
-    bank = FilterBank(array=array, grid=grid, design=design, mode_half=mode_half,
-                      reduction=reduction, floor=floor)
+    reps, maps, offset = [], [], 0  # per ring: representative radii, sensor -> representative
     for ring in range(array.ring_count):
         spec = array.ring_spec(ring)
         radii = array.ring_radii(ring)
@@ -284,77 +275,131 @@ def build_bank(array: SensorArray, grid: FrequencyGrid, design: str = "robust",
             if spec is None:
                 raise ValidationError(
                     "average design needs ellipse parameters; ring has none (ingested?)")
-            rbar = 0.5 * (spec.semi_major_m + spec.semi_minor_m)
-            bank.ring_unique_radii.append(np.array([rbar]))
-            bank.ring_sensor_map.append(np.zeros(p, dtype=np.intp))
+            reps.append(np.array([0.5 * (spec.semi_major_m + spec.semi_minor_m)]))
+            maps.append(offset + np.zeros(p, dtype=np.intp))
         elif reduction == "symmetric":
-            rep = _quadrant_map(p)
-            # collapse bitwise-equal representative radii too (a circle's
-            # quadrant radii all round to the same few doubles)
-            uniq, inverse = np.unique(radii[: p // 4 + 1], return_inverse=True)
-            bank.ring_unique_radii.append(uniq)
-            bank.ring_sensor_map.append(inverse[rep].astype(np.intp))
+            reps.append(radii[: p // 4 + 1])
+            maps.append(offset + _quadrant_map(p))
         else:
-            bank.ring_unique_radii.append(radii.copy())
-            bank.ring_sensor_map.append(np.arange(p, dtype=np.intp))
-    return bank
+            reps.append(radii)
+            maps.append(offset + np.arange(p))
+        offset += reps[-1].size
+    radii = np.concatenate(reps)
+    column = np.arange(radii.size)
+    if design == "average" or reduction == "symmetric":
+        radii, column = np.unique(radii, return_inverse=True)
+    return FilterBank(array=array, grid=grid, design=design, mode_half=mode_half,
+                      reduction=reduction, radii=radii,
+                      ring_sensor_map=[column[m].astype(np.intp) for m in maps], floor=floor)
 
 
-def phase_mode_expand(channel: ChannelMatrix, ring: int, bank: FilterBank) -> ModeMatrix:
-    """Expand one ring's sensor data into mode space.
+class _RingTerms:
+    """What the expansion needs of one ring: its representatives r, their
+    phase tables cos/sin(m theta_r), weight columns and mode rotation, and
+    the data fold of any band chunk.
 
-    Sums over representatives r at azimuth alpha + theta_r.  A folded ring
-    (FilterBank.folded) takes r = 0..P/4, whose mirrors P/2 - r, P/2 + r and
-    P - r sit at pi - theta_r, pi + theta_r and -theta_r; with
-    A = H_r +- H_{P/2+r}, B = H_{P-r} +- H_{P/2-r} (sign = parity of m),
+    A folded ring (FilterBank.folded) takes r = 0..P/4, whose mirrors
+    P/2 - r, P/2 + r and P - r sit at pi - theta_r, pi + theta_r and
+    -theta_r, with theta_r = phi_r - alpha; any other ring is its own fold:
+    r = p, alpha = 0, B = 0.
+    """
 
-    H_{+-m} = e^{+-jm alpha}/P sum_r W_{m,r} [cos(m theta_r)(A + B) +- j sin(m theta_r)(A - B)],
+    def __init__(self, channel: ChannelMatrix, bank: FilterBank, ring: int):
+        values = channel.ring_rows(ring)
+        self.data = np.moveaxis(values.reshape(values.shape[:2] + (-1,)), 0, -1)  # (K, B, P)
+        p = self.data.shape[-1]
+        orders = np.arange(bank.mode_half + 1)
+        self.folded = bank.folded
+        if self.folded:
+            r = np.arange(p // 4 + 1)
+            alpha = math.radians(channel.array.ring_spec(ring).rotation_deg)
+            self.orbits = np.stack([r, p // 2 + r, p - r, p // 2 - r]) % p
+            self.parity = orders % 2
+        else:
+            r, alpha, self.parity = np.arange(p), 0.0, np.zeros_like(orders)
+        angle = np.outer(orders, channel.array.ring_azimuths(ring)[r] - alpha)
+        self.cos_mt, self.sin_mt = np.cos(angle), np.sin(angle)
+        columns = bank.ring_sensor_map[ring][r]
+        if np.array_equal(columns, columns[0] + np.arange(columns.size)):
+            # an unshared ring's columns are one block: take a view, not a copy
+            columns = slice(int(columns[0]), int(columns[0]) + columns.size)
+        self.columns = columns
+        self.rot = np.exp(1j * orders * alpha)[:, None] / p
+        self.rot_neg = self.rot.conj()
+        # sums and diffs of one sample (an unfolded ring's are channel views)
+        self.fold_bytes = 2 * 2 * 16 * self.data.shape[1] * r.size if self.folded else 0
 
-    the r = 0 and r = P/4 orbits, which list each sensor twice, at weight
-    1/2; realized mirrors miss these ideal azimuths by rounding (<= 3e-15
-    rad).  Any other ring is its own fold: r = p, alpha = 0, B = 0.
+    def fold(self, k0: int, k1: int) -> tuple:
+        """(sums, diffs) of samples k0..k1-1, each (k1 - k0, B, R, parity).
 
-    A channel with a trailing point axis, values[p, k, b], yields mode
-    values[i, k, b]: each frequency's weights W o cos(m theta) and
-    W o sin(m theta) are formed once and applied to all points by one
-    stacked matmul, which numpy runs as one GEMM per point with the shapes
-    of a single-point call.  Every point therefore gets the bits it would
-    get alone.
+        With A = H_r +- H_{P/2+r} and B = H_{P-r} +- H_{P/2-r} (sign = parity
+        of m), sums = A + B and diffs = A - B; the r = 0 and r = P/4 orbits,
+        which list each sensor twice, enter at weight 1/2.
+        """
+        data = self.data[k0:k1]
+        if not self.folded:
+            return data[..., None], data[..., None]
+        h = data[..., self.orbits]  # (k1 - k0, B, 4, R)
+        h[..., [0, -1]] *= 0.5
+        a = np.stack([h[..., 0, :] + h[..., 1, :], h[..., 0, :] - h[..., 1, :]], axis=-1)
+        b = np.stack([h[..., 2, :] + h[..., 3, :], h[..., 2, :] - h[..., 3, :]], axis=-1)
+        return a + b, a - b
+
+
+def _expand(channel: ChannelMatrix, bank: FilterBank, rings: Sequence[int]) -> ModeMatrix:
+    """The expansion kernel: the mean of the listed rings' mode matrices.
+
+    The band runs in chunks of at most TABLE_CHUNK_BYTES of Bessel table and
+    folded data (one bessel_j_table call over all bank radii per chunk), then frequency
+    by frequency (one weight evaluation, with its floor check, per sample),
+    then ring by ring (a gather of the ring's columns and two matmuls):
+
+    H_{+-m} = e^{+-jm alpha}/P sum_r W_{m,r} [cos(m theta_r) sums_r +- j sin(m theta_r) diffs_r].
+
+    A trailing point axis on the channel, values[p, k, b], yields mode
+    values[i, k, b]: the matmuls stack the points, which numpy runs as one
+    GEMM per point with the shapes of a single-point call, so every point
+    gets the bits it would get alone.  Rings add into the output in list
+    order and the sum is divided by their count once, as concentric_expand
+    does.
     """
     if bank.array is not channel.array and bank.array != channel.array:
         raise ValidationError("bank and channel refer to different arrays")
     if bank.grid != channel.grid:
         raise ValidationError("bank and channel grids differ")
-    values = channel.ring_rows(ring)
-    # the table build is the memory peak: only the output may exist before it
-    out = np.empty((2 * bank.mode_half + 1,) + values.shape[1:], dtype=complex)
-    jtab = bank.ring_jtable(ring)
-    data = np.moveaxis(values.reshape(values.shape[:2] + (-1,)), 0, -1)  # (K, B, P)
-    p = data.shape[-1]
-    orders = np.arange(bank.mode_half + 1)
-    if bank.folded:
-        r = np.arange(p // 4 + 1)
-        alpha = math.radians(channel.array.ring_spec(ring).rotation_deg)
-        h = data[..., np.stack([r, p // 2 + r, p - r, p // 2 - r]) % p]  # (K, B, 4, R)
-        h[..., [0, -1]] *= 0.5  # the r = 0 and r = P/4 orbits list each sensor twice
-        a = np.stack([h[..., 0, :] + h[..., 1, :], h[..., 0, :] - h[..., 1, :]],
-                     axis=-1)  # (K, B, R, parity)
-        b = np.stack([h[..., 2, :] + h[..., 3, :], h[..., 2, :] - h[..., 3, :]], axis=-1)
-        sums, diffs, parity = a + b, a - b, orders % 2
-    else:
-        r, alpha, parity = np.arange(p), 0.0, np.zeros_like(orders)
-        sums = diffs = data[..., None]
-    angle = np.outer(orders, channel.array.ring_azimuths(ring)[r] - alpha)
-    cos_mt, sin_mt = np.cos(angle), np.sin(angle)
-    wcol, rot = bank.ring_sensor_map[ring][r], np.exp(1j * orders * alpha)[:, None] / p
-    stacked = out.reshape(out.shape[:2] + (-1,))  # (modes, K, B) view
-    for k in range(channel.grid.samples):
-        w = bank.weights_from_jtable(ring, jtab, k)[:, wcol]
-        even = ((w * cos_mt) @ sums[k])[:, orders, parity].T
-        odd = 1j * ((w * sin_mt) @ diffs[k])[:, orders, parity].T
-        stacked[bank.mode_half:, k] = rot * (even + odd)
-        stacked[bank.mode_half::-1, k] = rot.conj() * (even - odd)
-    return ModeMatrix(values=out, mode_half=bank.mode_half, grid=channel.grid)
+    mh, samples = bank.mode_half, channel.grid.samples
+    orders = np.arange(mh + 1)
+    out = np.zeros((2 * mh + 1,) + channel.values.shape[1:], dtype=complex)
+    total = out.reshape(out.shape[:2] + (-1,))  # (modes, K, B) view
+    terms = [_RingTerms(channel, bank, ring) for ring in rings]
+    sample_bytes = 8 * (mh + 2) * bank.radii.size + sum(t.fold_bytes for t in terms)
+    step = max(1, TABLE_CHUNK_BYTES // sample_bytes)
+    for k0 in range(0, samples, step):
+        k1 = min(k0 + step, samples)
+        # folding first keeps its temporaries out of the table's lifetime
+        folds = [t.fold(k0, k1) for t in terms]
+        jtab = bank.jtable(k0, k1)
+        for i, k in enumerate(range(k0, k1)):
+            w_bank = bank.weights_from_jtable(jtab[:, i], k)
+            for t, (sums, diffs) in zip(terms, folds):
+                w = w_bank[:, t.columns]
+                even = ((w * t.cos_mt) @ sums[i])[:, orders, t.parity].T
+                odd = 1j * ((w * t.sin_mt) @ diffs[i])[:, orders, t.parity].T
+                total[mh + 1:, k] += t.rot[1:] * (even[1:] + odd[1:])
+                total[mh::-1, k] += t.rot_neg * (even - odd)
+        del folds, jtab  # the next chunk's table must not overlap this one
+    out /= len(terms)
+    return ModeMatrix(values=out, mode_half=mh, grid=channel.grid)
+
+
+def phase_mode_expand(channel: ChannelMatrix, ring: int, bank: FilterBank) -> ModeMatrix:
+    """Expand one ring's sensor data into mode space (the expand_array kernel on one ring).
+
+    H_m(f_k) = (1/P) sum_p H[p, k] e^{+jm phi_p} W_{m,p}(f_k), summed over
+    the ring's representatives; realized mirrors miss their ideal azimuths
+    by rounding (<= 3e-15 rad).
+    """
+    return _expand(channel, bank, [ring])
 
 
 def concentric_expand(ring_modes: Sequence[ModeMatrix]) -> ModeMatrix:
@@ -375,6 +420,6 @@ def concentric_expand(ring_modes: Sequence[ModeMatrix]) -> ModeMatrix:
 
 
 def expand_array(channel: ChannelMatrix, bank: FilterBank) -> ModeMatrix:
-    """Full expansion: every ring, then the concentric average."""
-    rings = [phase_mode_expand(channel, i, bank) for i in range(channel.array.ring_count)]
-    return concentric_expand(rings)
+    """Full expansion: every ring, then the concentric average, in one pass
+    over the band (see _expand)."""
+    return _expand(channel, bank, range(channel.array.ring_count))

@@ -229,13 +229,13 @@ def add_awgn(channel: ChannelMatrix, snr_db: Optional[float], seed: int = 0) -> 
 
 def export_channel(channel: ChannelMatrix, path) -> None:
     """Write `p,f_hz,re,im` rows sorted by (p, f), full double precision."""
-    freqs = channel.grid.frequencies
+    # one ",f,%.17g,%.17g\n" piece per frequency; a row joins them after its index
+    pieces = [""] + [f",{f:.17g},%.17g,%.17g\n" for f in channel.grid.frequencies]
     with open(path, "w") as fh:
         fh.write("p,f_hz,re,im\n")
-        for p in range(channel.values.shape[0]):
-            row = channel.values[p]
-            for k in range(channel.values.shape[1]):
-                fh.write(f"{p},{freqs[k]:.17g},{row[k].real:.17g},{row[k].imag:.17g}\n")
+        for p, row in enumerate(channel.values):
+            re_im = np.ascontiguousarray(row).view(np.float64)  # interleaved re, im
+            fh.write(str(p).join(pieces) % tuple(re_im.tolist()))
 
 
 def ingest_channel(path, array: SensorArray) -> ChannelMatrix:

@@ -111,23 +111,6 @@ def rotate_sensors(sensors: Sequence[Sensor], alpha_deg: float) -> list[Sensor]:
             for s in sensors]
 
 
-def mirror_rotate_sensors(sensors: Sequence[Sensor], alpha_deg: float) -> list[Sensor]:
-    """The substitution x -> x cos a + y sin a, y -> x sin a - y cos a.
-
-    This is an *improper* rotation (determinant -1): a reflection across the
-    x-axis followed by a counterclockwise rotation by alpha_deg.  It still
-    preserves radii, but alpha_deg = 0 negates y rather than acting as the
-    identity.  Kept as a distinct operation so formulations written this way
-    can be reproduced literally; use rotate_sensors for the proper rotation.
-    """
-    alpha = math.radians(alpha_deg)
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    return [Sensor(index=s.index, ring=s.ring,
-                   x_m=s.x_m * ca + s.y_m * sa,
-                   y_m=s.x_m * sa - s.y_m * ca)
-            for s in sensors]
-
-
 @dataclass
 class SensorArray:
     """One or more concentric rings sharing the origin as their center."""

@@ -26,7 +26,6 @@ J'_m = (J_{m-1} - J_{m+1})/2 (with J_{-1} = -J_1), never from differencing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -162,21 +161,6 @@ def bessel_j_prime(m: int, x: float) -> float:
     if m == 0:
         return -bessel_j(1, x)
     return 0.5 * (bessel_j(m - 1, x) - bessel_j(m + 1, x))
-
-
-@dataclass(frozen=True)
-class BesselEval:
-    """One (order, argument) evaluation bundling value and derivative."""
-
-    order: int
-    argument: float
-    value: float
-    derivative: float
-
-    @classmethod
-    def compute(cls, m: int, x: float) -> "BesselEval":
-        return cls(order=int(m), argument=float(x),
-                   value=bessel_j(m, x), derivative=bessel_j_prime(m, x))
 
 
 def _start_orders(m_max: int, x: np.ndarray):

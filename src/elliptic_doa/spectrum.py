@@ -80,20 +80,22 @@ class JointSpectrum:
     def delay_of_bin(self, k: int) -> float:
         return k / (self.pad_delay * self.grid.bandwidth_hz)
 
-    def export_csv(self, path) -> None:
-        """Write `phi_deg,tau_s,mag_db` rows, dB relative to the global peak."""
+    def _magnitudes_db(self) -> np.ndarray:
+        """Magnitudes in dB relative to the global peak, floored at -400 dB."""
         peak = self.magnitudes.max()
         if peak <= 0.0:
             raise DegenerateInputError("cannot export an all-zero spectrum")
-        db = 20.0 * np.log10(np.maximum(self.magnitudes, peak * 1e-20) / peak)
-        taus = self.delay_bins_s
+        return 20.0 * np.log10(np.maximum(self.magnitudes, peak * 1e-20) / peak)
+
+    def export_csv(self, path) -> None:
+        """Write `phi_deg,tau_s,mag_db` rows, dB relative to the global peak."""
+        db = self._magnitudes_db()
+        # one ",tau,%.10g\n" piece per delay bin; a row joins them after its azimuth
+        pieces = [""] + [f",{tau:.17g},%.10g\n" for tau in self.delay_bins_s]
         with open(path, "w") as fh:
             fh.write("phi_deg,tau_s,mag_db\n")
-            for q in range(self.magnitudes.shape[0]):
-                phi = self.azimuth_of_bin(q)
-                row = db[q]
-                for k in range(self.magnitudes.shape[1]):
-                    fh.write(f"{phi:.10g},{taus[k]:.17g},{row[k]:.10g}\n")
+            for q, row in enumerate(db):
+                fh.write(f"{self.azimuth_of_bin(q):.10g}".join(pieces) % tuple(row.tolist()))
 
     def export_pgm(self, path, floor_db: float = -35.0) -> None:
         """8-bit binary PGM heatmap.
@@ -102,10 +104,7 @@ class JointSpectrum:
         dynamic range clamps at ``floor_db`` (default -35 dB) below the peak,
         with 255 at the peak and 0 at or below the floor.
         """
-        peak = self.magnitudes.max()
-        if peak <= 0.0:
-            raise DegenerateInputError("cannot export an all-zero spectrum")
-        db = 20.0 * np.log10(np.maximum(self.magnitudes, peak * 1e-20) / peak)
+        db = self._magnitudes_db()
         img = np.clip(255.0 * (1.0 - db / floor_db), 0.0, 255.0).round().astype(np.uint8)
         n_az, n_d = img.shape
         header = (f"P5\n# rows: azimuth bins 0..{n_az - 1}, step {360.0 / n_az:.10g} deg\n"
@@ -165,13 +164,17 @@ def _local_maxima_mask(s: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _strongest(values: np.ndarray) -> tuple:
-    """(azimuth bin, delay bin) of the maximum.  Entries within TIE_RTOL of it
-    tie, so rounding cannot move the pick; ties go to the bin farther from
-    azimuth 0 (mirrored scenes pick mirrored bins), then to the lowest pair."""
-    tied = np.flatnonzero(values >= values.max() * (1.0 - TIE_RTOL))
-    q = tied // values.shape[1]
-    return np.unravel_index(int(tied[np.argmax(np.minimum(q, values.shape[0] - q))]), values.shape)
+def _strongest(s: np.ndarray, cells: np.ndarray) -> int:
+    """Flat index of the maximum of s among `cells` (ascending flat indices).
+
+    Entries within TIE_RTOL of the maximum tie, so rounding cannot move the
+    pick; ties go to the bin farther from azimuth 0 (mirrored scenes pick
+    mirrored bins), then to the lowest (azimuth, delay) pair.
+    """
+    values = s.ravel()[cells]
+    tied = cells[values >= values.max() * (1.0 - TIE_RTOL)]
+    q = tied // s.shape[1]
+    return int(tied[np.argmax(np.minimum(q, s.shape[0] - q))])
 
 
 def find_peaks(spectrum: JointSpectrum,
@@ -182,8 +185,9 @@ def find_peaks(spectrum: JointSpectrum,
 
     With ``expected`` = (phi_deg, tau_s), the main peak is the maximum within
     the exclusion window around the expected bin (so a wrong global maximum
-    shows up as delta_db < 0); otherwise it is the global maximum.  Both
-    picks break ties as `_strongest` does.
+    shows up as delta_db < 0); otherwise it is the global maximum.  The main
+    peak, the artifact and the ranking of local maxima all break ties as
+    `_strongest` does.
     """
     s = spectrum.magnitudes
     if not np.any(s > 0.0):
@@ -198,25 +202,24 @@ def find_peaks(spectrum: JointSpectrum,
         dk = np.abs(np.arange(n_d) - k0)
         return (dq[:, None] <= excl_q) & (dk[None, :] <= excl_k)
 
-    flat = s
+    cells = np.arange(s.size)
     if expected is not None:
         phi_e, tau_e = expected
         q_e = int(round(phi_e / 360.0 * n_az)) % n_az
         k_e = min(max(int(round(tau_e * spectrum.pad_delay * spectrum.grid.bandwidth_hz)), 0),
                   n_d - 1)
-        flat = np.where(window_mask(q_e, k_e), s, -1.0)
-    q_main, k_main = _strongest(flat)
-    main = SpectrumPeak(phi_deg=spectrum.azimuth_of_bin(int(q_main)),
-                        tau_s=spectrum.delay_of_bin(int(k_main)),
+        cells = np.flatnonzero(window_mask(q_e, k_e))
+    q_main, k_main = divmod(_strongest(s, cells), n_d)
+    main = SpectrumPeak(phi_deg=spectrum.azimuth_of_bin(q_main),
+                        tau_s=spectrum.delay_of_bin(k_main),
                         magnitude=float(s[q_main, k_main]))
 
     maxima_mask = _local_maxima_mask(s)
-    exclusion = window_mask(int(q_main), int(k_main))
-    candidates = maxima_mask & ~exclusion
-    if candidates.any():
-        qa, ka = _strongest(np.where(candidates, s, -1.0))
-        artifact = SpectrumPeak(phi_deg=spectrum.azimuth_of_bin(int(qa)),
-                                tau_s=spectrum.delay_of_bin(int(ka)),
+    candidates = np.flatnonzero(maxima_mask & ~window_mask(q_main, k_main))
+    if candidates.size:
+        qa, ka = divmod(_strongest(s, candidates), n_d)
+        artifact = SpectrumPeak(phi_deg=spectrum.azimuth_of_bin(qa),
+                                tau_s=spectrum.delay_of_bin(ka),
                                 magnitude=float(s[qa, ka]))
         delta_db = math.inf if artifact.magnitude == 0.0 else (
             20.0 * math.log10(main.magnitude / artifact.magnitude))
@@ -224,14 +227,14 @@ def find_peaks(spectrum: JointSpectrum,
         artifact = None
         delta_db = math.inf
 
-    order = np.flatnonzero(maxima_mask.ravel())
-    mags = s.ravel()[order]
-    ranked = order[np.lexsort((order, -mags))][:top_n]
-    maxima = tuple(
-        SpectrumPeak(phi_deg=spectrum.azimuth_of_bin(int(i // n_d)),
-                     tau_s=spectrum.delay_of_bin(int(i % n_d)),
-                     magnitude=float(s.ravel()[i]))
-        for i in ranked)
+    # rank by repeated picks, so maxima within TIE_RTOL of each other (mirror
+    # twins) keep the tie rule's order whatever their rounding
+    maxima, left = [], np.flatnonzero(maxima_mask)
+    for _ in range(min(top_n, left.size)):
+        q, k = divmod(_strongest(s, left), n_d)
+        maxima.append(SpectrumPeak(phi_deg=spectrum.azimuth_of_bin(q),
+                                   tau_s=spectrum.delay_of_bin(k), magnitude=float(s[q, k])))
+        left = left[left != q * n_d + k]
     return PeakReport(main=main, artifact=artifact, delta_db=float(delta_db),
-                      maxima=maxima, exclusion_cells=(int(exclusion_cells[0]),
-                                                      int(exclusion_cells[1])))
+                      maxima=tuple(maxima),
+                      exclusion_cells=(int(exclusion_cells[0]), int(exclusion_cells[1])))

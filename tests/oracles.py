@@ -2,16 +2,24 @@
 
 Everything here is deliberately written the slow, literal way (mpmath
 arbitrary precision, plain Python loops over the defining sums) so it shares
-no code path with the package.  The dense filter-bank views at the end are
-the exception: they read a package FilterBank back out in the literal
-(mode x sensor) layout, which only tests need.
+no code path with the package.  The helpers at the end are the exception:
+they read a package FilterBank back out in the literal (mode x sensor)
+layout, keep the per-cell writers the array-speed exports must match byte
+for byte, and hold scalar conveniences built on the package's Bessel
+functions, all of which only tests need.
 """
 
 import cmath
 import math
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
+
+from elliptic_doa.beamform import DENOMINATOR_FLOOR, DESIGNS
+from elliptic_doa.errors import DomainError, InstabilityError
+from elliptic_doa.geometry import Sensor
+from elliptic_doa.specfun import bessel_j, bessel_j_prime
 
 C = 299_792_458.0
 
@@ -119,14 +127,14 @@ def brute_spherical_entry(wave_amp, wave_delay, wave_az_deg, wave_el_deg,
     return (dist_m / d_p) * h0 * cmath.exp(2j * math.pi * f_hz * (dist_m - d_p) / C)
 
 
-def bank_weights_at(bank, ring, k):
-    """(mode_half + 1, U) weights of one ring at one frequency; rows are m = 0..M_h."""
-    return bank.weights_from_jtable(ring, bank.ring_jtable(ring), k)
+def bank_weights_at(bank, k):
+    """(mode_half + 1, U) weights over the bank's radii at sample k; rows are m = 0..M_h."""
+    return bank.weights_from_jtable(bank.jtable(k, k + 1)[:, 0], k)
 
 
 def bank_dense_weights(bank, ring, k):
-    """Dense (2 mode_half + 1, P) weights; row i is mode m = i - mode_half."""
-    gather = bank_weights_at(bank, ring, k)[:, bank.ring_sensor_map[ring]]
+    """Dense (2 mode_half + 1, P) weights of one ring; row i is mode m = i - mode_half."""
+    gather = bank_weights_at(bank, k)[:, bank.ring_sensor_map[ring]]
     abs_m = np.abs(np.arange(-bank.mode_half, bank.mode_half + 1))
     return gather[abs_m]
 
@@ -143,3 +151,82 @@ def dump_bank_csv(bank, path):
                     for p, w in enumerate(dense[i]):
                         fh.write(f"{m},{p},{ring},{freqs[k]:.17g},"
                                  f"{w.real:.17g},{w.imag:.17g}\n")
+
+
+def export_csv_cells(spectrum, path):
+    """Per-cell `phi_deg,tau_s,mag_db` writer that JointSpectrum.export_csv must match."""
+    mags = spectrum.magnitudes
+    peak = mags.max()
+    db = 20.0 * np.log10(np.maximum(mags, peak * 1e-20) / peak)
+    taus = spectrum.delay_bins_s
+    with open(path, "w") as fh:
+        fh.write("phi_deg,tau_s,mag_db\n")
+        for q in range(mags.shape[0]):
+            phi = spectrum.azimuth_of_bin(q)
+            for k in range(mags.shape[1]):
+                fh.write(f"{phi:.10g},{taus[k]:.17g},{db[q, k]:.10g}\n")
+
+
+def export_channel_cells(channel, path):
+    """Per-cell `p,f_hz,re,im` writer that channel.export_channel must match."""
+    freqs = channel.grid.frequencies
+    with open(path, "w") as fh:
+        fh.write("p,f_hz,re,im\n")
+        for p in range(channel.values.shape[0]):
+            row = channel.values[p]
+            for k in range(channel.values.shape[1]):
+                fh.write(f"{p},{freqs[k]:.17g},{row[k].real:.17g},{row[k].imag:.17g}\n")
+
+
+def make_filter(design, m, radius_m, f_hz, floor=DENOMINATOR_FLOOR):
+    """Single filter weight at one (mode, radius, frequency).
+
+    The "average" design uses the robust form; callers pass the averaged
+    radius.  Raises InstabilityError when the denominator magnitude falls
+    below ``floor``.
+    """
+    if design not in DESIGNS:
+        raise DomainError(f"unknown filter design {design!r}")
+    x = 2.0 * math.pi * f_hz * radius_m / C
+    jm = bessel_j(m, x)
+    if design == "plain":
+        den = complex(jm, 0.0)
+    else:
+        den = jm + 1j * bessel_j_prime(m, x)
+    if abs(den) < floor:
+        raise InstabilityError(
+            f"filter denominator |{den:.3e}| below floor {floor:.1e} "
+            f"at m={m}, r={radius_m} m, f={f_hz} Hz")
+    num = 1.0 if design == "plain" else 2.0
+    return num / ((1, 1j, -1, -1j)[m % 4] * den)
+
+
+@dataclass(frozen=True)
+class BesselEval:
+    """One (order, argument) evaluation bundling value and derivative."""
+
+    order: int
+    argument: float
+    value: float
+    derivative: float
+
+    @classmethod
+    def compute(cls, m, x):
+        return cls(order=int(m), argument=float(x),
+                   value=bessel_j(m, x), derivative=bessel_j_prime(m, x))
+
+
+def mirror_rotate_sensors(sensors, alpha_deg):
+    """The substitution x -> x cos a + y sin a, y -> x sin a - y cos a.
+
+    This is an *improper* rotation (determinant -1): a reflection across the
+    x-axis followed by a counterclockwise rotation by alpha_deg.  It still
+    preserves radii, but alpha_deg = 0 negates y rather than acting as the
+    identity.
+    """
+    alpha = math.radians(alpha_deg)
+    ca, sa = math.cos(alpha), math.sin(alpha)
+    return [Sensor(index=s.index, ring=s.ring,
+                   x_m=s.x_m * ca + s.y_m * sa,
+                   y_m=s.x_m * sa - s.y_m * ca)
+            for s in sensors]

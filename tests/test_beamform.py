@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,26 +68,26 @@ class TestModeLimit:
 class TestMakeFilter:
     def test_robust_value_from_bessel_oracle(self):
         f = SPEED_OF_LIGHT / (2 * math.pi)  # makes x = r exactly
-        got = beamform.make_filter("robust", 0, 1.0, f)
+        got = oracles.make_filter("robust", 0, 1.0, f)
         want = 2.0 / complex(J0_1, -J1_1)  # J'_0 = -J_1 folds into -jJ_1
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_plain_at_small_argument(self):
         f = SPEED_OF_LIGHT / (2 * math.pi)
-        got = beamform.make_filter("plain", 0, 1e-8, f)
+        got = oracles.make_filter("plain", 0, 1e-8, f)
         assert got == pytest.approx(1.0 + 0.0j, rel=1e-9)
 
     def test_plain_null_raises(self):
         f = SPEED_OF_LIGHT / (2 * math.pi)
         with pytest.raises(InstabilityError):
-            beamform.make_filter("plain", 0, FIRST_J0_ROOT, f)
+            oracles.make_filter("plain", 0, FIRST_J0_ROOT, f)
         # the robust form rides through the same argument
-        w = beamform.make_filter("robust", 0, FIRST_J0_ROOT, f)
+        w = oracles.make_filter("robust", 0, FIRST_J0_ROOT, f)
         assert np.isfinite(w.real) and np.isfinite(w.imag)
 
     def test_unknown_design(self):
         with pytest.raises(DomainError):
-            beamform.make_filter("fancy", 0, 1.0, 1e9)
+            oracles.make_filter("fancy", 0, 1.0, 1e9)
 
 
 class TestBank:
@@ -133,7 +134,7 @@ class TestBank:
         rep = red.ring_sensor_map[0]
         w_red = oracles.bank_dense_weights(red, 0, 0)
         w_full = oracles.bank_dense_weights(full, 0, 0)
-        shared = radii == red.ring_unique_radii[0][rep]
+        shared = radii == red.radii[rep]
         assert shared.any()
         assert np.array_equal(w_red[:, shared], w_full[:, shared])
 
@@ -142,15 +143,15 @@ class TestBank:
         arr = make_array(sensors=720)
         red = beamform.build_bank(arr, grid, mode_half=8, reduction="symmetric")
         # exact-arithmetic radii are all equal; floating hypot leaves a few ulps
-        assert red.ring_unique_radii[0].size <= 4
+        assert red.radii.size <= 4
 
     def test_average_design(self):
         grid = small_grid(samples=3)
         arr = make_array(ecc=0.7)
         bank = beamform.build_bank(arr, grid, design="average", mode_half=10)
-        assert bank.ring_unique_radii[0].size == 1
+        assert bank.radii.size == 1
         spec = arr.ring_spec(0)
-        assert bank.ring_unique_radii[0][0] == 0.5 * (spec.semi_major_m + spec.semi_minor_m)
+        assert bank.radii[0] == 0.5 * (spec.semi_major_m + spec.semi_minor_m)
         assert bank.unique_eval_count == 21  # modes x 1 radius
 
     def test_average_needs_spec(self):
@@ -171,25 +172,33 @@ class TestBank:
             assert np.array_equal(w[5 - m], w[5 + m])
 
     def test_instability_error_names_location(self):
-        # radius and frequency chosen so x hits the first J_0 null
+        # radius and frequency chosen so x hits the first J_0 null at sensor 2
+        # of ring 1 only; ring 0 (x = 0.5) and the rest of ring 1 (x = 1) are safe
         f0 = 10e9
-        r = FIRST_J0_ROOT * SPEED_OF_LIGHT / (2 * math.pi * f0)
-        rings = [(None, [geometry.Sensor(index=i, x_m=r * math.cos(a), y_m=r * math.sin(a))
-                         for i, a in enumerate([0.0, 1.0, 2.0, 3.0])])]
+        unit = SPEED_OF_LIGHT / (2 * math.pi * f0)  # the radius of x = 1
+        ring_radii = [[0.5 * unit] * 4, [unit, unit, FIRST_J0_ROOT * unit, unit]]
+        rings = [(None, [geometry.Sensor(index=i, ring=ring,
+                                         x_m=r * math.cos(i), y_m=r * math.sin(i))
+                         for i, r in enumerate(radii)])
+                 for ring, radii in enumerate(ring_radii)]
         arr = geometry.SensorArray(rings=rings)
         grid = channel.FrequencyGrid(f_start_hz=f0, bandwidth_hz=1e9, samples=2)
         bank = beamform.build_bank(arr, grid, design="plain", mode_half=2)
-        with pytest.raises(InstabilityError, match="m=0"):
-            oracles.bank_weights_at(bank, 0, 0)
+        where = r"m=0, p=2 \(ring 1\), f=10000000000.0 Hz"
+        with pytest.raises(InstabilityError, match=where):
+            oracles.bank_weights_at(bank, 0)
+        ch = channel.ChannelMatrix(array=arr, grid=grid, values=np.ones((8, 2), dtype=complex),
+                                   provenance="synthetic-planewave")
+        with pytest.raises(InstabilityError, match=where):
+            beamform.expand_array(ch, bank)
 
     def test_mode_limit_keeps_bank_stable(self):
         arr = make_array(ecc=0.7, sensors=128)
         grid = small_grid(samples=12)
         mh = beamform.mode_limit(arr, grid, 1e-6)
         bank = beamform.build_bank(arr, grid, mode_half=mh, reduction="symmetric")
-        jt = bank.ring_jtable(0)
         for k in range(grid.samples):
-            bank.weights_from_jtable(0, jt, k)  # must not raise
+            oracles.bank_weights_at(bank, k)  # must not raise
 
     def test_dump_csv(self, tmp_path):
         arr = make_array(sensors=8)
@@ -212,9 +221,7 @@ class TestExpansion:
         bank = beamform.build_bank(arr, grid, design="plain", mode_half=2)
         monkeypatch.setattr(
             beamform.FilterBank, "weights_from_jtable",
-            lambda self, ring, jtab, k: np.ones((self.mode_half + 1,
-                                                 self.ring_unique_radii[ring].size),
-                                                dtype=complex))
+            lambda self, jk, k: np.ones((self.mode_half + 1, self.radii.size), dtype=complex))
         modes = beamform.phase_mode_expand(ch, 0, bank)
         # m = 0 row is the plain average of ones
         assert modes.values[2] == pytest.approx(np.ones(3), rel=1e-15)
@@ -314,8 +321,8 @@ def literal_tolerance(want, arr, ch, bank):
     phase terms: |error| <= M_h (2 PHASE_ROUNDING + MIRROR_ROUNDING) max|W|
     max|H|, which dominates once |W| reaches ~1e3.
     """
-    w_max = max(float(np.abs(oracles.bank_weights_at(bank, ring, k)).max())
-                for ring in range(arr.ring_count) for k in range(bank.grid.samples))
+    w_max = max(float(np.abs(oracles.bank_weights_at(bank, k)).max())
+                for k in range(bank.grid.samples))
     per_order = 2 * PHASE_ROUNDING + MIRROR_ROUNDING
     phases = bank.mode_half * per_order * w_max * np.abs(ch.values).max()
     return 1e-12 * np.abs(want).max() + phases
@@ -420,3 +427,81 @@ class TestBatchedExpansion:
         got = beamform.expand_array(stack, bank).values
         for b, point in enumerate(points):
             assert np.array_equal(got[..., b], beamform.expand_array(point, bank).values), b
+
+
+class TestSharedBank:
+    """One radius vector for all rings, evaluated in band chunks."""
+
+    @staticmethod
+    def rotated_copies_and_circle():
+        return [geometry.EllipseSpec(semi_major_m=0.15, eccentricity=0.9,
+                                     rotation_deg=alpha, sensors=40)
+                for alpha in (0.0, 40.0, 80.0)] + [
+                    geometry.EllipseSpec(semi_major_m=0.1, sensors=32)]
+
+    def setup_case(self, samples=7, batch=False):
+        arr = geometry.build_concentric(self.rotated_copies_and_circle())
+        grid = small_grid(samples=samples, f_start=4e9, bw=1e9)
+        waves = [channel.IncidentWave(azimuth_deg=az, delay_s=3e-9) for az in (72.5, -10.0)]
+        values = [channel.superpose([w], arr, grid).values for w in waves]
+        ch = channel.ChannelMatrix(array=arr, grid=grid, provenance="batch",
+                                   values=np.stack(values, axis=-1) if batch else values[0])
+        return arr, grid, ch, beamform.build_bank(arr, grid, mode_half=8, reduction="symmetric")
+
+    def test_rotated_copies_equal_single_ring_banks(self):
+        arr, grid, ch, bank = self.setup_case()
+        singles, columns = [], 0
+        for ring, spec in enumerate(self.rotated_copies_and_circle()):
+            one = geometry.build_concentric([spec])
+            one_bank = beamform.build_bank(one, grid, mode_half=8, reduction="symmetric")
+            columns += one_bank.radii.size
+            one_ch = channel.ChannelMatrix(array=one, grid=grid, values=ch.ring_rows(ring),
+                                           provenance="ring")
+            singles.append(beamform.expand_array(one_ch, one_bank))
+        assert bank.radii.size < columns  # the rotated copies share radii
+        want = beamform.concentric_expand(singles).values
+        assert np.array_equal(beamform.expand_array(ch, bank).values, want)
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_band_chunks_do_not_change_bits(self, monkeypatch, batch):
+        arr, grid, ch, bank = self.setup_case(batch=batch)
+        want = beamform.expand_array(ch, bank).values
+        spans = []
+        jtable = beamform.FilterBank.jtable
+        monkeypatch.setattr(beamform.FilterBank, "jtable",
+                            lambda self, k0, k1: spans.append(k1 - k0) or jtable(self, k0, k1))
+        # bytes per sample: the table column plus each folded ring's sums and diffs
+        points = 2 if batch else 1
+        per_sample = (8 * (bank.mode_half + 2) * bank.radii.size
+                      + sum(64 * points * (spec.sensors // 4 + 1)
+                            for spec in self.rotated_copies_and_circle()))
+        for width in (1, 2, 3):
+            spans.clear()
+            monkeypatch.setattr(beamform, "TABLE_CHUNK_BYTES", width * per_sample)
+            got = beamform.expand_array(ch, bank).values
+            assert spans == [width] * (7 // width) + [7 % width] * (7 % width > 0)
+            assert np.array_equal(got, want), width
+
+    def test_peak_memory_stays_within_budget(self, monkeypatch):
+        arr = geometry.build_concentric(self.rotated_copies_and_circle())
+        grid = small_grid(samples=128)
+        ch = channel.superpose([channel.IncidentWave(azimuth_deg=30.0, delay_s=2e-9)], arr, grid)
+        bank = beamform.build_bank(arr, grid, mode_half=40, reduction="symmetric")
+        budget = 64 << 10
+        assert 8 * (bank.mode_half + 2) * grid.samples * bank.radii.size > 8 * budget
+
+        def peak_at(chunk_bytes):
+            monkeypatch.setattr(beamform, "TABLE_CHUNK_BYTES", chunk_bytes)
+            tracemalloc.start()
+            try:
+                beamform.expand_array(ch, bank)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # one-sample chunks hold what does not scale with the band: the
+        # output, each ring's cos/sin(m theta) tables, one sample's weights
+        fixed = peak_at(1)
+        # a chunk holds its table and folded data, plus the recurrence's
+        # per-lane vectors and one ring's fold temporaries while they are built
+        assert peak_at(budget) - fixed <= 1.5 * budget

@@ -216,6 +216,17 @@ def test_channel_csv_roundtrip_and_inference(tmp_path):
     assert back.grid.delay_resolution_s == pytest.approx(0.25e-9, rel=1e-9)
 
 
+def test_export_matches_per_cell_writer(tmp_path):
+    arr = make_array(a=0.242, ecc=0.7, sensors=10)
+    grid = channel.FrequencyGrid(f_start_hz=58e9, bandwidth_hz=4e9, samples=50)
+    ch = channel.add_awgn(channel.superpose(
+        [channel.IncidentWave(azimuth_deg=330.0, delay_s=4e-9)], arr, grid), 10.0, seed=4)
+    ch.values[2, :4] = [0.0, -0.0, complex(-0.0, 1.0), complex(1e-300, -0.0)]
+    channel.export_channel(ch, tmp_path / "fast.csv")
+    oracles.export_channel_cells(ch, tmp_path / "cells.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+
 def test_ingest_errors(tmp_path):
     arr = make_array(sensors=4)
     grid = channel.FrequencyGrid(f_start_hz=1e9, bandwidth_hz=1e9, samples=3)

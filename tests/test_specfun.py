@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from elliptic_doa import specfun
 from elliptic_doa.errors import DomainError
@@ -104,6 +104,27 @@ def test_plain_table_builds_in_one_table_sized_buffer():
     assert peak <= 1.5 * tab.nbytes
 
 
+@settings(max_examples=60, deadline=None)
+@given(m_max=st.integers(min_value=0, max_value=300),
+       x=st.lists(st.one_of(st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+                            st.floats(min_value=1.0, max_value=400.0)),
+                  min_size=1, max_size=12),
+       mask=st.integers(min_value=0, max_value=2**12 - 1),
+       compensated=st.booleans())
+# x < 1 takes the series; J_300(2) ~ 1e-615, so that lane's recurrence
+# passes 2**830 and is rescaled
+@example(m_max=300, x=[0.5, 2.0, 150.0, 0.0], mask=0b0110, compensated=False)
+@example(m_max=300, x=[0.5, 2.0, 150.0, 0.0], mask=0b1011, compensated=True)
+def test_property_table_columns_ignore_other_arguments(m_max, x, mask, compensated):
+    # filter banks share one table across rings and split it by frequency:
+    # each column must depend on its own argument only, bit for bit
+    x = np.array(x)
+    keep = np.array([bool(mask >> i & 1) for i in range(x.size)])
+    full = specfun.bessel_j_table(m_max, x, compensated=compensated)
+    part = specfun.bessel_j_table(m_max, x[keep], compensated=compensated)
+    assert np.ascontiguousarray(full[:, keep]).tobytes() == part.tobytes()
+
+
 def test_table_guards():
     with pytest.raises(DomainError):
         specfun.bessel_j_table(5, np.array([1.0, np.nan]))
@@ -151,7 +172,7 @@ def test_magnitude_bound_and_underflow():
 
 
 def test_bessel_eval_bundle():
-    ev = specfun.BesselEval.compute(3, 7.5)
+    ev = oracles.BesselEval.compute(3, 7.5)
     assert ev.order == 3 and ev.argument == 7.5
     assert ev.value == specfun.bessel_j(3, 7.5)
     assert ev.derivative == specfun.bessel_j_prime(3, 7.5)

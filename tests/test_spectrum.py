@@ -129,6 +129,26 @@ def test_half_bin_tie_ignores_rounding(nudge):
     assert spectrum.find_peaks(sp).main.phi_deg == sp.azimuth_of_bin(75)
 
 
+@pytest.mark.parametrize("twin", [0, 1])
+@pytest.mark.parametrize("nudge", [1e-13, -1e-13])
+def test_ranked_mirror_twins_ignore_rounding(twin, nudge):
+    # an arrival at azimuth 0 mirrors the map about bin 0, so its sidelobes
+    # come in twins at bins q and n - q: their rank order must not follow
+    # rounding (the lower bin first: both sit equally far from azimuth 0)
+    sp = spectrum.joint_spectrum(ideal_modes(10, GRID, 0.0, 5 / GRID.bandwidth_hz), pad_az=4)
+    want = spectrum.find_peaks(sp).maxima
+    n_az = sp.magnitudes.shape[0]
+    bins = [round(pk.phi_deg * n_az / 360.0) for pk in want]
+    pairs = [(q, n_az - q) for q in bins if 0 < q < n_az - q and n_az - q in bins]
+    assert pairs
+    q, mirror = pairs[0]
+    assert bins.index(q) < bins.index(mirror)
+    k = round(want[bins.index(q)].tau_s * sp.pad_delay * GRID.bandwidth_hz)
+    sp.magnitudes[(q, mirror)[twin], k] *= 1.0 + nudge
+    got = spectrum.find_peaks(sp).maxima
+    assert [(pk.phi_deg, pk.tau_s) for pk in got] == [(pk.phi_deg, pk.tau_s) for pk in want]
+
+
 def test_two_ray_ranked_maxima():
     mh = 40
     tau1, tau2 = 4 / GRID.bandwidth_hz, 8 / GRID.bandwidth_hz
@@ -172,6 +192,16 @@ def test_exports(tmp_path):
     assert len(lines) == 1 + 13 * 20
     peak_rows = [l for l in lines[1:] if l.endswith(",0")]
     assert peak_rows  # peak normalized to 0 dB
+    # the array-speed writer matches the per-cell one byte for byte, also on
+    # a padded two-ray map with cells at the -400 dB floor
+    two_ray = spectrum.joint_spectrum(beamform.ModeMatrix(
+        values=ideal_modes(6, GRID, 10.0, 2e-9).values + ideal_modes(6, GRID, 200.0, 7e-9).values,
+        mode_half=6, grid=GRID), pad_az=3, pad_delay=2)
+    two_ray.magnitudes[1, :3] = 0.0
+    for sp_case in (sp, two_ray):
+        sp_case.export_csv(tmp_path / "fast.csv")
+        oracles.export_csv_cells(sp_case, tmp_path / "cells.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
 
     pgm_path = tmp_path / "spec.pgm"
     sp.export_pgm(pgm_path)
