@@ -32,7 +32,6 @@ from .channel import (
 from .constants import SPEED_OF_LIGHT
 from .geometry import (
     EllipseSpec,
-    Sensor,
     SensorArray,
     build_concentric,
     build_ellipse,
@@ -46,7 +45,7 @@ __all__ = [
     "__version__",
     "SPEED_OF_LIGHT",
     "bessel_j", "bessel_j_prime", "bessel_j_table",
-    "EllipseSpec", "Sensor", "SensorArray", "build_ellipse", "build_concentric",
+    "EllipseSpec", "SensorArray", "build_ellipse", "build_concentric",
     "rotate_sensors", "nyquist_audit",
     "IncidentWave", "FrequencyGrid", "ChannelMatrix", "wave_response_center",
     "synthesize_planewave", "synthesize_spherical", "superpose", "add_awgn",

@@ -125,8 +125,8 @@ class ChannelMatrix:
 
     def ring_rows(self, ring: int) -> np.ndarray:
         """View of the rows belonging to one ring."""
-        start = sum(len(self.array.ring_sensors(i)) for i in range(ring))
-        stop = start + len(self.array.ring_sensors(ring))
+        start = sum(len(self.array.ring_xy(i)) for i in range(ring))
+        stop = start + len(self.array.ring_xy(ring))
         return self.values[start:stop]
 
 
@@ -220,7 +220,10 @@ def add_awgn(channel: ChannelMatrix, snr_db: Optional[float], seed: int = 0) -> 
     if not math.isfinite(snr_db):
         raise DomainError(f"snr_db must be finite or +inf, got {snr_db}")
     mean_power = float(np.mean(np.abs(channel.values) ** 2))
-    noise_var = mean_power / (10.0 ** (snr_db / 10.0))
+    try:
+        noise_var = mean_power / (10.0 ** (snr_db / 10.0))
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"snr_db {snr_db} is outside the representable range") from None
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed)])))
     sigma = math.sqrt(noise_var / 2.0)
     noise = gen.normal(0.0, sigma, size=channel.values.shape + (2,))

@@ -101,11 +101,13 @@ def _cmd_sweep(args) -> int:
             parsed = [json.loads(v) for v in values.split(",")]
         except json.JSONDecodeError as exc:
             raise ConfigError(f"--axis values must be JSON scalars: {spec!r} ({exc.msg})") from exc
-        cfg.setdefault("sweep", {}).setdefault("axes", []).append(
-            {"path": path, "values": parsed})
-    out = _out_dir(args, cfg.get("name", "sweep"))
+        sweep = cfg.setdefault("sweep", {})
+        if not isinstance(sweep, dict) or not isinstance(sweep.setdefault("axes", []), list):
+            raise ConfigError("sweep must be an object with a list of axes")
+        sweep["axes"].append({"path": path, "values": parsed})
     rows = list(sweep_rows(cfg, allow_undersampled=args.allow_undersampled,
                            force_modes=args.force_modes))
+    out = _out_dir(args, cfg.get("name", "sweep"))
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "sweep.csv"
     n = write_sweep_csv(rows, csv_path)

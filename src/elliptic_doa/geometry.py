@@ -6,7 +6,8 @@ optionally perturbed by an isotropic bivariate Gaussian (sigma/sqrt(2) per
 axis).  Uniform spacing in eta is not uniform in the polar azimuth once the
 ring is eccentric; all downstream math therefore works from the realized
 Cartesian coordinates, from which radius and polar azimuth are always
-recomputed rather than stored.
+recomputed rather than stored.  A ring is just those coordinates, a (P, 2)
+float64 array in sensor order; a SensorArray pairs each with its spec.
 
 Angles cross the public API in degrees and live internally in radians.
 """
@@ -14,7 +15,7 @@ Angles cross the public API in degrees and live internally in radians.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,8 +44,8 @@ class EllipseSpec:
             raise DomainError(f"rotation_deg must be in [0, 360), got {self.rotation_deg}")
         if self.sensors < 4:
             raise DomainError(f"need at least 4 sensors, got {self.sensors}")
-        if self.sigma_m < 0.0:
-            raise DomainError(f"sigma_m must be non-negative, got {self.sigma_m}")
+        if not (self.sigma_m >= 0.0 and math.isfinite(self.sigma_m)):
+            raise DomainError(f"sigma_m must be non-negative and finite, got {self.sigma_m}")
         if self.seed < 0:
             raise DomainError(f"seed must be unsigned, got {self.seed}")
 
@@ -53,26 +54,8 @@ class EllipseSpec:
         return self.semi_major_m * math.sqrt(1.0 - self.eccentricity**2)
 
 
-@dataclass(frozen=True)
-class Sensor:
-    """One realized sensor position; polar descriptors derive from (x, y)."""
-
-    index: int
-    x_m: float
-    y_m: float
-    ring: int = 0
-
-    @property
-    def radius_m(self) -> float:
-        return math.hypot(self.x_m, self.y_m)
-
-    @property
-    def azimuth_rad(self) -> float:
-        return math.atan2(self.y_m, self.x_m)
-
-
-def build_ellipse(spec: EllipseSpec, ring_index: int = 0) -> list[Sensor]:
-    """Realize one ring of sensors from its spec.
+def build_ellipse(spec: EllipseSpec, ring_index: int = 0) -> np.ndarray:
+    """Realize one ring of sensors from its spec as (P, 2) Cartesian coordinates.
 
     Position noise draws from a counter-based Philox stream keyed by
     (spec.seed, ring_index), so rebuilding with the same seed is
@@ -93,31 +76,40 @@ def build_ellipse(spec: EllipseSpec, ring_index: int = 0) -> list[Sensor]:
         noise = gen.normal(0.0, spec.sigma_m / math.sqrt(2.0), size=(spec.sensors, 2))
         x = x + noise[:, 0]
         y = y + noise[:, 1]
-    return [Sensor(index=int(i), x_m=float(x[i]), y_m=float(y[i]), ring=ring_index)
-            for i in range(spec.sensors)]
+    return np.column_stack([x, y])
 
 
-def rotate_sensors(sensors: Sequence[Sensor], alpha_deg: float) -> list[Sensor]:
-    """Rigid counterclockwise rotation by alpha_deg about the array center.
+def rotate_sensors(xy: np.ndarray, alpha_deg: float) -> np.ndarray:
+    """Rigid counterclockwise rotation of (P, 2) coordinates by alpha_deg
+    about the array center.
 
     Radii are preserved (to rounding); matches building the ring with the
     rotation folded into its parametrization.
     """
     alpha = math.radians(alpha_deg)
     ca, sa = math.cos(alpha), math.sin(alpha)
-    return [Sensor(index=s.index, ring=s.ring,
-                   x_m=s.x_m * ca - s.y_m * sa,
-                   y_m=s.x_m * sa + s.y_m * ca)
-            for s in sensors]
+    x, y = xy[:, 0], xy[:, 1]
+    return np.column_stack([x * ca - y * sa, x * sa + y * ca])
 
 
 @dataclass
 class SensorArray:
-    """One or more concentric rings sharing the origin as their center."""
+    """One or more concentric rings sharing the origin as their center.
 
-    rings: list[tuple[Optional[EllipseSpec], list[Sensor]]]
+    Each ring is (spec, xy): its placement recipe (None when ingested) and
+    its realized (P, 2) coordinates.  Arrays compare by value.
+    """
+
+    rings: list[tuple[Optional[EllipseSpec], np.ndarray]]
     provenance: str = "built"
-    _xy_cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, SensorArray):
+            return NotImplemented
+        return (self.provenance == other.provenance
+                and len(self.rings) == len(other.rings)
+                and all(s == t and np.array_equal(a, b)
+                        for (s, a), (t, b) in zip(self.rings, other.rings)))
 
     @property
     def ring_count(self) -> int:
@@ -125,20 +117,14 @@ class SensorArray:
 
     @property
     def total_sensors(self) -> int:
-        return sum(len(sensors) for _, sensors in self.rings)
-
-    def ring_sensors(self, ring: int) -> list[Sensor]:
-        return self.rings[ring][1]
+        return sum(len(xy) for _, xy in self.rings)
 
     def ring_spec(self, ring: int) -> Optional[EllipseSpec]:
         return self.rings[ring][0]
 
     def ring_xy(self, ring: int) -> np.ndarray:
         """(P, 2) Cartesian coordinates of one ring."""
-        if ring not in self._xy_cache:
-            sensors = self.rings[ring][1]
-            self._xy_cache[ring] = np.array([[s.x_m, s.y_m] for s in sensors])
-        return self._xy_cache[ring]
+        return self.rings[ring][1]
 
     def ring_radii(self, ring: int) -> np.ndarray:
         xy = self.ring_xy(ring)
@@ -158,13 +144,12 @@ class SensorArray:
 
     def to_csv(self, path) -> None:
         """Write `ring,p,x_m,y_m` rows, p being the global sensor index."""
+        ring = np.repeat(np.arange(self.ring_count), [len(xy) for _, xy in self.rings])
+        xy = np.vstack([xy for _, xy in self.rings])
         with open(path, "w") as fh:
             fh.write("ring,p,x_m,y_m\n")
-            p = 0
-            for ring_idx, (_, sensors) in enumerate(self.rings):
-                for s in sensors:
-                    fh.write(f"{ring_idx},{p},{s.x_m:.17g},{s.y_m:.17g}\n")
-                    p += 1
+            fh.writelines(f"{r},{p},{x:.17g},{y:.17g}\n"
+                          for p, (r, (x, y)) in enumerate(zip(ring.tolist(), xy.tolist())))
 
     @classmethod
     def from_csv(cls, path) -> "SensorArray":
@@ -181,26 +166,23 @@ class SensorArray:
                 if len(parts) != 4:
                     raise ConfigError(f"line {lineno}: expected 4 fields, got {len(parts)}")
                 try:
-                    rows.append((int(parts[0]), int(parts[1]),
-                                 float(parts[2]), float(parts[3])))
+                    row = (int(parts[0]), int(parts[1]), float(parts[2]), float(parts[3]))
                 except ValueError as exc:
                     raise ConfigError(f"line {lineno}: {exc}") from exc
+                if not (math.isfinite(row[2]) and math.isfinite(row[3])):
+                    raise ConfigError(f"line {lineno}: coordinates must be finite")
+                rows.append(row)
         if not rows:
             raise ConfigError("geometry file contains no sensors")
-        ps = sorted(r[1] for r in rows)
-        if ps != list(range(len(rows))):
-            raise ValidationError("global sensor indices must cover 0..N-1 exactly")
         rows.sort(key=lambda r: r[1])
-        ring_ids = sorted({r[0] for r in rows})
-        if ring_ids != list(range(len(ring_ids))):
+        if [r[1] for r in rows] != list(range(len(rows))):
+            raise ValidationError("global sensor indices must cover 0..N-1 exactly")
+        ring = np.array([r[0] for r in rows])
+        ids = np.unique(ring)
+        if not np.array_equal(ids, np.arange(ids.size)):
             raise ValidationError("ring indices must cover 0..R-1 exactly")
-        rings: list[tuple[Optional[EllipseSpec], list[Sensor]]] = []
-        for ring_idx in ring_ids:
-            ring_rows = [r for r in rows if r[0] == ring_idx]
-            sensors = [Sensor(index=i, x_m=r[2], y_m=r[3], ring=ring_idx)
-                       for i, r in enumerate(ring_rows)]
-            rings.append((None, sensors))
-        return cls(rings=rings, provenance="ingested")
+        xy = np.array([r[2:] for r in rows])
+        return cls(rings=[(None, xy[ring == i]) for i in range(ids.size)], provenance="ingested")
 
 
 def build_concentric(specs: Sequence[EllipseSpec]) -> SensorArray:

@@ -27,8 +27,9 @@ from __future__ import annotations
 import copy
 import itertools
 import json
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -50,7 +51,7 @@ from .channel import (
     superpose,
 )
 from .constants import SPEED_OF_LIGHT
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, DomainError, ValidationError
 from .geometry import EllipseSpec, SensorArray, build_concentric, nyquist_audit
 from .spectrum import (
     DEFAULT_EXCLUSION_CELLS,
@@ -150,6 +151,19 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+_PARSE_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+"""How reading one config value fails: a missing key, a wrong type, an
+unparseable string, or int() of an infinity."""
+
+
+def _parse(kind, value, what: str):
+    """kind(value), a failed conversion being a ConfigError naming the field."""
+    try:
+        return kind(value)
+    except _PARSE_ERRORS as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
 def _resolve_processing(proc_cfg: dict, array: SensorArray, grid: FrequencyGrid,
                         allow_undersampled: bool, force_modes: bool) -> dict:
     """Pin every processing knob against a realized array and grid."""
@@ -172,7 +186,8 @@ def _resolve_processing(proc_cfg: dict, array: SensorArray, grid: FrequencyGrid,
         if any(s is None for s in specs):
             raise ValidationError("average design needs ellipse parameters on every ring")
         r_min = min(0.5 * (s.semi_major_m + s.semi_minor_m) for s in specs)
-    limit = mode_limit(array, grid, float(proc["mode_threshold"]),
+    threshold = _parse(float, proc["mode_threshold"], "mode_threshold")
+    limit = mode_limit(array, grid, threshold,
                        design="plain" if design == "plain" else "robust",
                        r_min_m=r_min)
     if proc["modes"] == "auto":
@@ -180,7 +195,7 @@ def _resolve_processing(proc_cfg: dict, array: SensorArray, grid: FrequencyGrid,
     else:
         try:
             total = int(proc["modes"])
-        except (TypeError, ValueError) as exc:
+        except _PARSE_ERRORS as exc:
             raise ConfigError(f"modes must be 'auto' or an integer: {exc}") from exc
         if total < 1:
             raise ConfigError("modes must be positive")
@@ -188,7 +203,7 @@ def _resolve_processing(proc_cfg: dict, array: SensorArray, grid: FrequencyGrid,
         if mh > limit and not force_modes:
             raise ValidationError(
                 f"requested modes {total} (half-range {mh}) exceed the stability "
-                f"limit {limit} at threshold {proc['mode_threshold']}; "
+                f"limit {limit} at threshold {threshold}; "
                 f"pass --force-modes to override")
 
     reduction = proc["reduction"]
@@ -207,26 +222,30 @@ def _resolve_processing(proc_cfg: dict, array: SensorArray, grid: FrequencyGrid,
             f"(max spacing {audit.max_spacing_m:.4g} m > {audit.limit_m:.4g} m); "
             "pass --allow-undersampled to override")
 
-    pad_az = int(proc["pad_az"])
-    pad_delay = int(proc["pad_delay"])
+    pad_az = _parse(int, proc["pad_az"], "pad_az")
+    pad_delay = _parse(int, proc["pad_delay"], "pad_delay")
     if pad_az < 1 or pad_delay < 1:
         raise ConfigError("pad factors must be >= 1")
-    try:
-        excl = tuple(int(v) for v in proc["exclusion_cells"])
-    except (TypeError, ValueError) as exc:
+    cells = proc["exclusion_cells"]
+    try:  # a string would split into digits: "12" is not (1, 2)
+        excl = tuple(int(v) for v in cells) if isinstance(cells, (list, tuple)) else ()
+    except _PARSE_ERRORS as exc:
         raise ConfigError(f"exclusion_cells must be two non-negative integers: {exc}") from exc
     if len(excl) != 2 or any(v < 0 for v in excl):
         raise ConfigError("exclusion_cells must be two non-negative integers")
     if proc["exclusion_deg"] is not None:
         # fixed angular window: keeps artifact readings comparable across
         # runs whose auto-selected mode counts (and thus cell sizes) differ
+        exclusion_deg = _parse(float, proc["exclusion_deg"], "exclusion_deg")
+        if not math.isfinite(exclusion_deg):
+            raise DomainError(f"exclusion_deg must be finite, got {exclusion_deg}")
         cell_deg = 360.0 / (2 * mh + 1)
-        excl = (max(1, round(float(proc["exclusion_deg"]) / cell_deg)), excl[1])
+        excl = (max(1, round(exclusion_deg / cell_deg)), excl[1])
     snr_db = proc["snr_db"]
     if snr_db is not None:
-        snr_db = float(snr_db)
+        snr_db = _parse(float, snr_db, "snr_db")
     return {"model": proc["model"], "design": design, "mode_half": mh,
-            "mode_limit": limit, "mode_threshold": float(proc["mode_threshold"]),
+            "mode_limit": limit, "mode_threshold": threshold,
             "reduction": reduction, "nyquist": audit, "pad_az": pad_az,
             "pad_delay": pad_delay, "exclusion_cells": excl,
             "exclusion_deg": proc["exclusion_deg"], "snr_db": snr_db}
@@ -237,7 +256,11 @@ def resolve(cfg: dict, allow_undersampled: bool = False,
     """Validate a raw scenario and pin every derived quantity."""
     cfg = copy.deepcopy(cfg)
     name = cfg.get("name", "scenario")
-    seed = int(cfg.get("seed", 0))
+    if not isinstance(name, str):
+        raise ConfigError(f"name must be a string, got {name!r}")
+    seed = _parse(int, cfg.get("seed", 0), "seed")
+    if seed < 0:
+        raise DomainError(f"seed must be unsigned, got {seed}")
     # heavily perturbed layouts cannot pass a strict consecutive-spacing
     # audit; scenarios that rely on average sampling may opt out themselves
     allow_undersampled = allow_undersampled or bool(cfg.get("allow_undersampled", False))
@@ -247,7 +270,7 @@ def resolve(cfg: dict, allow_undersampled: bool = False,
         grid = FrequencyGrid(f_start_hz=float(grid_cfg["f_start_hz"]),
                              bandwidth_hz=float(grid_cfg["bandwidth_hz"]),
                              samples=int(grid_cfg["samples"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except _PARSE_ERRORS as exc:
         raise ConfigError(f"bad grid section: {exc}") from exc
 
     rings_cfg = _require(cfg, "array")
@@ -258,34 +281,22 @@ def resolve(cfg: dict, allow_undersampled: bool = False,
     for i, ring in enumerate(rings_cfg):
         if not isinstance(ring, dict):
             raise ConfigError(f"array[{i}] must be an object")
-        ring = dict(ring)
-        if ring.get("sigma_wavelengths") is not None:
-            if ring.get("sigma_m"):
-                raise ConfigError(f"array[{i}]: give sigma_m or sigma_wavelengths, not both")
-            ring["sigma_m"] = float(ring.pop("sigma_wavelengths")) * lam_center
-        else:
-            ring.pop("sigma_wavelengths", None)
-            ring["sigma_m"] = float(ring.get("sigma_m", 0.0))
-        if ring.get("seed") is None:
-            ring["seed"] = seed
+        if ring.get("sigma_wavelengths") is not None and ring.get("sigma_m"):
+            raise ConfigError(f"array[{i}]: give sigma_m or sigma_wavelengths, not both")
         try:
+            sigma_m = (float(ring["sigma_wavelengths"]) * lam_center
+                       if ring.get("sigma_wavelengths") is not None
+                       else float(ring.get("sigma_m", 0.0)))
             specs.append(EllipseSpec(
                 semi_major_m=float(ring["semi_major_m"]),
                 eccentricity=float(ring.get("eccentricity", 0.0)),
                 rotation_deg=float(ring.get("rotation_deg", 0.0)),
                 sensors=int(ring.get("sensors", 720)),
-                sigma_m=ring["sigma_m"],
-                seed=int(ring["seed"])))
-        except (KeyError, TypeError, ValueError) as exc:
+                sigma_m=sigma_m,
+                seed=int(seed if ring.get("seed") is None else ring["seed"])))
+        except _PARSE_ERRORS as exc:
             raise ConfigError(f"bad array[{i}] spec: {exc}") from exc
-        rings_cfg[i] = {
-            "semi_major_m": specs[-1].semi_major_m,
-            "eccentricity": specs[-1].eccentricity,
-            "rotation_deg": specs[-1].rotation_deg,
-            "sensors": specs[-1].sensors,
-            "sigma_m": specs[-1].sigma_m,
-            "seed": specs[-1].seed,
-        }
+        rings_cfg[i] = asdict(specs[-1])
     array = build_concentric(specs)
 
     scene_cfg = _require(cfg, "scene")
@@ -301,7 +312,7 @@ def resolve(cfg: dict, allow_undersampled: bool = False,
                 amplitude=float(wv.get("amplitude", 1.0)),
                 distance_m=None if wv.get("distance_m") is None
                 else float(wv["distance_m"])))
-        except (KeyError, TypeError, ValueError) as exc:
+        except _PARSE_ERRORS as exc:
             raise ConfigError(f"bad scene[{i}] wave: {exc}") from exc
 
     proc = _resolve_processing(cfg.get("processing", {}), array, grid,
@@ -314,11 +325,8 @@ def resolve(cfg: dict, allow_undersampled: bool = False,
         "name": name,
         "seed": seed,
         "array": rings_cfg,
-        "grid": {"f_start_hz": grid.f_start_hz, "bandwidth_hz": grid.bandwidth_hz,
-                 "samples": grid.samples},
-        "scene": [{"azimuth_deg": w.azimuth_deg, "delay_s": w.delay_s,
-                   "elevation_deg": w.elevation_deg, "amplitude": w.amplitude,
-                   "distance_m": w.distance_m} for w in scene],
+        "grid": asdict(grid),
+        "scene": [asdict(w) for w in scene],
         "processing": _processing_section(proc),
     }
     if allow_undersampled:
@@ -343,8 +351,7 @@ def resolve_ingested(array: SensorArray, grid: FrequencyGrid, proc_cfg: dict,
                                force_modes=force_modes)
     resolved_cfg = {
         "name": name,
-        "grid": {"f_start_hz": grid.f_start_hz, "bandwidth_hz": grid.bandwidth_hz,
-                 "samples": grid.samples},
+        "grid": asdict(grid),
         "processing": _processing_section(proc),
     }
     return ResolvedScenario(
@@ -494,17 +501,21 @@ def sweep_rows(cfg: dict, allow_undersampled: bool = False,
     seeds in the config, so evaluation order carries no state.
     """
     sweep = cfg.get("sweep")
-    if not sweep or not sweep.get("axes"):
-        raise ConfigError("sweep requires a 'sweep' section with axes")
+    if not isinstance(sweep, dict) or not isinstance(sweep.get("axes"), (list, tuple)) \
+            or not sweep["axes"]:
+        raise ConfigError("sweep requires a 'sweep' section with a list of axes")
     axes = []
     for ax in sweep["axes"]:
         # an axis is one path with scalar values, or several paths advancing
         # in lockstep ("paths" + rows of values), e.g. eccentricity paired
         # with its mode count
+        if not isinstance(ax, dict) or not isinstance(ax.get("values", []), (list, tuple)):
+            raise ConfigError("each sweep axis must be an object with a list of values")
         if "paths" in ax:
-            paths = list(ax["paths"])
-            values = [list(v) for v in ax.get("values", [])]
-            if not values or any(len(v) != len(paths) for v in values):
+            paths = ax["paths"]
+            values = ax.get("values", [])
+            if not isinstance(paths, (list, tuple)) or not values or any(
+                    not isinstance(v, (list, tuple)) or len(v) != len(paths) for v in values):
                 raise ConfigError("zipped sweep axis needs one value per path")
         elif "path" in ax:
             paths = [ax["path"]]
@@ -513,6 +524,8 @@ def sweep_rows(cfg: dict, allow_undersampled: bool = False,
                 raise ConfigError("sweep axis needs non-empty values")
         else:
             raise ConfigError("each sweep axis needs a path (or paths)")
+        if not all(isinstance(path, str) for path in paths):
+            raise ConfigError(f"sweep paths must be strings, got {paths!r}")
         axes.append([list(zip(paths, row_vals)) for row_vals in values])
 
     points, groups, arrays = [], {}, {}

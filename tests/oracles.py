@@ -18,7 +18,6 @@ import numpy as np
 
 from elliptic_doa.beamform import DENOMINATOR_FLOOR, DESIGNS
 from elliptic_doa.errors import DomainError, InstabilityError
-from elliptic_doa.geometry import Sensor
 from elliptic_doa.specfun import bessel_j, bessel_j_prime
 
 C = 299_792_458.0
@@ -216,8 +215,9 @@ class BesselEval:
                    value=bessel_j(m, x), derivative=bessel_j_prime(m, x))
 
 
-def mirror_rotate_sensors(sensors, alpha_deg):
-    """The substitution x -> x cos a + y sin a, y -> x sin a - y cos a.
+def mirror_rotate_sensors(xy, alpha_deg):
+    """The substitution x -> x cos a + y sin a, y -> x sin a - y cos a on (P, 2)
+    coordinates.
 
     This is an *improper* rotation (determinant -1): a reflection across the
     x-axis followed by a counterclockwise rotation by alpha_deg.  It still
@@ -226,7 +226,5 @@ def mirror_rotate_sensors(sensors, alpha_deg):
     """
     alpha = math.radians(alpha_deg)
     ca, sa = math.cos(alpha), math.sin(alpha)
-    return [Sensor(index=s.index, ring=s.ring,
-                   x_m=s.x_m * ca + s.y_m * sa,
-                   y_m=s.x_m * sa - s.y_m * ca)
-            for s in sensors]
+    x, y = xy[:, 0], xy[:, 1]
+    return np.column_stack([x * ca + y * sa, x * sa - y * ca])

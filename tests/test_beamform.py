@@ -43,9 +43,7 @@ class TestModeLimit:
         assert mh >= 250
 
     def test_degenerate_center_sensor(self):
-        rings = [(None, [geometry.Sensor(index=0, x_m=0.0, y_m=0.0),
-                         geometry.Sensor(index=1, x_m=0.1, y_m=0.0)])]
-        arr = geometry.SensorArray(rings=rings)
+        arr = geometry.SensorArray(rings=[(None, np.array([[0.0, 0.0], [0.1, 0.0]]))])
         grid = small_grid()
         # robust denominator at x=0: m=0 -> 1, m=1 -> |J_1 - jJ'_1| = 0.5, m=2 -> 0
         assert beamform.mode_limit(arr, grid, 1e-6) == 1
@@ -155,11 +153,8 @@ class TestBank:
         assert bank.unique_eval_count == 21  # modes x 1 radius
 
     def test_average_needs_spec(self):
-        rings = [(None, [geometry.Sensor(index=0, x_m=0.1, y_m=0.0),
-                         geometry.Sensor(index=1, x_m=0.0, y_m=0.1),
-                         geometry.Sensor(index=2, x_m=-0.1, y_m=0.0),
-                         geometry.Sensor(index=3, x_m=0.0, y_m=-0.1)])]
-        arr = geometry.SensorArray(rings=rings, provenance="ingested")
+        xy = np.array([[0.1, 0.0], [0.0, 0.1], [-0.1, 0.0], [0.0, -0.1]])
+        arr = geometry.SensorArray(rings=[(None, xy)], provenance="ingested")
         with pytest.raises(ValidationError):
             beamform.build_bank(arr, small_grid(), design="average", mode_half=2)
 
@@ -177,10 +172,9 @@ class TestBank:
         f0 = 10e9
         unit = SPEED_OF_LIGHT / (2 * math.pi * f0)  # the radius of x = 1
         ring_radii = [[0.5 * unit] * 4, [unit, unit, FIRST_J0_ROOT * unit, unit]]
-        rings = [(None, [geometry.Sensor(index=i, ring=ring,
-                                         x_m=r * math.cos(i), y_m=r * math.sin(i))
-                         for i, r in enumerate(radii)])
-                 for ring, radii in enumerate(ring_radii)]
+        rings = [(None, np.array([[r * math.cos(i), r * math.sin(i)]
+                                  for i, r in enumerate(radii)]))
+                 for radii in ring_radii]
         arr = geometry.SensorArray(rings=rings)
         grid = channel.FrequencyGrid(f_start_hz=f0, bandwidth_hz=1e9, samples=2)
         bank = beamform.build_bank(arr, grid, design="plain", mode_half=2)
@@ -286,6 +280,23 @@ class TestExpansion:
         assert np.array_equal(one.values, single.values)
         dup = beamform.concentric_expand([single, single])
         assert np.allclose(dup.values, single.values, rtol=1e-15)
+
+    def test_arrays_compare_by_value(self):
+        specs = [geometry.EllipseSpec(semi_major_m=0.5, eccentricity=0.6, sensors=16),
+                 geometry.EllipseSpec(semi_major_m=0.3, sensors=8)]
+        grid = small_grid(samples=3)
+        wave = channel.IncidentWave(azimuth_deg=20.0, delay_s=1e-9)
+        bank = beamform.build_bank(geometry.build_concentric(specs), grid, mode_half=2)
+        want = beamform.expand_array(channel.superpose([wave], bank.array, grid), bank)
+        twin = geometry.build_concentric(specs)
+        assert twin is not bank.array and twin == bank.array
+        got = beamform.expand_array(channel.superpose([wave], twin, grid), bank)
+        assert np.array_equal(got.values, want.values)
+        turned = geometry.build_concentric(
+            [specs[0], geometry.EllipseSpec(semi_major_m=0.3, rotation_deg=10.0, sensors=8)])
+        assert turned != bank.array
+        with pytest.raises(ValidationError, match="different arrays"):
+            beamform.expand_array(channel.superpose([wave], turned, grid), bank)
 
     def test_concentric_mismatch_errors(self):
         arr = make_array(sensors=8)

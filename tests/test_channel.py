@@ -68,11 +68,11 @@ def test_planewave_against_literal_formula():
     wave = channel.IncidentWave(azimuth_deg=25.0, delay_s=5e-9, elevation_deg=70.0)
     ch = channel.synthesize_planewave(arr, wave, GRID)
     assert ch.provenance == "synthetic-planewave"
-    sensors = arr.ring_sensors(0)
+    xy = arr.ring_xy(0)
     for p in (0, 3, 11):
         for k in (0, 20, 39):
             want = oracles.brute_planewave_entry(
-                1.0, 5e-9, 25.0, 70.0, sensors[p].x_m, sensors[p].y_m,
+                1.0, 5e-9, 25.0, 70.0, xy[p, 0], xy[p, 1],
                 float(GRID.frequencies[k]))
             assert ch.values[p, k] == pytest.approx(want, rel=1e-12)
 
@@ -99,18 +99,16 @@ def test_planewave_magnitude_is_amplitude():
 
 
 def test_spherical_center_sensor_and_path_loss():
-    rings = [(None, [geometry.Sensor(index=0, x_m=0.0, y_m=0.0),
-                     geometry.Sensor(index=1, x_m=0.3, y_m=-0.1)])]
-    arr = geometry.SensorArray(rings=rings)
+    arr = geometry.SensorArray(rings=[(None, np.array([[0.0, 0.0], [0.3, -0.1]]))])
     wave = channel.IncidentWave(azimuth_deg=12.0, delay_s=4e-9, distance_m=2.5)
     ch = channel.synthesize_spherical(arr, wave, GRID)
     assert ch.provenance == "synthetic-spherical"
     h0 = channel.wave_response_center(wave, GRID)
     assert np.allclose(ch.values[0], h0, rtol=1e-14)  # d_p == d at the center
-    sensors = arr.ring_sensors(0)
+    xy = arr.ring_xy(0)
     for k in (0, 39):
         want = oracles.brute_spherical_entry(
-            1.0, 4e-9, 12.0, 90.0, 2.5, sensors[1].x_m, sensors[1].y_m,
+            1.0, 4e-9, 12.0, 90.0, 2.5, xy[1, 0], xy[1, 1],
             float(GRID.frequencies[k]))
         assert ch.values[1, k] == pytest.approx(want, rel=1e-12)
     # |H| carries the free-space ratio d / d_p

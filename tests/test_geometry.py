@@ -34,11 +34,10 @@ def test_semi_minor():
 
 
 def test_quarter_circle_positions():
-    sensors = geometry.build_ellipse(circle(sensors=4))
+    xy = geometry.build_ellipse(circle(sensors=4))
     want = [(0.5, 0.0), (0.0, 0.5), (-0.5, 0.0), (0.0, -0.5)]
-    for s, (wx, wy) in zip(sensors, want):
-        assert s.x_m == pytest.approx(wx, abs=1e-12)
-        assert s.y_m == pytest.approx(wy, abs=1e-12)
+    assert xy.shape == (4, 2) and xy.dtype == np.float64
+    assert np.allclose(xy, want, rtol=0.0, atol=1e-12)
 
 
 def test_rotated_placement_at_eta_zero():
@@ -46,15 +45,15 @@ def test_rotated_placement_at_eta_zero():
     e = math.sqrt(1 - 0.25)
     spec = geometry.EllipseSpec(semi_major_m=1.0, eccentricity=e,
                                 rotation_deg=90.0, sensors=4)
-    s0 = geometry.build_ellipse(spec)[0]
-    assert s0.x_m == pytest.approx(0.0, abs=1e-12)
-    assert s0.y_m == pytest.approx(1.0, rel=1e-12)
+    x0, y0 = geometry.build_ellipse(spec)[0]
+    assert x0 == pytest.approx(0.0, abs=1e-12)
+    assert y0 == pytest.approx(1.0, rel=1e-12)
 
 
 def test_radial_bounds_on_eccentric_ring():
     spec = geometry.EllipseSpec(semi_major_m=0.5, eccentricity=0.7, sensors=720)
     b = spec.semi_minor_m
-    r = np.array([s.radius_m for s in geometry.build_ellipse(spec)])
+    r = np.hypot(*geometry.build_ellipse(spec).T)
     assert b - 1e-12 <= r.min() and r.max() <= 0.5 + 1e-12
     assert r.min() == pytest.approx(b, rel=1e-12)
     assert r.max() == pytest.approx(0.5, rel=1e-12)
@@ -63,54 +62,47 @@ def test_radial_bounds_on_eccentric_ring():
 def test_polar_descriptors_recomputed():
     spec = geometry.EllipseSpec(semi_major_m=0.3, eccentricity=0.9,
                                 rotation_deg=22.5, sensors=16)
-    for s in geometry.build_ellipse(spec):
-        assert s.radius_m == math.hypot(s.x_m, s.y_m)
-        assert s.azimuth_rad == math.atan2(s.y_m, s.x_m)
+    arr = geometry.build_concentric([spec])
+    xy = geometry.build_ellipse(spec)
+    assert np.array_equal(arr.ring_xy(0), xy)
+    assert np.array_equal(arr.ring_radii(0), np.hypot(xy[:, 0], xy[:, 1]))
+    assert np.array_equal(arr.ring_azimuths(0), np.arctan2(xy[:, 1], xy[:, 0]))
 
 
 def test_rotation_is_proper_and_matches_parametrization():
-    one = geometry.Sensor(index=0, x_m=1.0, y_m=0.0)
-    (r,) = geometry.rotate_sensors([one], 90.0)
-    assert (r.x_m, r.y_m) == (pytest.approx(0.0, abs=1e-12), pytest.approx(1.0))
-    up = geometry.Sensor(index=0, x_m=0.0, y_m=1.0)
-    (r,) = geometry.rotate_sensors([up], 90.0)
-    assert (r.x_m, r.y_m) == (pytest.approx(-1.0), pytest.approx(0.0, abs=1e-12))
+    (r,) = geometry.rotate_sensors(np.array([[1.0, 0.0]]), 90.0)
+    assert tuple(r) == (pytest.approx(0.0, abs=1e-12), pytest.approx(1.0))
+    (r,) = geometry.rotate_sensors(np.array([[0.0, 1.0]]), 90.0)
+    assert tuple(r) == (pytest.approx(-1.0), pytest.approx(0.0, abs=1e-12))
 
     spec0 = geometry.EllipseSpec(semi_major_m=0.5, eccentricity=0.8, sensors=48)
     spec90 = geometry.EllipseSpec(semi_major_m=0.5, eccentricity=0.8,
                                   rotation_deg=90.0, sensors=48)
     built = geometry.build_ellipse(spec90)
     rotated = geometry.rotate_sensors(geometry.build_ellipse(spec0), 90.0)
-    for sb, sr in zip(built, rotated):
-        assert sb.x_m == pytest.approx(sr.x_m, abs=1e-12)
-        assert sb.y_m == pytest.approx(sr.y_m, abs=1e-12)
+    assert np.allclose(built, rotated, rtol=0.0, atol=1e-12)
 
 
 def test_rotation_identity_and_full_turn():
-    sensors = geometry.build_ellipse(circle(sensors=8))
-    same = geometry.rotate_sensors(sensors, 0.0)
-    for a, b in zip(sensors, same):
-        assert (a.x_m, a.y_m) == (b.x_m, b.y_m)  # cos 0 = 1, sin 0 = 0 exactly
-    turned = geometry.rotate_sensors(sensors, 360.0)
-    for a, b in zip(sensors, turned):
-        assert b.x_m == pytest.approx(a.x_m, abs=1e-12)
-        assert b.y_m == pytest.approx(a.y_m, abs=1e-12)
+    xy = geometry.build_ellipse(circle(sensors=8))
+    same = geometry.rotate_sensors(xy, 0.0)
+    assert np.array_equal(same, xy)  # cos 0 = 1, sin 0 = 0 exactly
+    turned = geometry.rotate_sensors(xy, 360.0)
+    assert np.allclose(turned, xy, rtol=0.0, atol=1e-12)
 
 
 def test_mirror_rotate_is_improper():
-    one = geometry.Sensor(index=0, x_m=1.0, y_m=0.0)
-    (r,) = oracles.mirror_rotate_sensors([one], 90.0)
-    assert (r.x_m, r.y_m) == (pytest.approx(0.0, abs=1e-12), pytest.approx(1.0))
+    (r,) = oracles.mirror_rotate_sensors(np.array([[1.0, 0.0]]), 90.0)
+    assert tuple(r) == (pytest.approx(0.0, abs=1e-12), pytest.approx(1.0))
     # alpha = 0 negates y: reflection, not the identity
-    up = geometry.Sensor(index=0, x_m=0.3, y_m=0.4)
-    (r,) = oracles.mirror_rotate_sensors([up], 0.0)
-    assert (r.x_m, r.y_m) == (0.3, -0.4)
+    up = np.array([[0.3, 0.4]])
+    (r,) = oracles.mirror_rotate_sensors(up, 0.0)
+    assert tuple(r) == (0.3, -0.4)
     # equivalent to reflect-across-x then rotate
-    (ref_then_rot,) = geometry.rotate_sensors(
-        [geometry.Sensor(index=0, x_m=0.3, y_m=-0.4)], 33.0)
-    (direct,) = oracles.mirror_rotate_sensors([up], 33.0)
-    assert direct.x_m == pytest.approx(ref_then_rot.x_m, rel=1e-15)
-    assert direct.y_m == pytest.approx(ref_then_rot.y_m, rel=1e-15)
+    (ref_then_rot,) = geometry.rotate_sensors(np.array([[0.3, -0.4]]), 33.0)
+    (direct,) = oracles.mirror_rotate_sensors(up, 33.0)
+    assert direct[0] == pytest.approx(ref_then_rot[0], rel=1e-15)
+    assert direct[1] == pytest.approx(ref_then_rot[1], rel=1e-15)
 
 
 @settings(max_examples=40, deadline=None)
@@ -119,10 +111,10 @@ def test_mirror_rotate_is_improper():
        mirror=st.booleans())
 def test_property_rotations_preserve_radius_multiset(alpha, ecc, mirror):
     spec = geometry.EllipseSpec(semi_major_m=0.4, eccentricity=ecc, sensors=24)
-    sensors = geometry.build_ellipse(spec)
+    xy = geometry.build_ellipse(spec)
     op = oracles.mirror_rotate_sensors if mirror else geometry.rotate_sensors
-    before = sorted(s.radius_m for s in sensors)
-    after = sorted(s.radius_m for s in op(sensors, alpha))
+    before = np.sort(np.hypot(*xy.T))
+    after = np.sort(np.hypot(*op(xy, alpha).T))
     assert np.allclose(before, after, rtol=1e-12, atol=0.0)
 
 
@@ -138,18 +130,17 @@ def test_noise_reproducibility_and_bound():
                                 sensors=720, sigma_m=0.01, seed=42)
     a = geometry.build_ellipse(spec, ring_index=3)
     b = geometry.build_ellipse(spec, ring_index=3)
-    assert all(p.x_m == q.x_m and p.y_m == q.y_m for p, q in zip(a, b))
+    assert np.array_equal(a, b)
     c = geometry.build_ellipse(spec, ring_index=4)
-    assert any(p.x_m != q.x_m for p, q in zip(a, c))
+    assert np.any(a[:, 0] != c[:, 0])
     # 6-sigma perimeter bound at this fixed seed
-    assert max(s.radius_m for s in a) <= 0.345 + 6 * 0.01
+    assert np.hypot(*a.T).max() <= 0.345 + 6 * 0.01
 
 
 def test_sigma_zero_is_noise_free():
     spec = geometry.EllipseSpec(semi_major_m=0.5, sensors=16, sigma_m=0.0, seed=9)
     other = geometry.EllipseSpec(semi_major_m=0.5, sensors=16, sigma_m=0.0, seed=10)
-    for p, q in zip(geometry.build_ellipse(spec), geometry.build_ellipse(other)):
-        assert (p.x_m, p.y_m) == (q.x_m, q.y_m)
+    assert np.array_equal(geometry.build_ellipse(spec), geometry.build_ellipse(other))
 
 
 def test_concentric_structure():
@@ -157,8 +148,7 @@ def test_concentric_structure():
         geometry.build_concentric([])
     single = geometry.build_concentric([circle(sensors=8)])
     assert single.ring_count == 1 and single.total_sensors == 8
-    for s, t in zip(single.ring_sensors(0), geometry.build_ellipse(circle(sensors=8))):
-        assert (s.x_m, s.y_m) == (t.x_m, t.y_m)
+    assert np.array_equal(single.ring_xy(0), geometry.build_ellipse(circle(sensors=8)))
 
     # nine-ring layout: eight rotated eccentric rings plus an outer circle
     specs = [geometry.EllipseSpec(semi_major_m=0.345, eccentricity=0.9,
@@ -167,7 +157,13 @@ def test_concentric_structure():
     specs.append(circle(a=0.345, sensors=720))
     cea = geometry.build_concentric(specs)
     assert cea.ring_count == 9 and cea.total_sensors == 9 * 720
-    assert cea.ring_sensors(8)[0].ring == 8
+    assert cea.ring_spec(8) is specs[8]
+    # ring i is realized with ring index i: equal noisy specs get their own streams
+    noisy = [geometry.EllipseSpec(semi_major_m=0.3, sensors=8, sigma_m=0.01, seed=5)] * 3
+    tagged = geometry.build_concentric(noisy)
+    for i in range(3):
+        assert np.array_equal(tagged.ring_xy(i), geometry.build_ellipse(noisy[i], ring_index=i))
+    assert not np.array_equal(tagged.ring_xy(1), tagged.ring_xy(2))
     assert cea.min_radius_m == pytest.approx(0.345 * math.sqrt(1 - 0.81), rel=1e-6)
     assert cea.max_radius_m == pytest.approx(0.345, rel=1e-12)
 
@@ -215,3 +211,11 @@ def test_csv_errors(tmp_path):
     gap.write_text("ring,p,x_m,y_m\n0,0,1.0,0.0\n0,2,0.0,1.0\n")
     with pytest.raises(ValidationError):
         geometry.SensorArray.from_csv(gap)
+
+
+def test_csv_rejects_non_finite_coordinates(tmp_path):
+    for bad_value in ("nan", "inf", "-inf"):
+        bad = tmp_path / f"{bad_value}.csv"
+        bad.write_text(f"ring,p,x_m,y_m\n0,0,1.0,0.0\n0,1,{bad_value},1.0\n")
+        with pytest.raises(ConfigError, match="line 3: coordinates must be finite"):
+            geometry.SensorArray.from_csv(bad)

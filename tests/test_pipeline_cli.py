@@ -1,6 +1,7 @@
 import copy
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -322,9 +323,42 @@ class TestCli:
         (["run"], lambda cfg: cfg.update(processing=[1])),
         (["run", "--pad-az", "2"], lambda cfg: cfg.update(processing=[1])),
         (["run"], lambda cfg: cfg["processing"].update(exclusion_cells=5)),
+        *((["run"], lambda cfg, v=v: cfg.update(seed=v))
+          for v in ("auto", [1], {"a": 1}, math.nan)),
+        (["run"], lambda cfg: cfg["array"][0].update(sensors=math.inf)),
+        *((["run"], lambda cfg, v=v: cfg["processing"].update(mode_threshold=v))
+          for v in (None, {"a": 1})),
+        *((["run"], lambda cfg, k=k, v=v: cfg["processing"].update({k: v}))
+          for k in ("pad_az", "pad_delay") for v in ("x", None)),
+        (["run"], lambda cfg: cfg["processing"].update(exclusion_deg="x")),
+        (["run"], lambda cfg: cfg["processing"].update(snr_db=[1])),
+        (["run"], lambda cfg: cfg["processing"].update(exclusion_cells="12")),
+        (["sweep"], lambda cfg: cfg.update(sweep=[1])),
+        (["sweep", "--axis", "seed=1"], lambda cfg: cfg.update(sweep={"axes": 5})),
+        (["sweep"], lambda cfg: cfg.update(sweep={"axes": [{"path": 5, "values": [1]}]})),
     ], ids=["axis-value-not-json", "axis-path-not-index", "processing-not-object",
-            "processing-not-object-with-pad-flag", "exclusion-cells-not-list"])
+            "processing-not-object-with-pad-flag", "exclusion-cells-not-list",
+            "seed-auto", "seed-list", "seed-dict", "seed-nan", "sensors-infinite",
+            "mode-threshold-null", "mode-threshold-dict", "pad-az-text", "pad-az-null",
+            "pad-delay-text", "pad-delay-null", "exclusion-deg-text", "snr-db-list",
+            "exclusion-cells-text", "sweep-not-object", "sweep-axes-not-list-with-axis-flag",
+            "sweep-path-not-text"])
     def test_malformed_input_exits_1_with_one_line(self, tmp_path, capsys, extra, edit):
+        self.assert_one_line_exit(tmp_path, capsys, extra, edit, 1, "config error: ")
+
+    @pytest.mark.parametrize("edit", [
+        lambda cfg: cfg["processing"].update(snr_db=1e30),
+        lambda cfg: cfg["processing"].update(snr_db=-1e4),
+        lambda cfg: cfg["processing"].update(exclusion_deg=math.nan),
+        lambda cfg: cfg["array"][0].update(sigma_m=math.nan),
+        lambda cfg: cfg.update(seed=-1),
+    ], ids=["snr-db-overflows", "snr-db-underflows", "exclusion-deg-nan", "sigma-nan",
+            "seed-negative"])
+    def test_out_of_domain_input_exits_2_with_one_line(self, tmp_path, capsys, edit):
+        self.assert_one_line_exit(tmp_path, capsys, ["run"], edit, 2, "validation error: ")
+
+    @staticmethod
+    def assert_one_line_exit(tmp_path, capsys, extra, edit, code, prefix):
         cfg = small_scenario()
         if edit is not None:
             edit(cfg)
@@ -333,10 +367,11 @@ class TestCli:
         rc = cli.main([extra[0], "--config", str(cfg_path),
                        "--out-dir", str(tmp_path / "o"), *extra[1:]])
         err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith("config error: ")
+        assert rc == code
+        assert err.startswith(prefix)
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
 
 
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):
@@ -360,3 +395,10 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
                        env=env, check=True, capture_output=True)
         outputs.append([(out / name).read_bytes() for name in ("spectrum.csv", "peaks.txt")])
     assert outputs[0] == outputs[1]
+
+
+def test_public_names_resolve():
+    import elliptic_doa
+
+    missing = [name for name in elliptic_doa.__all__ if not hasattr(elliptic_doa, name)]
+    assert missing == []
