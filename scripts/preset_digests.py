@@ -3,7 +3,9 @@
 
 Runs fig3, fig12, fig13 and fig7-cea into a temporary directory and prints
 one line per artifact: spectrum.csv, peaks.txt, heatmap.pgm and the manifest
-without its runtime_s.  Two commits produce the same numbers exactly when
+without its runtime_s.  Then it exports fig13's geometry and channel,
+`ingest`s them with fig13's processing section, and prints the same four
+digests for that run.  Two commits produce the same numbers exactly when
 their outputs diff empty:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/preset_digests.py > a.txt
@@ -20,7 +22,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from elliptic_doa import cli
+from elliptic_doa import channel, cli, pipeline
+from elliptic_doa.presets import get_preset
 
 PRESETS = ("fig3", "fig12", "fig13", "fig7-cea")
 ARTIFACTS = ("spectrum.csv", "peaks.txt", "heatmap.pgm")
@@ -37,17 +40,31 @@ def digests(out: Path) -> list:
     return pairs
 
 
+def ingest_argv(tmp: Path, preset: str) -> list:
+    """Export a preset's geometry and noiseless channel; `ingest` arguments for them."""
+    cfg = get_preset(preset)
+    scenario = pipeline.resolve(cfg)
+    scenario.array.to_csv(tmp / "geometry.csv")
+    channel.export_channel(channel.superpose(scenario.scene, scenario.array, scenario.grid,
+                                             model=scenario.model), tmp / "channel.csv")
+    (tmp / "processing.json").write_text(json.dumps({"processing": cfg["processing"]}))
+    return ["ingest", "--geometry", str(tmp / "geometry.csv"), "--channel",
+            str(tmp / "channel.csv"), "--config", str(tmp / "processing.json")]
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
-        for preset in PRESETS:
-            out = Path(tmp) / preset
+        runs = [(preset, ["run", "--preset", preset]) for preset in PRESETS]
+        runs.append(("fig13-ingest", ingest_argv(Path(tmp), "fig13")))
+        for label, argv in runs:
+            out = Path(tmp) / label
             with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main(["run", "--preset", preset, "--out-dir", str(out)])
+                code = cli.main(argv + ["--out-dir", str(out)])
             if code != 0:
-                print(f"preset_digests: run --preset {preset} exited {code}", file=sys.stderr)
+                print(f"preset_digests: {label} exited {code}", file=sys.stderr)
                 return code
             for name, digest in digests(out):
-                print(f"{preset} {name} {digest}")
+                print(f"{label} {name} {digest}")
     return 0
 
 

@@ -37,10 +37,6 @@ def dd_add(ah, al, bh, bl):
     return rh, rl
 
 
-def dd_neg(ah, al):
-    return -ah, -al
-
-
 def dd_mul(ah, al, bh, bl):
     ph, pe = two_prod(ah, bh)
     pe = pe + (ah * bl + al * bh)

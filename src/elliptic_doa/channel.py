@@ -25,7 +25,7 @@ from .errors import (
     NonFiniteDataError,
     NonUniformGridError,
 )
-from .geometry import SensorArray
+from .geometry import SensorArray, _read_csv
 
 
 @dataclass(frozen=True)
@@ -245,51 +245,47 @@ def ingest_channel(path, array: SensorArray) -> ChannelMatrix:
     """Parse a measured (or exported) channel file against a declared geometry.
 
     Validates sensor coverage, per-sensor sample counts, a shared frequency
-    axis, grid uniformity within 1e-6 relative, and finiteness.  The grid is
-    inferred with bandwidth = K * step (half-open band convention).
+    axis, grid uniformity within 1e-6 relative, and finiteness, and rejects
+    a sensor that lists one frequency twice.  Each sensor's rows keep their
+    file order.  The grid is inferred with bandwidth = K * step (half-open
+    band convention).
     """
-    per_sensor: dict[int, list[tuple[float, complex]]] = {}
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "p,f_hz,re,im":
-            raise ConfigError(f"unexpected channel header: {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ConfigError(f"line {lineno}: expected 4 fields, got {len(parts)}")
-            try:
-                p = int(parts[0])
-                f = float(parts[1])
-                v = complex(float(parts[2]), float(parts[3]))
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: {exc}") from exc
-            per_sensor.setdefault(p, []).append((f, v))
-
+    rows = _read_csv(path, "p,f_hz,re,im", "channel")
     n = array.total_sensors
-    if sorted(per_sensor) != list(range(n)):
+    p = rows["p"]
+    counts = np.bincount(p, minlength=n) if p.min(initial=0) >= 0 else np.zeros(0, int)
+    if counts.size != n or not counts.all():
         raise ChannelDimensionError(
-            f"sensor indices {sorted(per_sensor)[:5]}... do not cover 0..{n - 1}")
-    counts = {len(rows) for rows in per_sensor.values()}
-    if len(counts) != 1:
-        raise ChannelDimensionError(f"per-sensor sample counts differ: {sorted(counts)}")
-    k = counts.pop()
+            f"sensor indices {np.unique(p)[:5].tolist()}... do not cover 0..{n - 1}")
+    order = np.argsort(p, kind="stable")
+    p, f = p[order], rows["f_hz"][order]
+    if not np.all((p[1:] != p[:-1]) | (f[1:] > f[:-1])):  # a sensor's f does not rise
+        by_f = np.lexsort((f, p))
+        ps, fs = p[by_f], f[by_f]
+        twice = np.flatnonzero((ps[1:] == ps[:-1]) & (fs[1:] == fs[:-1]))
+        if twice.size:
+            i = twice[0]
+            raise ChannelDimensionError(f"sensor {ps[i]} has two rows at f_hz = {fs[i]:.17g}")
+    k = int(counts[0])
+    if (counts != k).any():
+        raise ChannelDimensionError(
+            f"per-sensor sample counts differ: {np.unique(counts).tolist()}")
     if k < 2:
         raise ChannelDimensionError("need at least 2 frequency samples per sensor")
 
-    f_axis = np.array([f for f, _ in per_sensor[0]])
-    for p in range(1, n):
-        fp = np.array([f for f, _ in per_sensor[p]])
-        if not np.array_equal(fp, f_axis):
-            raise NonUniformGridError(f"sensor {p} has a different frequency axis")
+    f = f.reshape(n, k)
+    f_axis = f[0]
+    differs = np.flatnonzero((f[1:] != f_axis).any(axis=1))
+    if differs.size:
+        raise NonUniformGridError(f"sensor {differs[0] + 1} has a different frequency axis")
     steps = np.diff(f_axis)
     step = float(steps.mean())
     if step <= 0.0 or np.any(np.abs(steps - step) > 1e-6 * step):
         raise NonUniformGridError("frequency axis is not uniform within 1e-6 relative")
 
-    values = np.array([[v for _, v in per_sensor[p]] for p in range(n)])
+    values = np.empty(p.size, dtype=complex)
+    values.real, values.imag = rows["re"][order], rows["im"][order]
+    values = values.reshape(n, k)
     if not np.all(np.isfinite(values)):
         raise NonFiniteDataError("channel file contains non-finite entries")
     grid = FrequencyGrid(f_start_hz=float(f_axis[0]), bandwidth_hz=step * k, samples=k)

@@ -14,7 +14,10 @@ Angles cross the public API in degrees and live internally in radians.
 
 from __future__ import annotations
 
+import itertools
 import math
+import re
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -153,36 +156,61 @@ class SensorArray:
 
     @classmethod
     def from_csv(cls, path) -> "SensorArray":
-        rows = []
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != "ring,p,x_m,y_m":
-                raise ConfigError(f"unexpected geometry header: {header!r}")
-            for lineno, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != 4:
-                    raise ConfigError(f"line {lineno}: expected 4 fields, got {len(parts)}")
-                try:
-                    row = (int(parts[0]), int(parts[1]), float(parts[2]), float(parts[3]))
-                except ValueError as exc:
-                    raise ConfigError(f"line {lineno}: {exc}") from exc
-                if not (math.isfinite(row[2]) and math.isfinite(row[3])):
-                    raise ConfigError(f"line {lineno}: coordinates must be finite")
-                rows.append(row)
-        if not rows:
+        rows = _read_csv(path, "ring,p,x_m,y_m", "geometry")
+        if not rows.size:
             raise ConfigError("geometry file contains no sensors")
-        rows.sort(key=lambda r: r[1])
-        if [r[1] for r in rows] != list(range(len(rows))):
+        bad = ~(np.isfinite(rows["x_m"]) & np.isfinite(rows["y_m"]))
+        if bad.any():
+            raise ConfigError(
+                f"line {_file_line(path, int(bad.argmax()))}: coordinates must be finite")
+        rows = rows[np.argsort(rows["p"], kind="stable")]
+        if not np.array_equal(rows["p"], np.arange(rows.size)):
             raise ValidationError("global sensor indices must cover 0..N-1 exactly")
-        ring = np.array([r[0] for r in rows])
+        ring = rows["ring"]
         ids = np.unique(ring)
         if not np.array_equal(ids, np.arange(ids.size)):
             raise ValidationError("ring indices must cover 0..R-1 exactly")
-        xy = np.array([r[2:] for r in rows])
+        xy = np.column_stack([rows["x_m"], rows["y_m"]])
         return cls(rings=[(None, xy[ring == i]) for i in range(ids.size)], provenance="ingested")
+
+
+def _read_csv(path, header: str, what: str) -> np.ndarray:
+    """The rows under an exact `header` line, parsed by numpy's C reader into
+    a structured array with the header's fields (`ring` and `p` int64, the
+    rest float64).  Whitespace-only lines are skipped; an unparseable field
+    or a wrong field count is a ConfigError naming the file line."""
+    dtype = [(name, np.int64 if name in ("ring", "p") else np.float64)
+             for name in header.split(",")]
+    options = dict(dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    try:
+        with open(path) as fh, warnings.catch_warnings():
+            if (first := fh.readline().strip()) != header:
+                raise ConfigError(f"unexpected {what} header: {first!r}")
+            warnings.simplefilter("ignore", UserWarning)  # a header-only file
+            # older numpy reads "1.5" into an int64 field through float, with this warning
+            warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+            try:  # numpy reading the path itself is the fastest way in
+                return np.loadtxt(path, skiprows=1, **options)
+            except ValueError:  # a bad line, or one of spaces, which numpy does not skip
+                return np.loadtxt(itertools.filterfalse(str.isspace, fh), **options)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} file: {exc}") from exc
+    except ValueError as exc:
+        # numpy counts parsed rows from 0 in "at row N, column C", from 1 in "at row N;"
+        found = re.fullmatch(r"(.*) at row (\d+)(,?).*", str(exc), flags=re.S)
+        if found is None:
+            raise ConfigError(f"{what} file: {exc}") from exc
+        msg = re.sub(r"the dtype passed requires (\d+) columns but (\d+) were found",
+                     r"expected \1 fields, got \2", found[1])
+        line = _file_line(path, int(found[2]) - (found[3] != ","))
+        raise ConfigError(f"line {line}: {msg}") from exc
+
+
+def _file_line(path, row: int) -> int:
+    """Line number in the file of data row `row` (from 0) of _read_csv."""
+    with open(path, errors="replace") as fh:
+        lines = (n for n, text in enumerate(fh, start=1) if n > 1 and not text.isspace())
+        return next(itertools.islice(lines, row, None))
 
 
 def build_concentric(specs: Sequence[EllipseSpec]) -> SensorArray:

@@ -145,6 +145,11 @@ class ResolvedScenario:
     nyquist: object
 
 
+MAX_ARRAY_BYTES = 1 << 30
+"""Largest channel (16 P K bytes) or spectrum (16 (2M_h+1) pad_az K pad_delay
+bytes) that resolve admits, checked before either is allocated."""
+
+
 def _require(cfg: dict, key: str):
     if key not in cfg:
         raise ConfigError(f"config is missing required section {key!r}")
@@ -226,6 +231,9 @@ def _resolve_processing(proc_cfg: dict, array: SensorArray, grid: FrequencyGrid,
     pad_delay = _parse(int, proc["pad_delay"], "pad_delay")
     if pad_az < 1 or pad_delay < 1:
         raise ConfigError("pad factors must be >= 1")
+    if 16 * (2 * mh + 1) * pad_az * grid.samples * pad_delay > MAX_ARRAY_BYTES:
+        raise ValidationError("processing.pad_az x processing.pad_delay: the spectrum "
+                              f"would exceed MAX_ARRAY_BYTES = {MAX_ARRAY_BYTES}")
     cells = proc["exclusion_cells"]
     try:  # a string would split into digits: "12" is not (1, 2)
         excl = tuple(int(v) for v in cells) if isinstance(cells, (list, tuple)) else ()
@@ -297,6 +305,9 @@ def resolve(cfg: dict, allow_undersampled: bool = False,
         except _PARSE_ERRORS as exc:
             raise ConfigError(f"bad array[{i}] spec: {exc}") from exc
         rings_cfg[i] = asdict(specs[-1])
+    if 16 * sum(spec.sensors for spec in specs) * grid.samples > MAX_ARRAY_BYTES:
+        raise ValidationError("array[*].sensors x grid.samples: the channel would "
+                              f"exceed MAX_ARRAY_BYTES = {MAX_ARRAY_BYTES}")
     array = build_concentric(specs)
 
     scene_cfg = _require(cfg, "scene")

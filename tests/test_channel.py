@@ -270,6 +270,68 @@ def test_ingest_errors(tmp_path):
         channel.ingest_channel(garbled, arr)
 
 
+def test_ingest_rejects_duplicate_rows(tmp_path):
+    arr = make_array(sensors=4)
+    grid = channel.FrequencyGrid(f_start_hz=1e9, bandwidth_hz=1e9, samples=3)
+    ch = channel.superpose([channel.IncidentWave(azimuth_deg=0.0, delay_s=0.0)], arr, grid)
+    good = tmp_path / "good.csv"
+    channel.export_channel(ch, good)
+    lines = good.read_text().splitlines()
+    f1, f0 = (f"{f:.17g}" for f in grid.frequencies[1::-1])
+
+    once = tmp_path / "once.csv"  # sensor 2 lists its second sample twice, apart
+    once.write_text("\n".join(lines + [lines[1 + 2 * 3 + 1]]) + "\n")
+    with pytest.raises(ChannelDimensionError, match=f"sensor 2 has two rows at f_hz = {f1}$"):
+        channel.ingest_channel(once, arr)
+
+    everywhere = tmp_path / "everywhere.csv"  # every sensor repeats its first sample
+    everywhere.write_text("\n".join(lines + [l for l in lines if l.split(",")[1:2] == [f0]])
+                          + "\n")
+    with pytest.raises(ChannelDimensionError, match=f"sensor 0 has two rows at f_hz = {f0}$"):
+        channel.ingest_channel(everywhere, arr)
+
+
+@pytest.mark.parametrize("kind", ["geometry", "channel"])
+@pytest.mark.parametrize("edit,message", [
+    (lambda ls: ls[:2] + ["1.5," + ls[2].split(",", 1)[1]] + ls[3:],
+     "line 3: could not convert string '1.5' to int64"),
+    (lambda ls: ls[:2] + ["1e3," + ls[2].split(",", 1)[1]] + ls[3:],
+     "line 3: could not convert string '1e3' to int64"),
+    (lambda ls: ls[:1] + ["# a comment"] + ls[1:], "line 2: expected 4 fields, got 1"),
+    (lambda ls: ls[:2] + ["", " \t"] + ls[2:3] + [ls[3].rsplit(",", 1)[0]] + ls[4:],
+     "line 6: expected 4 fields, got 3"),
+    (lambda ls: ls[:1] + [""] + ls[1:3] + ["x," + ls[3].split(",", 1)[1]] + ls[4:],
+     "line 5: could not convert string 'x' to int64"),
+], ids=["index-decimal", "index-exponent", "comment-line", "short-line-after-blanks",
+        "bad-index-after-blank"])
+def test_ingest_parse_errors_name_the_line(tmp_path, kind, edit, message):
+    arr = make_array(sensors=4)
+    grid = channel.FrequencyGrid(f_start_hz=1e9, bandwidth_hz=1e9, samples=3)
+    path = tmp_path / f"{kind}.csv"
+    if kind == "geometry":
+        arr.to_csv(path)
+    else:
+        channel.export_channel(channel.superpose(
+            [channel.IncidentWave(azimuth_deg=0.0, delay_s=0.0)], arr, grid), path)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        if kind == "geometry":
+            geometry.SensorArray.from_csv(path)
+        else:
+            channel.ingest_channel(path, arr)
+
+
+def test_ingest_skips_blank_lines(tmp_path):
+    arr = make_array(sensors=4)
+    grid = channel.FrequencyGrid(f_start_hz=1e9, bandwidth_hz=1e9, samples=3)
+    ch = channel.superpose([channel.IncidentWave(azimuth_deg=30.0, delay_s=1e-9)], arr, grid)
+    path = tmp_path / "chan.csv"
+    channel.export_channel(ch, path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:3] + ["", "   "] + lines[3:] + [" "]) + "\n")
+    assert np.array_equal(channel.ingest_channel(path, arr).values, ch.values)
+
+
 @settings(max_examples=25, deadline=None)
 @given(az=st.floats(min_value=-180.0, max_value=360.0),
        tau=st.floats(min_value=0.0, max_value=40e-9),

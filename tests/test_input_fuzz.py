@@ -3,8 +3,8 @@
 Malformed input of any kind must end in exit code 1 (config), 2 (validation)
 or 3 (numeric) with a one-line message, never in a traceback.  The mutations
 start from small valid inputs and draw replacement values from a fixed pool
-of wrong types, non-finite numbers and small sizes; huge sizes are out of
-scope (they are valid requests for a lot of work).
+of wrong types, non-finite numbers, small sizes and sizes whose channel or
+spectrum would exceed pipeline.MAX_ARRAY_BYTES.
 """
 
 import copy
@@ -32,7 +32,7 @@ CONFIG = {
 }
 
 VALUES = [None, True, "x", "auto", [], [1], {}, {"a": 1},
-          math.nan, math.inf, -math.inf, -1, 0, 0.5, 3]
+          math.nan, math.inf, -math.inf, -1, 0, 0.5, 3, 1e9, 1e16, 1e30]
 
 TOKENS = ["nan", "inf", "-inf", "x", "", "-1", "0", "0.5", "3", "1e3", "1e-300"]
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -372,6 +373,44 @@ class TestCli:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "o").exists()
+        return err
+
+    @pytest.mark.parametrize("path,value,field", [
+        ("array.0.sensors", 1e30, "array[*].sensors"),
+        ("array.0.sensors", 1e9, "array[*].sensors"),
+        ("grid.samples", 1e30, "grid.samples"),
+        ("processing.pad_az", 1e16, "processing.pad_az"),
+    ])
+    def test_oversized_request_exits_2_naming_the_field(self, tmp_path, capsys,
+                                                        path, value, field):
+        err = self.assert_one_line_exit(tmp_path, capsys, ["run"],
+                                        lambda cfg: pipeline.set_path(cfg, path, value),
+                                        2, "validation error: ")
+        assert field in err
+        assert f"MAX_ARRAY_BYTES = {pipeline.MAX_ARRAY_BYTES}" in err
+
+    @pytest.mark.parametrize("empty,code,message", [
+        ("geo", 1, "config error: geometry file contains no sensors"),
+        ("chan", 2, "validation error: sensor indices []... do not cover 0..255"),
+    ])
+    def test_header_only_ingest_file_exits_with_one_line(self, tmp_path, capsys,
+                                                         empty, code, message):
+        arr = geometry.build_concentric(
+            [geometry.EllipseSpec(semi_major_m=0.15, eccentricity=0.5, sensors=256)])
+        grid = channel.FrequencyGrid(f_start_hz=28e9, bandwidth_hz=2e9, samples=24)
+        arr.to_csv(tmp_path / "geo.csv")
+        channel.export_channel(channel.superpose(
+            [channel.IncidentWave(azimuth_deg=45.0, delay_s=8e-9)], arr, grid),
+            tmp_path / "chan.csv")
+        path = tmp_path / f"{empty}.csv"
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["ingest", "--geometry", str(tmp_path / "geo.csv"), "--channel",
+                           str(tmp_path / "chan.csv"), "--out-dir", str(tmp_path / "o")])
+        assert rc == code
+        assert capsys.readouterr().err == message + "\n"
+        assert not caught
 
 
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):
