@@ -253,7 +253,8 @@ def ingest_channel(path, array: SensorArray) -> ChannelMatrix:
     rows = _read_csv(path, "p,f_hz,re,im", "channel")
     n = array.total_sensors
     p = rows["p"]
-    counts = np.bincount(p, minlength=n) if p.min(initial=0) >= 0 else np.zeros(0, int)
+    # bincount allocates max(p) + 1 counters: an index out of range never reaches it
+    counts = np.bincount(p, minlength=n) if ((p >= 0) & (p < n)).all() else np.zeros(0, int)
     if counts.size != n or not counts.all():
         raise ChannelDimensionError(
             f"sensor indices {np.unique(p)[:5].tolist()}... do not cover 0..{n - 1}")

@@ -200,10 +200,8 @@ def _read_csv(path, header: str, what: str) -> np.ndarray:
         found = re.fullmatch(r"(.*) at row (\d+)(,?).*", str(exc), flags=re.S)
         if found is None:
             raise ConfigError(f"{what} file: {exc}") from exc
-        msg = re.sub(r"the dtype passed requires (\d+) columns but (\d+) were found",
-                     r"expected \1 fields, got \2", found[1])
         line = _file_line(path, int(found[2]) - (found[3] != ","))
-        raise ConfigError(f"line {line}: {msg}") from exc
+        raise ConfigError(f"line {line}: {found[1]}") from exc
 
 
 def _file_line(path, row: int) -> int:

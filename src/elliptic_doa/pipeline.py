@@ -232,8 +232,10 @@ def _resolve_processing(proc_cfg: dict, array: SensorArray, grid: FrequencyGrid,
     if pad_az < 1 or pad_delay < 1:
         raise ConfigError("pad factors must be >= 1")
     if 16 * (2 * mh + 1) * pad_az * grid.samples * pad_delay > MAX_ARRAY_BYTES:
-        raise ValidationError("processing.pad_az x processing.pad_delay: the spectrum "
-                              f"would exceed MAX_ARRAY_BYTES = {MAX_ARRAY_BYTES}")
+        raise ValidationError(f"processing.modes ({2 * mh + 1}) x processing.pad_az ({pad_az}) x "
+                              f"grid.samples ({grid.samples}) x processing.pad_delay "
+                              f"({pad_delay}): the spectrum would exceed "
+                              f"MAX_ARRAY_BYTES = {MAX_ARRAY_BYTES}")
     cells = proc["exclusion_cells"]
     try:  # a string would split into digits: "12" is not (1, 2)
         excl = tuple(int(v) for v in cells) if isinstance(cells, (list, tuple)) else ()

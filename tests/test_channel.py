@@ -297,9 +297,9 @@ def test_ingest_rejects_duplicate_rows(tmp_path):
      "line 3: could not convert string '1.5' to int64"),
     (lambda ls: ls[:2] + ["1e3," + ls[2].split(",", 1)[1]] + ls[3:],
      "line 3: could not convert string '1e3' to int64"),
-    (lambda ls: ls[:1] + ["# a comment"] + ls[1:], "line 2: expected 4 fields, got 1"),
+    (lambda ls: ls[:1] + ["# a comment"] + ls[1:], "line 2: the dtype passed requires 4 columns but 1 were found"),
     (lambda ls: ls[:2] + ["", " \t"] + ls[2:3] + [ls[3].rsplit(",", 1)[0]] + ls[4:],
-     "line 6: expected 4 fields, got 3"),
+     "line 6: the dtype passed requires 4 columns but 3 were found"),
     (lambda ls: ls[:1] + [""] + ls[1:3] + ["x," + ls[3].split(",", 1)[1]] + ls[4:],
      "line 5: could not convert string 'x' to int64"),
 ], ids=["index-decimal", "index-exponent", "comment-line", "short-line-after-blanks",

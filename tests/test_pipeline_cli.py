@@ -375,19 +375,42 @@ class TestCli:
         assert not (tmp_path / "o").exists()
         return err
 
-    @pytest.mark.parametrize("path,value,field", [
-        ("array.0.sensors", 1e30, "array[*].sensors"),
-        ("array.0.sensors", 1e9, "array[*].sensors"),
-        ("grid.samples", 1e30, "grid.samples"),
-        ("processing.pad_az", 1e16, "processing.pad_az"),
-    ])
+    @pytest.mark.parametrize("path,value,flags,field", [
+        ("array.0.sensors", 1e30, [], "array[*].sensors"),
+        ("array.0.sensors", 1e9, [], "array[*].sensors"),
+        ("grid.samples", 1e30, [], "grid.samples"),
+        ("processing.pad_az", 1e16, [], "processing.pad_az (10000000000000000)"),
+        ("processing.modes", 10**7, ["--force-modes"], "processing.modes (10000001)"),
+    ], ids=["sensors-1e30", "sensors-1e9", "samples-1e30", "pad_az-1e16", "forced-modes-1e7"])
     def test_oversized_request_exits_2_naming_the_field(self, tmp_path, capsys,
-                                                        path, value, field):
-        err = self.assert_one_line_exit(tmp_path, capsys, ["run"],
+                                                        path, value, flags, field):
+        err = self.assert_one_line_exit(tmp_path, capsys, ["run", *flags],
                                         lambda cfg: pipeline.set_path(cfg, path, value),
                                         2, "validation error: ")
         assert field in err
         assert f"MAX_ARRAY_BYTES = {pipeline.MAX_ARRAY_BYTES}" in err
+
+    @pytest.mark.parametrize("index", [-1, 256, 10**12])
+    def test_out_of_range_channel_index_exits_2(self, tmp_path, capsys, index):
+        """An index is checked against the sensor count before anything is
+        sized by it (10**12 counters would be 8 TB)."""
+        arr = geometry.build_concentric(
+            [geometry.EllipseSpec(semi_major_m=0.15, eccentricity=0.5, sensors=256)])
+        grid = channel.FrequencyGrid(f_start_hz=28e9, bandwidth_hz=2e9, samples=24)
+        arr.to_csv(tmp_path / "geo.csv")
+        path = tmp_path / "chan.csv"
+        channel.export_channel(channel.superpose(
+            [channel.IncidentWave(azimuth_deg=45.0, delay_s=8e-9)], arr, grid), path)
+        lines = path.read_text().splitlines()
+        lines[1] = f"{index}," + lines[1].split(",", 1)[1]
+        path.write_text("\n".join(lines) + "\n")
+        rc = cli.main(["ingest", "--geometry", str(tmp_path / "geo.csv"), "--channel",
+                       str(path), "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("validation error: sensor indices ")
+        assert err.endswith("do not cover 0..255\n")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("empty,code,message", [
         ("geo", 1, "config error: geometry file contains no sensors"),
