@@ -25,8 +25,6 @@ from .channel import (
     export_channel,
     ingest_channel,
     superpose,
-    synthesize_planewave,
-    synthesize_spherical,
     wave_response_center,
 )
 from .constants import SPEED_OF_LIGHT
@@ -48,7 +46,7 @@ __all__ = [
     "EllipseSpec", "SensorArray", "build_ellipse", "build_concentric",
     "rotate_sensors", "nyquist_audit",
     "IncidentWave", "FrequencyGrid", "ChannelMatrix", "wave_response_center",
-    "synthesize_planewave", "synthesize_spherical", "superpose", "add_awgn",
+    "superpose", "add_awgn",
     "export_channel", "ingest_channel",
     "FilterBank", "ModeMatrix", "build_bank", "mode_limit",
     "phase_mode_expand", "concentric_expand", "expand_array",

@@ -53,7 +53,7 @@ from .channel import ChannelMatrix, FrequencyGrid
 from .constants import SPEED_OF_LIGHT
 from .errors import DomainError, InstabilityError, ValidationError
 from .geometry import SensorArray
-from .specfun import bessel_j_table
+from .specfun import ORDER_GUARD, bessel_j_table
 
 DESIGNS = ("robust", "plain", "average")
 REDUCTIONS = ("none", "symmetric")
@@ -96,7 +96,9 @@ def mode_limit(array: SensorArray, grid: FrequencyGrid, threshold: float,
     rings (the semi-minor axis for an unperturbed ellipse); f_min is the
     lowest grid frequency.  Non-decreasing in both r_min and f_min.  For an
     average-design bank pass the smallest averaged ring radius instead: that
-    is the smallest argument such a bank ever evaluates.
+    is the smallest argument such a bank ever evaluates.  An x_min whose
+    search would need Bessel orders past ORDER_GUARD is a DomainError that
+    names it, raised before any table is built.
     """
     if not (threshold > 0.0):
         raise DomainError(f"threshold must be positive, got {threshold}")
@@ -105,6 +107,11 @@ def mode_limit(array: SensorArray, grid: FrequencyGrid, threshold: float,
     if r_min_m is None:
         r_min_m = array.min_radius_m
     x_min = 2.0 * math.pi * grid.f_start_hz * r_min_m / SPEED_OF_LIGHT
+    if not x_min <= ORDER_GUARD - 65:  # the search's first table has order ceil(x_min) + 65
+        raise DomainError(
+            f"x_min = 2 pi f_start_hz r_min / c = {x_min:.6g} (f_start_hz = {grid.f_start_hz:g}, "
+            f"smallest radius {r_min_m:g} m) puts the mode search past the Bessel order "
+            f"guard {ORDER_GUARD}")
     return _mode_limit_at(x_min, threshold, "plain" if design == "plain" else "robust")
 
 
@@ -123,6 +130,9 @@ def _mode_limit_at(x_min: float, threshold: float, design: str) -> int:
                     f"threshold {threshold} already fails at m=0 (x_min={x_min:.3g})")
             return first - 1
         cap = cap * 2 + 64
+        if cap + 1 > ORDER_GUARD:
+            raise DomainError(f"mode search at x_min={x_min:.6g} passes the Bessel order "
+                              f"guard {ORDER_GUARD} before threshold {threshold} fails")
 
 
 @dataclass(frozen=True)
@@ -180,7 +190,6 @@ class FilterBank:
     reduction: str
     radii: np.ndarray
     ring_sensor_map: list
-    floor: float = DENOMINATOR_FLOOR
 
     @property
     def mode_count(self) -> int:
@@ -214,12 +223,12 @@ class FilterBank:
         """(mode_half + 1, U) weights at sample k from its (mode_half + 2, U) table slice."""
         den = _denominators(jk, self.design)
         mags = np.abs(den)
-        if mags.min() < self.floor:
+        if mags.min() < DENOMINATOR_FLOOR:
             m_bad, u_bad = np.unravel_index(int(mags.argmin()), mags.shape)
             ring = next(i for i, cols in enumerate(self.ring_sensor_map) if (cols == u_bad).any())
             p_bad = int(np.flatnonzero(self.ring_sensor_map[ring] == u_bad)[0])
             raise InstabilityError(
-                f"filter denominator {mags.min():.3e} below floor {self.floor:.1e} at "
+                f"filter denominator {mags.min():.3e} below floor {DENOMINATOR_FLOOR:.1e} at "
                 f"m={int(m_bad)}, p={p_bad} (ring {ring}), f={self.grid.frequencies[k]} Hz")
         num = 1.0 if self.design == "plain" else 2.0
         orders = np.arange(self.mode_half + 1)
@@ -243,8 +252,7 @@ def _quadrant_map(sensor_count: int) -> np.ndarray:
 
 
 def build_bank(array: SensorArray, grid: FrequencyGrid, design: str = "robust",
-               mode_half: int = 0, reduction: str = "none",
-               floor: float = DENOMINATOR_FLOOR) -> FilterBank:
+               mode_half: int = 0, reduction: str = "none") -> FilterBank:
     """Construct the filter bank for an array over a frequency grid.
 
     reduction="symmetric" exploits the four-fold radius symmetry of an
@@ -290,7 +298,7 @@ def build_bank(array: SensorArray, grid: FrequencyGrid, design: str = "robust",
         radii, column = np.unique(radii, return_inverse=True)
     return FilterBank(array=array, grid=grid, design=design, mode_half=mode_half,
                       reduction=reduction, radii=radii,
-                      ring_sensor_map=[column[m].astype(np.intp) for m in maps], floor=floor)
+                      ring_sensor_map=[column[m].astype(np.intp) for m in maps])
 
 
 class _RingTerms:

@@ -113,7 +113,6 @@ class ChannelMatrix:
     array: SensorArray
     grid: FrequencyGrid
     values: np.ndarray
-    provenance: str
 
     def __post_init__(self):
         expected = (self.array.total_sensors, self.grid.samples)
@@ -135,78 +134,66 @@ def wave_response_center(wave: IncidentWave, grid: FrequencyGrid) -> np.ndarray:
     return wave.amplitude * np.exp(2j * np.pi * grid.frequencies * wave.delay_s)
 
 
-def synthesize_planewave(array: SensorArray, wave: IncidentWave,
-                         grid: FrequencyGrid) -> ChannelMatrix:
-    """Far-field model: unit path-loss ratio, linearized geometric phase.
-
-    H[p, k] = H_center(f_k) * exp(+j 2 pi f_k r_p sin(theta) cos(phi - phi_p) / c)
-    """
-    h0 = wave_response_center(wave, grid)
-    freqs = grid.frequencies
-    theta = math.radians(wave.elevation_deg)
-    phi = math.radians(wave.azimuth_deg)
-    blocks = []
-    for ring in range(array.ring_count):
-        r = array.ring_radii(ring)
-        phip = array.ring_azimuths(ring)
-        path = r * math.sin(theta) * np.cos(phi - phip)  # (P,)
-        phase = 2j * np.pi * np.outer(path, freqs) / SPEED_OF_LIGHT
-        blocks.append(np.exp(phase) * h0)
-    return ChannelMatrix(array=array, grid=grid, values=np.vstack(blocks),
-                         provenance="synthetic-planewave")
-
-
-def synthesize_spherical(array: SensorArray, wave: IncidentWave,
-                         grid: FrequencyGrid) -> ChannelMatrix:
-    """Exact spherical-wavefront model with free-space path-loss ratio.
-
-    Uses the exact per-sensor distance
-    d_p = sqrt(d^2 + r_p^2 - 2 d r_p sin(theta) cos(phi - phi_p)), no Taylor
-    truncation: H[p, k] = (d / d_p) H_center(f_k) exp(+j 2 pi f_k (d - d_p)/c).
-    """
-    if wave.distance_m is None:
-        raise DomainError("spherical model needs a finite source distance")
-    d = wave.distance_m
-    if d <= array.max_radius_m:
-        raise DomainError(
-            f"source distance {d} m must exceed the array radius {array.max_radius_m} m")
-    h0 = wave_response_center(wave, grid)
-    freqs = grid.frequencies
-    theta = math.radians(wave.elevation_deg)
-    phi = math.radians(wave.azimuth_deg)
-    blocks = []
-    for ring in range(array.ring_count):
-        r = array.ring_radii(ring)
-        phip = array.ring_azimuths(ring)
-        d_p = np.sqrt(d * d + r * r - 2.0 * d * r * math.sin(theta) * np.cos(phi - phip))
-        delta = d - d_p
-        phase = 2j * np.pi * np.outer(delta, freqs) / SPEED_OF_LIGHT
-        blocks.append((d / d_p)[:, None] * np.exp(phase) * h0)
-    return ChannelMatrix(array=array, grid=grid, values=np.vstack(blocks),
-                         provenance="synthetic-spherical")
-
-
-_MODELS = {
-    "planewave": synthesize_planewave,
-    "spherical": synthesize_spherical,
-}
+MODELS = ("planewave", "spherical")
+"""Propagation models superpose accepts."""
 
 
 def superpose(scene: Sequence[IncidentWave], array: SensorArray,
               grid: FrequencyGrid, model: str = "planewave") -> ChannelMatrix:
-    """Entrywise sum of per-wave responses, in scene order (deterministic)."""
+    """Entrywise sum of per-wave responses, in scene order (deterministic).
+
+    With H_center = wave_response_center(wave, grid), sensor p at radius r_p
+    and azimuth phi_p, and a wave from azimuth phi and elevation theta:
+
+    planewave (far field, unit path-loss ratio, linearized geometric phase):
+        H[p, k] = H_center(f_k) exp(+j 2 pi f_k r_p sin(theta) cos(phi - phi_p) / c)
+    spherical (exact wavefront, free-space path-loss ratio, no Taylor
+    truncation; needs distance_m = d beyond the array radius):
+        d_p = sqrt(d^2 + r_p^2 - 2 d r_p sin(theta) cos(phi - phi_p))
+        H[p, k] = (d / d_p) H_center(f_k) exp(+j 2 pi f_k (d - d_p) / c)
+
+    One pass fills the (P, K) output ring by ring: each wave's block of the
+    ring is formed and added into the ring's rows, so no temporary spans
+    the whole array.
+    """
     if not scene:
         raise ConfigError("scene must contain at least one wave")
-    try:
-        synth = _MODELS[model]
-    except KeyError:
-        raise ConfigError(f"unknown propagation model {model!r}") from None
-    total = None
-    for wave in scene:
-        part = synth(array, wave, grid)
-        total = part.values if total is None else total + part.values
-    return ChannelMatrix(array=array, grid=grid, values=total,
-                         provenance=f"synthetic-{model}")
+    if model not in MODELS:
+        raise ConfigError(f"unknown propagation model {model!r}")
+    if model == "spherical":
+        for wave in scene:
+            if wave.distance_m is None:
+                raise DomainError("spherical model needs a finite source distance")
+            if wave.distance_m <= array.max_radius_m:
+                raise DomainError(f"source distance {wave.distance_m} m must exceed "
+                                  f"the array radius {array.max_radius_m} m")
+    freqs = grid.frequencies
+    terms = [(math.sin(math.radians(w.elevation_deg)), math.radians(w.azimuth_deg),
+              wave_response_center(w, grid)) for w in scene]
+    values = np.empty((array.total_sensors, grid.samples), dtype=complex)
+    start = 0
+    for ring in range(array.ring_count):
+        r, phip = array.ring_radii(ring), array.ring_azimuths(ring)
+        rows = values[start: start + r.size]
+        start += r.size
+        for i, (wave, (sin_theta, phi, h0)) in enumerate(zip(scene, terms)):
+            if model == "planewave":
+                path = r * sin_theta * np.cos(phi - phip)
+            else:
+                d = wave.distance_m
+                d_p = np.sqrt(d * d + r * r - 2.0 * d * r * sin_theta * np.cos(phi - phip))
+                path = d - d_p
+            block = 2j * np.pi * np.outer(path, freqs)
+            block /= SPEED_OF_LIGHT
+            np.exp(block, out=block)
+            if model == "spherical":
+                np.multiply((d / d_p)[:, None], block, out=block)
+            block *= h0
+            if i == 0:
+                rows[...] = block
+            else:
+                rows += block
+    return ChannelMatrix(array=array, grid=grid, values=values)
 
 
 def add_awgn(channel: ChannelMatrix, snr_db: Optional[float], seed: int = 0) -> ChannelMatrix:
@@ -290,4 +277,4 @@ def ingest_channel(path, array: SensorArray) -> ChannelMatrix:
     if not np.all(np.isfinite(values)):
         raise NonFiniteDataError("channel file contains non-finite entries")
     grid = FrequencyGrid(f_start_hz=float(f_axis[0]), bandwidth_hz=step * k, samples=k)
-    return ChannelMatrix(array=array, grid=grid, values=values, provenance="ingested")
+    return ChannelMatrix(array=array, grid=grid, values=values)

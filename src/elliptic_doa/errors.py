@@ -38,7 +38,7 @@ class NumericError(EllipticDoaError):
 
 
 class InstabilityError(NumericError):
-    """Filter denominator collapsed below the configured magnitude floor."""
+    """Filter denominator collapsed below the magnitude floor (beamform.DENOMINATOR_FLOOR)."""
 
 
 class DegenerateInputError(NumericError):

@@ -44,6 +44,7 @@ from .beamform import (
     mode_limit,
 )
 from .channel import (
+    MODELS,
     ChannelMatrix,
     FrequencyGrid,
     IncidentWave,
@@ -179,7 +180,7 @@ def _resolve_processing(proc_cfg: dict, array: SensorArray, grid: FrequencyGrid,
     unknown = set(proc) - set(_PROCESSING_DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown processing keys: {sorted(unknown)}")
-    if proc["model"] not in ("planewave", "spherical"):
+    if proc["model"] not in MODELS:
         raise ConfigError(f"unknown model {proc['model']!r}")
     design = proc["design"]
     if design not in DESIGNS:
@@ -571,8 +572,7 @@ def sweep_rows(cfg: dict, allow_undersampled: bool = False,
             for b, i in enumerate(batch):
                 values[..., b] = _synthesize(points[i][1]).values
             modes = expand_array(ChannelMatrix(array=first.array, grid=first.grid,
-                                               values=values, provenance="sweep-batch"),
-                                 bank)
+                                               values=values), bank)
             for b, i in enumerate(batch):
                 assignment, scenario = points[i]
                 _, report, anchored = _spectrum_and_peaks(scenario, ModeMatrix(

@@ -37,6 +37,8 @@ from .errors import DegenerateInputError, DomainError
 
 DEFAULT_EXCLUSION_CELLS = (5, 5)
 TIE_RTOL = 1e-10  # two bins straddling an arrival's mirror axis differ by ~1e-12
+_RANKED_MAXIMA = 10  # local maxima a peak report lists, strongest first
+_PGM_FLOOR_DB = -35.0  # heatmap dynamic range below the peak
 
 
 def joint_spectrum(modes: ModeMatrix, pad_az: int = 1, pad_delay: int = 1) -> "JointSpectrum":
@@ -97,15 +99,15 @@ class JointSpectrum:
             for q, row in enumerate(db):
                 fh.write(f"{self.azimuth_of_bin(q):.10g}".join(pieces) % tuple(row.tolist()))
 
-    def export_pgm(self, path, floor_db: float = -35.0) -> None:
+    def export_pgm(self, path) -> None:
         """8-bit binary PGM heatmap.
 
         Rows are azimuth bins ascending, columns delay bins ascending; the
-        dynamic range clamps at ``floor_db`` (default -35 dB) below the peak,
-        with 255 at the peak and 0 at or below the floor.
+        dynamic range clamps at -35 dB (_PGM_FLOOR_DB) below the peak, with
+        255 at the peak and 0 at or below the floor.
         """
         db = self._magnitudes_db()
-        img = np.clip(255.0 * (1.0 - db / floor_db), 0.0, 255.0).round().astype(np.uint8)
+        img = np.clip(255.0 * (1.0 - db / _PGM_FLOOR_DB), 0.0, 255.0).round().astype(np.uint8)
         n_az, n_d = img.shape
         header = (f"P5\n# rows: azimuth bins 0..{n_az - 1}, step {360.0 / n_az:.10g} deg\n"
                   f"# cols: delay bins 0..{n_d - 1}, "
@@ -179,15 +181,14 @@ def _strongest(s: np.ndarray, cells: np.ndarray) -> int:
 
 def find_peaks(spectrum: JointSpectrum,
                expected: Optional[tuple] = None,
-               exclusion_cells: tuple = DEFAULT_EXCLUSION_CELLS,
-               top_n: int = 10) -> PeakReport:
+               exclusion_cells: tuple = DEFAULT_EXCLUSION_CELLS) -> PeakReport:
     """Locate the main peak and the largest artifact.
 
     With ``expected`` = (phi_deg, tau_s), the main peak is the maximum within
     the exclusion window around the expected bin (so a wrong global maximum
     shows up as delta_db < 0); otherwise it is the global maximum.  The main
-    peak, the artifact and the ranking of local maxima all break ties as
-    `_strongest` does.
+    peak, the artifact and the ranking of the ten strongest local maxima
+    (_RANKED_MAXIMA) all break ties as `_strongest` does.
     """
     s = spectrum.magnitudes
     if not np.any(s > 0.0):
@@ -230,7 +231,7 @@ def find_peaks(spectrum: JointSpectrum,
     # rank by repeated picks, so maxima within TIE_RTOL of each other (mirror
     # twins) keep the tie rule's order whatever their rounding
     maxima, left = [], np.flatnonzero(maxima_mask)
-    for _ in range(min(top_n, left.size)):
+    for _ in range(min(_RANKED_MAXIMA, left.size)):
         q, k = divmod(_strongest(s, left), n_d)
         maxima.append(SpectrumPeak(phi_deg=spectrum.azimuth_of_bin(q),
                                    tau_s=spectrum.delay_of_bin(k), magnitude=float(s[q, k])))

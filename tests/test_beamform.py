@@ -181,8 +181,7 @@ class TestBank:
         where = r"m=0, p=2 \(ring 1\), f=10000000000.0 Hz"
         with pytest.raises(InstabilityError, match=where):
             oracles.bank_weights_at(bank, 0)
-        ch = channel.ChannelMatrix(array=arr, grid=grid, values=np.ones((8, 2), dtype=complex),
-                                   provenance="synthetic-planewave")
+        ch = channel.ChannelMatrix(array=arr, grid=grid, values=np.ones((8, 2), dtype=complex))
         with pytest.raises(InstabilityError, match=where):
             beamform.expand_array(ch, bank)
 
@@ -210,8 +209,7 @@ class TestExpansion:
         arr = make_array(sensors=16)
         grid = small_grid(samples=3)
         ch = channel.ChannelMatrix(array=arr, grid=grid,
-                                   values=np.ones((16, 3), dtype=complex),
-                                   provenance="synthetic-planewave")
+                                   values=np.ones((16, 3), dtype=complex))
         bank = beamform.build_bank(arr, grid, design="plain", mode_half=2)
         monkeypatch.setattr(
             beamform.FilterBank, "weights_from_jtable",
@@ -403,10 +401,8 @@ class TestBatchedExpansion:
     def stack_and_points(self, arr, grid):
         points = [channel.superpose([channel.IncidentWave(azimuth_deg=az, delay_s=3e-9)],
                                     arr, grid).values for az in self.AZIMUTHS]
-        stack = channel.ChannelMatrix(array=arr, grid=grid, values=np.stack(points, axis=-1),
-                                      provenance="batch")
-        return stack, [channel.ChannelMatrix(array=arr, grid=grid, values=v, provenance="point")
-                       for v in points]
+        stack = channel.ChannelMatrix(array=arr, grid=grid, values=np.stack(points, axis=-1))
+        return stack, [channel.ChannelMatrix(array=arr, grid=grid, values=v) for v in points]
 
     @pytest.mark.parametrize("ecc,alpha,sensors,reduction,design,sigma", [
         pytest.param(0.7, 37.0, 36, "symmetric", "robust", 0.0, id="folded-ellipse"),
@@ -455,7 +451,7 @@ class TestSharedBank:
         grid = small_grid(samples=samples, f_start=4e9, bw=1e9)
         waves = [channel.IncidentWave(azimuth_deg=az, delay_s=3e-9) for az in (72.5, -10.0)]
         values = [channel.superpose([w], arr, grid).values for w in waves]
-        ch = channel.ChannelMatrix(array=arr, grid=grid, provenance="batch",
+        ch = channel.ChannelMatrix(array=arr, grid=grid,
                                    values=np.stack(values, axis=-1) if batch else values[0])
         return arr, grid, ch, beamform.build_bank(arr, grid, mode_half=8, reduction="symmetric")
 
@@ -466,8 +462,7 @@ class TestSharedBank:
             one = geometry.build_concentric([spec])
             one_bank = beamform.build_bank(one, grid, mode_half=8, reduction="symmetric")
             columns += one_bank.radii.size
-            one_ch = channel.ChannelMatrix(array=one, grid=grid, values=ch.ring_rows(ring),
-                                           provenance="ring")
+            one_ch = channel.ChannelMatrix(array=one, grid=grid, values=ch.ring_rows(ring))
             singles.append(beamform.expand_array(one_ch, one_bank))
         assert bank.radii.size < columns  # the rotated copies share radii
         want = beamform.concentric_expand(singles).values

@@ -1,11 +1,12 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elliptic_doa import channel, geometry
+from elliptic_doa import channel, geometry, pipeline
 from elliptic_doa.errors import (
     ChannelDimensionError,
     ConfigError,
@@ -13,6 +14,7 @@ from elliptic_doa.errors import (
     NonFiniteDataError,
     NonUniformGridError,
 )
+from elliptic_doa.presets import get_preset
 
 import oracles
 
@@ -66,8 +68,7 @@ def test_center_response():
 def test_planewave_against_literal_formula():
     arr = make_array(ecc=0.7, sensors=16)
     wave = channel.IncidentWave(azimuth_deg=25.0, delay_s=5e-9, elevation_deg=70.0)
-    ch = channel.synthesize_planewave(arr, wave, GRID)
-    assert ch.provenance == "synthetic-planewave"
+    ch = channel.superpose([wave], arr, GRID, model="planewave")
     xy = arr.ring_xy(0)
     for p in (0, 3, 11):
         for k in (0, 20, 39):
@@ -83,26 +84,25 @@ def test_planewave_special_angles():
         channel.IncidentWave(azimuth_deg=0.0, delay_s=3e-9), GRID)
     # phi_l - phi_p = 90 deg: the cosine zeroes the geometric phase
     wave = channel.IncidentWave(azimuth_deg=90.0, delay_s=3e-9)
-    ch = channel.synthesize_planewave(arr, wave, GRID)
+    ch = channel.superpose([wave], arr, GRID, model="planewave")
     assert np.allclose(ch.values[0], h0, rtol=1e-12)
     # theta = 0: broadside null of sin(theta) for every sensor
     wave = channel.IncidentWave(azimuth_deg=33.0, delay_s=3e-9, elevation_deg=0.0)
-    ch = channel.synthesize_planewave(arr, wave, GRID)
+    ch = channel.superpose([wave], arr, GRID, model="planewave")
     assert np.allclose(ch.values, np.tile(h0, (8, 1)), rtol=1e-12)
 
 
 def test_planewave_magnitude_is_amplitude():
     arr = make_array(ecc=0.9, sensors=12)
     wave = channel.IncidentWave(azimuth_deg=100.0, delay_s=1e-9, amplitude=1.7)
-    ch = channel.synthesize_planewave(arr, wave, GRID)
+    ch = channel.superpose([wave], arr, GRID, model="planewave")
     assert np.allclose(np.abs(ch.values), 1.7, rtol=1e-12)
 
 
 def test_spherical_center_sensor_and_path_loss():
     arr = geometry.SensorArray(rings=[(None, np.array([[0.0, 0.0], [0.3, -0.1]]))])
     wave = channel.IncidentWave(azimuth_deg=12.0, delay_s=4e-9, distance_m=2.5)
-    ch = channel.synthesize_spherical(arr, wave, GRID)
-    assert ch.provenance == "synthetic-spherical"
+    ch = channel.superpose([wave], arr, GRID, model="spherical")
     h0 = channel.wave_response_center(wave, GRID)
     assert np.allclose(ch.values[0], h0, rtol=1e-14)  # d_p == d at the center
     xy = arr.ring_xy(0)
@@ -121,11 +121,11 @@ def test_spherical_center_sensor_and_path_loss():
 def test_spherical_guards():
     arr = make_array(sensors=8)
     with pytest.raises(DomainError):
-        channel.synthesize_spherical(
-            arr, channel.IncidentWave(azimuth_deg=0.0, delay_s=0.0), GRID)
+        channel.superpose([channel.IncidentWave(azimuth_deg=0.0, delay_s=0.0)], arr, GRID,
+                          model="spherical")
     with pytest.raises(DomainError):
-        channel.synthesize_spherical(
-            arr, channel.IncidentWave(azimuth_deg=0.0, delay_s=0.0, distance_m=0.4), GRID)
+        channel.superpose([channel.IncidentWave(azimuth_deg=0.0, delay_s=0.0, distance_m=0.4)],
+                          arr, GRID, model="spherical")
 
 
 def test_spherical_converges_to_planewave():
@@ -134,41 +134,76 @@ def test_spherical_converges_to_planewave():
     for ratio in (10.0, 100.0, 1000.0):
         wave = channel.IncidentWave(azimuth_deg=40.0, delay_s=2e-9,
                                     distance_m=0.05 * ratio)
-        sph = channel.synthesize_spherical(arr, wave, GRID)
-        pw = channel.synthesize_planewave(arr, wave, GRID)
+        sph = channel.superpose([wave], arr, GRID, model="spherical")
+        pw = channel.superpose([wave], arr, GRID, model="planewave")
         dphi = np.abs(np.angle(sph.values / pw.values))
         worst.append(float(dphi.max()))
     assert worst[0] > worst[1] > worst[2]
     # low-band case computed with the oracle: 0.01 rad needs pi f a^2 / (c d) small
     low = channel.FrequencyGrid(f_start_hz=0.5e9, bandwidth_hz=0.5e9, samples=16)
     wave = channel.IncidentWave(azimuth_deg=40.0, delay_s=2e-9, distance_m=5.0)
-    sph = channel.synthesize_spherical(arr, wave, low)
-    pw = channel.synthesize_planewave(arr, wave, low)
+    sph = channel.superpose([wave], arr, low, model="spherical")
+    pw = channel.superpose([wave], arr, low, model="planewave")
     assert np.abs(np.angle(sph.values / pw.values)).max() < 0.01
 
 
 def test_superpose_linearity():
     arr = make_array(sensors=12)
-    w1 = channel.IncidentWave(azimuth_deg=330.0, delay_s=4e-9)
-    w2 = channel.IncidentWave(azimuth_deg=300.0, delay_s=8e-9)
-    single = channel.superpose([w1], arr, GRID)
-    assert np.array_equal(single.values,
-                          channel.synthesize_planewave(arr, w1, GRID).values)
-    both = channel.superpose([w1, w2], arr, GRID)
-    s1 = channel.synthesize_planewave(arr, w1, GRID)
-    s2 = channel.synthesize_planewave(arr, w2, GRID)
-    assert np.array_equal(both.values, s1.values + s2.values)
+    for model, extra in (("planewave", {}), ("spherical", {"distance_m": 3.0})):
+        w1 = channel.IncidentWave(azimuth_deg=330.0, delay_s=4e-9, **extra)
+        w2 = channel.IncidentWave(azimuth_deg=300.0, delay_s=8e-9, **extra)
+        both = channel.superpose([w1, w2], arr, GRID, model=model).values
+        s1 = channel.superpose([w1], arr, GRID, model=model).values
+        s2 = channel.superpose([w2], arr, GRID, model=model).values
+        # bit for bit, signed zeros included
+        assert (both.view(np.uint64) == (s1 + s2).view(np.uint64)).all()
     with pytest.raises(ConfigError):
         channel.superpose([], arr, GRID)
     with pytest.raises(ConfigError):
         channel.superpose([w1], arr, GRID, model="warp")
 
 
+@pytest.mark.parametrize("model", channel.MODELS)
+def test_superpose_matches_brute_force_on_two_rings(model):
+    arr = geometry.build_concentric([
+        geometry.EllipseSpec(semi_major_m=0.5, eccentricity=0.8, sensors=12),
+        geometry.EllipseSpec(semi_major_m=0.3, eccentricity=0.0, sensors=7, rotation_deg=20.0),
+    ])
+    waves = [channel.IncidentWave(azimuth_deg=25.0, delay_s=5e-9, elevation_deg=70.0,
+                                  amplitude=1.3, distance_m=2.5),
+             channel.IncidentWave(azimuth_deg=250.0, delay_s=9e-9, amplitude=0.6,
+                                  distance_m=4.0)]
+    ch = channel.superpose(waves, arr, GRID, model=model)
+    xy = np.concatenate([arr.ring_xy(0), arr.ring_xy(1)])
+    assert ch.values.shape == (19, GRID.samples)
+    for p, (x, y) in enumerate(xy):
+        for k, f in enumerate(GRID.frequencies):
+            parts = [oracles.brute_planewave_entry(w.amplitude, w.delay_s, w.azimuth_deg,
+                                                   w.elevation_deg, x, y, float(f))
+                     if model == "planewave" else
+                     oracles.brute_spherical_entry(w.amplitude, w.delay_s, w.azimuth_deg,
+                                                   w.elevation_deg, w.distance_m, x, y, float(f))
+                     for w in waves]
+            # relative to the terms: their sum may cancel
+            assert abs(ch.values[p, k] - sum(parts)) <= 1e-12 * sum(map(abs, parts))
+
+
+def test_superpose_allocates_no_per_wave_array():
+    scenario = pipeline.resolve(get_preset("fig7-cea"))  # nine rings, 6480 sensors
+    scene = scenario.scene + [channel.IncidentWave(azimuth_deg=200.0, delay_s=35e-9)]
+    tracemalloc.start()
+    try:
+        ch = channel.superpose(scene, scenario.array, scenario.grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * ch.values.nbytes
+
+
 def test_superpose_spherical_model():
     arr = make_array(a=0.242, ecc=0.95, sensors=16)
     wave = channel.IncidentWave(azimuth_deg=270.0, delay_s=6.5e-9, distance_m=1.95)
     ch = channel.superpose([wave], arr, GRID, model="spherical")
-    assert ch.provenance == "synthetic-spherical"
     # wavefront curvature: per-sensor phase at one frequency is not affine in p
     ph = np.unwrap(np.angle(ch.values[:, 0]))
     second_diff = np.diff(ph, 2)
@@ -206,7 +241,6 @@ def test_channel_csv_roundtrip_and_inference(tmp_path):
     path = tmp_path / "chan.csv"
     channel.export_channel(ch, path)
     back = channel.ingest_channel(path, arr)
-    assert back.provenance == "ingested"
     assert np.array_equal(back.values, ch.values)  # bit-identical
     assert back.grid.samples == 200
     assert back.grid.bandwidth_hz == pytest.approx(4e9, rel=1e-9)
@@ -340,5 +374,4 @@ def test_property_scene_negation_cancels(az, tau, amp):
     arr = make_array(sensors=8)
     w = channel.IncidentWave(azimuth_deg=az, delay_s=tau, amplitude=amp)
     ch = channel.superpose([w, w], arr, GRID)
-    assert np.array_equal(ch.values,
-                          2.0 * channel.synthesize_planewave(arr, w, GRID).values)
+    assert np.array_equal(ch.values, 2.0 * channel.superpose([w], arr, GRID).values)

@@ -390,6 +390,18 @@ class TestCli:
         assert field in err
         assert f"MAX_ARRAY_BYTES = {pipeline.MAX_ARRAY_BYTES}" in err
 
+    @pytest.mark.parametrize("path,value", [
+        ("array.0.semi_major_m", 1e9),
+        ("array.0.semi_major_m", 1e30),
+        ("array.0.sigma_m", 1e9),
+        ("grid.f_start_hz", 1e16),
+    ], ids=["semi-major-1e9", "semi-major-1e30", "sigma-1e9", "f-start-1e16"])
+    def test_huge_mode_argument_exits_2_naming_x_min(self, tmp_path, capsys, path, value):
+        err = self.assert_one_line_exit(tmp_path, capsys, ["run", "--allow-undersampled"],
+                                        lambda cfg: pipeline.set_path(cfg, path, value),
+                                        2, "validation error: ")
+        assert "x_min" in err and "f_start_hz" in err and "smallest radius" in err
+
     @pytest.mark.parametrize("index", [-1, 256, 10**12])
     def test_out_of_range_channel_index_exits_2(self, tmp_path, capsys, index):
         """An index is checked against the sensor count before anything is
