@@ -5,10 +5,13 @@ Runs fig3, fig12, fig13 and fig7-cea into a temporary directory and prints
 one line per artifact: spectrum.csv, peaks.txt, heatmap.pgm and the manifest
 without its runtime_s.  Then it exports fig13's geometry and channel,
 `ingest`s them with fig13's processing section, and prints the same four
-digests for that run.  Last comes the digest of a small noisy sweep's
+digests for that run.  Then comes the digest of a small noisy sweep's
 sweep.csv without its runtime_s column (fig3's ring, e in {0.0, 0.7} x three
-azimuths, snr_db 10), which reaches the batched-sweep and noise paths.  Two
-commits produce the same numbers exactly when their outputs diff empty:
+azimuths, snr_db 10), which reaches the batched-sweep and noise paths.  Last
+come the four digests of a fig12 run whose processing section sets every key
+to a value other than its default, so each field of the manifest's
+processing section is pinned.  Two commits produce the same numbers exactly
+when their outputs diff empty:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/preset_digests.py > a.txt
 
@@ -22,6 +25,7 @@ import io
 import json
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 from elliptic_doa import channel, cli, pipeline
@@ -48,7 +52,7 @@ def ingest_argv(tmp: Path, preset: str) -> list:
     scenario = pipeline.resolve(cfg)
     scenario.array.to_csv(tmp / "geometry.csv")
     channel.export_channel(channel.superpose(scenario.scene, scenario.array, scenario.grid,
-                                             model=scenario.model), tmp / "channel.csv")
+                                             model=scenario.processing.model), tmp / "channel.csv")
     (tmp / "processing.json").write_text(json.dumps({"processing": cfg["processing"]}))
     return ["ingest", "--geometry", str(tmp / "geometry.csv"), "--channel",
             str(tmp / "channel.csv"), "--config", str(tmp / "processing.json")]
@@ -75,11 +79,29 @@ def sweep_digests(out: Path) -> list:
     return [("sweep-without-runtime", hashlib.sha256(text.encode()).hexdigest())]
 
 
+def processing_argv(tmp: Path) -> list:
+    """`run` arguments for fig12 with every processing key off its default."""
+    cfg = get_preset("fig12")
+    for wave in cfg["scene"]:
+        wave["distance_m"] = 10.0
+    # exclusion_deg is an int: the manifest keeps the value as configured
+    cfg["processing"] = {"model": "spherical", "design": "average", "modes": 80,
+                         "mode_threshold": 1e-4, "reduction": "none", "pad_az": 2,
+                         "pad_delay": 3, "exclusion_cells": [4, 6], "exclusion_deg": 9,
+                         "snr_db": 20.0}
+    defaults = {f.name: f.default for f in fields(pipeline.Processing)}
+    assert defaults.keys() == cfg["processing"].keys()
+    assert all(value != defaults[key] for key, value in cfg["processing"].items())
+    (tmp / "processing-run.json").write_text(json.dumps(cfg))
+    return ["run", "--config", str(tmp / "processing-run.json")]
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         runs = [(preset, ["run", "--preset", preset], digests) for preset in PRESETS]
         runs.append(("fig13-ingest", ingest_argv(Path(tmp), "fig13"), digests))
         runs.append(("fig3-noisy-sweep", sweep_argv(Path(tmp)), sweep_digests))
+        runs.append(("fig12-processing", processing_argv(Path(tmp)), digests))
         for label, argv, digest_of in runs:
             out = Path(tmp) / label
             with contextlib.redirect_stdout(io.StringIO()):

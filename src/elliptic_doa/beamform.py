@@ -45,7 +45,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -87,16 +87,16 @@ def _denominators(jtab: np.ndarray, design: str) -> np.ndarray:
 
 
 def mode_limit(array: SensorArray, grid: FrequencyGrid, threshold: float,
-               design: str = "robust", r_min_m: Optional[float] = None) -> int:
+               design: str = "robust") -> int:
     """Largest usable half mode order before the filters destabilize.
 
     Returns the largest M_h such that the denominator magnitude at the
     worst-case argument x_min = 2 pi f_min r_min / c stays >= threshold for
-    every |m| <= M_h.  r_min defaults to the smallest sensor radius over all
-    rings (the semi-minor axis for an unperturbed ellipse); f_min is the
-    lowest grid frequency.  Non-decreasing in both r_min and f_min.  For an
-    average-design bank pass the smallest averaged ring radius instead: that
-    is the smallest argument such a bank ever evaluates.  An x_min whose
+    every |m| <= M_h.  r_min is the smallest sensor radius over all rings
+    (the semi-minor axis for an unperturbed ellipse), or for the average
+    design the smallest averaged ring radius (a + b)/2, the smallest
+    argument such a bank ever evaluates; f_min is the lowest grid
+    frequency.  Non-decreasing in both r_min and f_min.  An x_min whose
     search would need Bessel orders past ORDER_GUARD is a DomainError that
     names it, raised before any table is built.
     """
@@ -104,7 +104,12 @@ def mode_limit(array: SensorArray, grid: FrequencyGrid, threshold: float,
         raise DomainError(f"threshold must be positive, got {threshold}")
     if design not in DESIGNS:
         raise DomainError(f"unknown filter design {design!r}")
-    if r_min_m is None:
+    if design == "average":
+        specs = [array.ring_spec(i) for i in range(array.ring_count)]
+        if any(s is None for s in specs):
+            raise ValidationError("average design needs ellipse parameters on every ring")
+        r_min_m = min(0.5 * (s.semi_major_m + s.semi_minor_m) for s in specs)
+    else:
         r_min_m = array.min_radius_m
     x_min = 2.0 * math.pi * grid.f_start_hz * r_min_m / SPEED_OF_LIGHT
     if not x_min <= ORDER_GUARD - 65:  # the search's first table has order ceil(x_min) + 65

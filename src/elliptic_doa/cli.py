@@ -81,8 +81,8 @@ def _cmd_run(args) -> int:
                        force_modes=args.force_modes)
     result = run_scenario(scenario)
     paths = write_outputs(result, _out_dir(args, scenario.name))
-    print(f"{scenario.name}: modes={2 * scenario.mode_half + 1} "
-          f"reduction={scenario.reduction} runtime={result.runtime_s:.2f}s")
+    print(f"{scenario.name}: modes={scenario.processing.modes} "
+          f"reduction={scenario.processing.reduction} runtime={result.runtime_s:.2f}s")
     print(f"peak: phi={result.report.main.phi_deg:.6g} deg "
           f"tau={result.report.main.tau_s * 1e9:.6g} ns "
           f"delta={result.report.delta_db:.2f} dB")
@@ -141,7 +141,7 @@ def _cmd_ingest(args) -> int:
     result = run_channel(scenario, ch)
     paths = write_outputs(result, _out_dir(args, scenario.name))
     print(f"{scenario.name}: sensors={array.total_sensors} "
-          f"K={ch.grid.samples} modes={2 * scenario.mode_half + 1}")
+          f"K={ch.grid.samples} modes={scenario.processing.modes}")
     print(f"peak: phi={result.report.main.phi_deg:.6g} deg "
           f"tau={result.report.main.tau_s * 1e9:.6g} ns "
           f"delta={result.report.delta_db:.2f} dB")

@@ -104,13 +104,11 @@ class SensorArray:
     """
 
     rings: list[tuple[Optional[EllipseSpec], np.ndarray]]
-    provenance: str = "built"
 
     def __eq__(self, other):
         if not isinstance(other, SensorArray):
             return NotImplemented
-        return (self.provenance == other.provenance
-                and len(self.rings) == len(other.rings)
+        return (len(self.rings) == len(other.rings)
                 and all(s == t and np.array_equal(a, b)
                         for (s, a), (t, b) in zip(self.rings, other.rings)))
 
@@ -171,7 +169,7 @@ class SensorArray:
         if not np.array_equal(ids, np.arange(ids.size)):
             raise ValidationError("ring indices must cover 0..R-1 exactly")
         xy = np.column_stack([rows["x_m"], rows["y_m"]])
-        return cls(rings=[(None, xy[ring == i]) for i in range(ids.size)], provenance="ingested")
+        return cls(rings=[(None, xy[ring == i]) for i in range(ids.size)])
 
 
 def _read_csv(path, header: str, what: str) -> np.ndarray:
@@ -216,7 +214,7 @@ def build_concentric(specs: Sequence[EllipseSpec]) -> SensorArray:
     if not specs:
         raise ConfigError("need at least one ellipse spec")
     rings = [(spec, build_ellipse(spec, ring_index=i)) for i, spec in enumerate(specs)]
-    return SensorArray(rings=rings, provenance="built")
+    return SensorArray(rings=rings)
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,7 @@ A scenario is a JSON document (kept diffable on disk) with sections:
     grid        f_start_hz, bandwidth_hz, samples
     scene       list of waves: azimuth_deg, delay_s, elevation_deg,
                 amplitude, distance_m (null = far field)
-    processing  model, design, modes ("auto" or a total count), mode_threshold,
-                reduction ("auto"/"none"/"symmetric"), pad_az, pad_delay,
-                exclusion_cells, snr_db (null = noiseless)
+    processing  the fields of Processing, each optional
     sweep       optional: {"axes": [{"path": ..., "values": [...]}, ...]}
 
 Resolution turns "auto" fields into concrete numbers (mode counts via the
@@ -29,7 +27,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -62,18 +60,34 @@ from .spectrum import (
     joint_spectrum,
 )
 
-_PROCESSING_DEFAULTS = {
-    "model": "planewave",
-    "design": "robust",
-    "modes": "auto",
-    "mode_threshold": 1e-6,
-    "reduction": "auto",
-    "pad_az": 4,
-    "pad_delay": 2,
-    "exclusion_cells": list(DEFAULT_EXCLUSION_CELLS),
-    "exclusion_deg": None,
-    "snr_db": None,
-}
+
+@dataclass(frozen=True)
+class Processing:
+    """The processing section: its keys with their defaults and, once
+    resolved, the manifest's section as written (asdict).
+
+    A config gives `modes` as "auto" or a total count, `reduction` as
+    "auto", "none" or "symmetric", and `snr_db` null for a noiseless run.
+    Resolved, `modes` is the odd total 2 M_h + 1, `reduction` is not "auto",
+    and `exclusion_cells` is what find_peaks excludes, its azimuth entry
+    taken from exclusion_deg when that is set; exclusion_deg itself stays
+    as configured.
+    """
+
+    model: str = "planewave"
+    design: str = "robust"
+    modes: object = "auto"
+    mode_threshold: float = 1e-6
+    reduction: str = "auto"
+    pad_az: int = 4
+    pad_delay: int = 2
+    exclusion_cells: tuple = DEFAULT_EXCLUSION_CELLS
+    exclusion_deg: Optional[float] = None
+    snr_db: Optional[float] = None
+
+    @property
+    def mode_half(self) -> int:
+        return self.modes // 2
 
 
 def load_config(path) -> dict:
@@ -133,22 +147,17 @@ class ResolvedScenario:
     array: SensorArray
     grid: FrequencyGrid
     scene: list
-    model: str
-    design: str
-    mode_half: int
-    mode_limit_value: int
-    reduction: str
-    pad_az: int
-    pad_delay: int
-    exclusion_cells: tuple
-    snr_db: Optional[float]
+    processing: Processing
     seed: int
+    mode_limit_value: int
     nyquist: object
 
 
 MAX_ARRAY_BYTES = 1 << 30
-"""Largest channel (16 P K bytes) or spectrum (16 (2M_h+1) pad_az K pad_delay
-bytes) that resolve admits, checked before either is allocated."""
+"""Largest channel (16 P K bytes), spectrum (16 (2M_h+1) pad_az K pad_delay
+bytes) or one frequency sample of the filter bank's Bessel table (8 (M_h+2) P
+bytes; P bounds the bank's columns) that resolve admits, checked before any
+is allocated."""
 
 
 def _require(cfg: dict, key: str):
@@ -171,36 +180,27 @@ def _parse(kind, value, what: str):
 
 
 def _resolve_processing(proc_cfg: dict, array: SensorArray, grid: FrequencyGrid,
-                        allow_undersampled: bool, force_modes: bool) -> dict:
-    """Pin every processing knob against a realized array and grid."""
+                        allow_undersampled: bool, force_modes: bool) -> tuple:
+    """Pin every processing knob against a realized array and grid:
+    (Processing, stability limit M_h, Nyquist report)."""
     if proc_cfg is not None and not isinstance(proc_cfg, dict):
         raise ConfigError("processing must be an object")
-    proc = dict(_PROCESSING_DEFAULTS)
-    proc.update(proc_cfg or {})
-    unknown = set(proc) - set(_PROCESSING_DEFAULTS)
+    unknown = set(proc_cfg or {}) - {f.name for f in fields(Processing)}
     if unknown:
         raise ConfigError(f"unknown processing keys: {sorted(unknown)}")
-    if proc["model"] not in MODELS:
-        raise ConfigError(f"unknown model {proc['model']!r}")
-    design = proc["design"]
-    if design not in DESIGNS:
-        raise ConfigError(f"unknown design {design!r}")
+    proc = Processing(**(proc_cfg or {}))
+    if proc.model not in MODELS:
+        raise ConfigError(f"unknown model {proc.model!r}")
+    if proc.design not in DESIGNS:
+        raise ConfigError(f"unknown design {proc.design!r}")
 
-    r_min = None
-    if design == "average":
-        specs = [array.ring_spec(i) for i in range(array.ring_count)]
-        if any(s is None for s in specs):
-            raise ValidationError("average design needs ellipse parameters on every ring")
-        r_min = min(0.5 * (s.semi_major_m + s.semi_minor_m) for s in specs)
-    threshold = _parse(float, proc["mode_threshold"], "mode_threshold")
-    limit = mode_limit(array, grid, threshold,
-                       design="plain" if design == "plain" else "robust",
-                       r_min_m=r_min)
-    if proc["modes"] == "auto":
+    threshold = _parse(float, proc.mode_threshold, "mode_threshold")
+    limit = mode_limit(array, grid, threshold, design=proc.design)
+    if proc.modes == "auto":
         mh = limit
     else:
         try:
-            total = int(proc["modes"])
+            total = int(proc.modes)
         except _PARSE_ERRORS as exc:
             raise ConfigError(f"modes must be 'auto' or an integer: {exc}") from exc
         if total < 1:
@@ -212,12 +212,12 @@ def _resolve_processing(proc_cfg: dict, array: SensorArray, grid: FrequencyGrid,
                 f"limit {limit} at threshold {threshold}; "
                 f"pass --force-modes to override")
 
-    reduction = proc["reduction"]
+    reduction = proc.reduction
     if reduction == "auto":
         specs = [array.ring_spec(i) for i in range(array.ring_count)]
         clean = all(s is not None and s.sigma_m == 0.0 and s.sensors % 4 == 0
                     for s in specs)
-        reduction = "symmetric" if (clean and design != "average") else "none"
+        reduction = "symmetric" if (clean and proc.design != "average") else "none"
     elif reduction not in REDUCTIONS:
         raise ConfigError(f"unknown reduction {reduction!r}")
 
@@ -228,8 +228,8 @@ def _resolve_processing(proc_cfg: dict, array: SensorArray, grid: FrequencyGrid,
             f"(max spacing {audit.max_spacing_m:.4g} m > {audit.limit_m:.4g} m); "
             "pass --allow-undersampled to override")
 
-    pad_az = _parse(int, proc["pad_az"], "pad_az")
-    pad_delay = _parse(int, proc["pad_delay"], "pad_delay")
+    pad_az = _parse(int, proc.pad_az, "pad_az")
+    pad_delay = _parse(int, proc.pad_delay, "pad_delay")
     if pad_az < 1 or pad_delay < 1:
         raise ConfigError("pad factors must be >= 1")
     if 16 * (2 * mh + 1) * pad_az * grid.samples * pad_delay > MAX_ARRAY_BYTES:
@@ -237,29 +237,30 @@ def _resolve_processing(proc_cfg: dict, array: SensorArray, grid: FrequencyGrid,
                               f"grid.samples ({grid.samples}) x processing.pad_delay "
                               f"({pad_delay}): the spectrum would exceed "
                               f"MAX_ARRAY_BYTES = {MAX_ARRAY_BYTES}")
-    cells = proc["exclusion_cells"]
+    if 8 * (mh + 2) * array.total_sensors > MAX_ARRAY_BYTES:
+        raise ValidationError(f"processing.modes ({2 * mh + 1}) x array[*].sensors "
+                              f"({array.total_sensors}): one frequency sample of the filter "
+                              f"bank's Bessel table would exceed "
+                              f"MAX_ARRAY_BYTES = {MAX_ARRAY_BYTES}")
+    cells = proc.exclusion_cells
     try:  # a string would split into digits: "12" is not (1, 2)
         excl = tuple(int(v) for v in cells) if isinstance(cells, (list, tuple)) else ()
     except _PARSE_ERRORS as exc:
         raise ConfigError(f"exclusion_cells must be two non-negative integers: {exc}") from exc
     if len(excl) != 2 or any(v < 0 for v in excl):
         raise ConfigError("exclusion_cells must be two non-negative integers")
-    if proc["exclusion_deg"] is not None:
+    if proc.exclusion_deg is not None:
         # fixed angular window: keeps artifact readings comparable across
         # runs whose auto-selected mode counts (and thus cell sizes) differ
-        exclusion_deg = _parse(float, proc["exclusion_deg"], "exclusion_deg")
+        exclusion_deg = _parse(float, proc.exclusion_deg, "exclusion_deg")
         if not math.isfinite(exclusion_deg):
             raise DomainError(f"exclusion_deg must be finite, got {exclusion_deg}")
         cell_deg = 360.0 / (2 * mh + 1)
         excl = (max(1, round(exclusion_deg / cell_deg)), excl[1])
-    snr_db = proc["snr_db"]
-    if snr_db is not None:
-        snr_db = _parse(float, snr_db, "snr_db")
-    return {"model": proc["model"], "design": design, "mode_half": mh,
-            "mode_limit": limit, "mode_threshold": threshold,
-            "reduction": reduction, "nyquist": audit, "pad_az": pad_az,
-            "pad_delay": pad_delay, "exclusion_cells": excl,
-            "exclusion_deg": proc["exclusion_deg"], "snr_db": snr_db}
+    snr_db = None if proc.snr_db is None else _parse(float, proc.snr_db, "snr_db")
+    return (replace(proc, modes=2 * mh + 1, mode_threshold=threshold, reduction=reduction,
+                    pad_az=pad_az, pad_delay=pad_delay, exclusion_cells=excl, snr_db=snr_db),
+            limit, audit)
 
 
 def resolve(cfg: dict, allow_undersampled: bool = False,
@@ -329,10 +330,10 @@ def resolve(cfg: dict, allow_undersampled: bool = False,
         except _PARSE_ERRORS as exc:
             raise ConfigError(f"bad scene[{i}] wave: {exc}") from exc
 
-    proc = _resolve_processing(cfg.get("processing", {}), array, grid,
-                               allow_undersampled=allow_undersampled,
-                               force_modes=force_modes)
-    if proc["model"] == "spherical" and any(w.distance_m is None for w in scene):
+    proc, limit, audit = _resolve_processing(cfg.get("processing", {}), array, grid,
+                                             allow_undersampled=allow_undersampled,
+                                             force_modes=force_modes)
+    if proc.model == "spherical" and any(w.distance_m is None for w in scene):
         raise ValidationError("spherical model requires distance_m on every wave")
 
     resolved_cfg = {
@@ -341,49 +342,28 @@ def resolve(cfg: dict, allow_undersampled: bool = False,
         "array": rings_cfg,
         "grid": asdict(grid),
         "scene": [asdict(w) for w in scene],
-        "processing": _processing_section(proc),
+        "processing": asdict(proc),
     }
     if allow_undersampled:
         resolved_cfg["allow_undersampled"] = True
     if "sweep" in cfg:
         resolved_cfg["sweep"] = cfg["sweep"]
-    return ResolvedScenario(
-        name=name, config=resolved_cfg, array=array, grid=grid, scene=scene,
-        model=proc["model"], design=proc["design"], mode_half=proc["mode_half"],
-        mode_limit_value=proc["mode_limit"], reduction=proc["reduction"],
-        pad_az=proc["pad_az"], pad_delay=proc["pad_delay"],
-        exclusion_cells=proc["exclusion_cells"], snr_db=proc["snr_db"],
-        seed=seed, nyquist=proc["nyquist"])
+    return ResolvedScenario(name=name, config=resolved_cfg, array=array, grid=grid,
+                            scene=scene, processing=proc, seed=seed,
+                            mode_limit_value=limit, nyquist=audit)
 
 
 def resolve_ingested(array: SensorArray, grid: FrequencyGrid, proc_cfg: dict,
                      name: str = "ingest", allow_undersampled: bool = False,
                      force_modes: bool = False) -> ResolvedScenario:
     """Resolve processing for an externally measured channel (no scene)."""
-    proc = _resolve_processing(proc_cfg, array, grid,
-                               allow_undersampled=allow_undersampled,
-                               force_modes=force_modes)
-    resolved_cfg = {
-        "name": name,
-        "grid": asdict(grid),
-        "processing": _processing_section(proc),
-    }
-    return ResolvedScenario(
-        name=name, config=resolved_cfg, array=array, grid=grid, scene=[],
-        model=proc["model"], design=proc["design"], mode_half=proc["mode_half"],
-        mode_limit_value=proc["mode_limit"], reduction=proc["reduction"],
-        pad_az=proc["pad_az"], pad_delay=proc["pad_delay"],
-        exclusion_cells=proc["exclusion_cells"], snr_db=proc["snr_db"],
-        seed=0, nyquist=proc["nyquist"])
-
-
-def _processing_section(proc: dict) -> dict:
-    """The manifest's processing section: every knob as resolved."""
-    return {"model": proc["model"], "design": proc["design"],
-            "modes": 2 * proc["mode_half"] + 1, "mode_threshold": proc["mode_threshold"],
-            "reduction": proc["reduction"], "pad_az": proc["pad_az"],
-            "pad_delay": proc["pad_delay"], "exclusion_cells": list(proc["exclusion_cells"]),
-            "exclusion_deg": proc["exclusion_deg"], "snr_db": proc["snr_db"]}
+    proc, limit, audit = _resolve_processing(proc_cfg, array, grid,
+                                             allow_undersampled=allow_undersampled,
+                                             force_modes=force_modes)
+    resolved_cfg = {"name": name, "grid": asdict(grid), "processing": asdict(proc)}
+    return ResolvedScenario(name=name, config=resolved_cfg, array=array, grid=grid,
+                            scene=[], processing=proc, seed=0,
+                            mode_limit_value=limit, nyquist=audit)
 
 
 @dataclass
@@ -404,10 +384,10 @@ class RunResult:
             "version": __version__,
             "config": sc.config,
             "resolved": {
-                "mode_half": sc.mode_half,
-                "modes_total": 2 * sc.mode_half + 1,
+                "mode_half": sc.processing.mode_half,
+                "modes_total": sc.processing.modes,
                 "mode_limit": sc.mode_limit_value,
-                "reduction": sc.reduction,
+                "reduction": sc.processing.reduction,
                 "ring_seeds": [getattr(sc.array.ring_spec(i), "seed", None)
                                for i in range(sc.array.ring_count)],
                 "nyquist_max_spacing_m": sc.nyquist.max_spacing_m,
@@ -422,8 +402,9 @@ class RunResult:
 def run_channel(scenario: ResolvedScenario, ch: ChannelMatrix) -> RunResult:
     """Beamform + transform + peak extraction for an existing channel."""
     t0 = time.perf_counter()
-    bank = build_bank(ch.array, ch.grid, design=scenario.design,
-                      mode_half=scenario.mode_half, reduction=scenario.reduction)
+    proc = scenario.processing
+    bank = build_bank(ch.array, ch.grid, design=proc.design,
+                      mode_half=proc.mode_half, reduction=proc.reduction)
     spec, report, anchored = _spectrum_and_peaks(scenario, expand_array(ch, bank))
     return RunResult(scenario=scenario, channel=ch, spectrum=spec, report=report,
                      anchored=anchored, runtime_s=time.perf_counter() - t0,
@@ -441,20 +422,22 @@ def run_scenario(scenario: ResolvedScenario) -> RunResult:
 
 def _synthesize(scenario: ResolvedScenario) -> ChannelMatrix:
     """The scene's channel, plus noise from the scenario's own seed."""
-    ch = superpose(scenario.scene, scenario.array, scenario.grid, model=scenario.model)
-    if scenario.snr_db is not None:
-        ch = add_awgn(ch, scenario.snr_db, seed=scenario.seed)
+    proc = scenario.processing
+    ch = superpose(scenario.scene, scenario.array, scenario.grid, model=proc.model)
+    if proc.snr_db is not None:
+        ch = add_awgn(ch, proc.snr_db, seed=scenario.seed)
     return ch
 
 
 def _spectrum_and_peaks(scenario: ResolvedScenario, modes: ModeMatrix):
     """Joint spectrum, global peak report and the report anchored on the first wave."""
-    spec = joint_spectrum(modes, pad_az=scenario.pad_az, pad_delay=scenario.pad_delay)
-    report = find_peaks(spec, exclusion_cells=scenario.exclusion_cells)
+    proc = scenario.processing
+    spec = joint_spectrum(modes, pad_az=proc.pad_az, pad_delay=proc.pad_delay)
+    report = find_peaks(spec, exclusion_cells=proc.exclusion_cells)
     if scenario.scene:
         first = scenario.scene[0]
         anchored = find_peaks(spec, expected=(first.azimuth_deg, first.delay_s),
-                              exclusion_cells=scenario.exclusion_cells)
+                              exclusion_cells=proc.exclusion_cells)
     else:
         anchored = report
     return spec, report, anchored
@@ -489,8 +472,9 @@ SWEEP_BATCH_BYTES = 8 << 20
 
 def _bank_key(scenario: ResolvedScenario) -> tuple:
     """What a filter bank depends on: realized array, grid and processing."""
+    proc = scenario.processing
     return (json.dumps(scenario.config["array"], sort_keys=True), scenario.grid,
-            scenario.design, scenario.mode_half, scenario.reduction)
+            proc.design, proc.mode_half, proc.reduction)
 
 
 def sweep_rows(cfg: dict, allow_undersampled: bool = False,
@@ -560,8 +544,9 @@ def sweep_rows(cfg: dict, allow_undersampled: bool = False,
     rows = [None] * len(points)
     for members in groups.values():
         first = points[members[0]][1]
-        bank = build_bank(first.array, first.grid, design=first.design,
-                          mode_half=first.mode_half, reduction=first.reduction)
+        proc = first.processing
+        bank = build_bank(first.array, first.grid, design=proc.design,
+                          mode_half=proc.mode_half, reduction=proc.reduction)
         point_bytes = 16 * first.array.total_sensors * first.grid.samples
         size = max(1, SWEEP_BATCH_BYTES // point_bytes)
         for lo in range(0, len(members), size):
@@ -585,7 +570,7 @@ def sweep_rows(cfg: dict, allow_undersampled: bool = False,
                     "delta_db": anchored.delta_db,
                     "global_phi_deg": report.main.phi_deg,
                     "global_tau_s": report.main.tau_s,
-                    "modes_total": 2 * scenario.mode_half + 1,
+                    "modes_total": scenario.processing.modes,
                 })
             runtime_s = (time.perf_counter() - t0) / len(batch)
             for i in batch:

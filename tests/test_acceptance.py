@@ -60,7 +60,7 @@ def test_criterion_01_single_wave_reproduction():
     result = pipeline.run_scenario(scenario)
     elapsed = time.perf_counter() - t0
     main = result.report.main
-    n_delay_bins = scenario.pad_delay * scenario.grid.bandwidth_hz
+    n_delay_bins = scenario.processing.pad_delay * scenario.grid.bandwidth_hz
     tau_bin = round(main.tau_s * n_delay_bins)
     ok = (main.phi_deg == 90.0
           and tau_bin == round(30e-9 * n_delay_bins)
@@ -285,7 +285,7 @@ def test_criterion_09b_average_filter_beyond_validity():
 def test_criterion_10_noise_robustness():
     base = pipeline.resolve(presets.get_preset("fig3"))
     clean = pipeline.run_scenario(base)
-    m_total = 2 * base.mode_half + 1
+    m_total = 2 * base.processing.mode_half + 1
     cell_deg = 360.0 / m_total
     bandwidth = base.grid.bandwidth_hz
 

@@ -154,7 +154,7 @@ class TestBank:
 
     def test_average_needs_spec(self):
         xy = np.array([[0.1, 0.0], [0.0, 0.1], [-0.1, 0.0], [0.0, -0.1]])
-        arr = geometry.SensorArray(rings=[(None, xy)], provenance="ingested")
+        arr = geometry.SensorArray(rings=[(None, xy)])
         with pytest.raises(ValidationError):
             beamform.build_bank(arr, small_grid(), design="average", mode_half=2)
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -39,13 +40,13 @@ class TestResolve:
         cfg = small_scenario()
         cfg["processing"]["modes"] = "auto"
         sc = pipeline.resolve(cfg)
-        assert sc.mode_half == sc.mode_limit_value > 60
-        assert sc.reduction == "symmetric"
-        assert sc.config["processing"]["modes"] == 2 * sc.mode_half + 1
+        assert sc.processing.mode_half == sc.mode_limit_value > 60
+        assert sc.processing.reduction == "symmetric"
+        assert sc.config["processing"]["modes"] == 2 * sc.processing.mode_half + 1
 
     def test_requested_modes_round_up_to_odd(self):
         sc = pipeline.resolve(small_scenario(modes=80))
-        assert sc.mode_half == 40
+        assert sc.processing.mode_half == 40
         assert sc.config["processing"]["modes"] == 81
 
     def test_mode_cap_enforced(self):
@@ -53,7 +54,7 @@ class TestResolve:
         with pytest.raises(ValidationError):
             pipeline.resolve(cfg)
         sc = pipeline.resolve(cfg, force_modes=True)
-        assert sc.mode_half == 2500
+        assert sc.processing.mode_half == 2500
 
     def test_sigma_in_wavelengths(self):
         cfg = small_scenario()
@@ -62,7 +63,7 @@ class TestResolve:
         sc = pipeline.resolve(cfg)
         lam = 299792458.0 / 29e9
         assert sc.array.ring_spec(0).sigma_m == pytest.approx(2 * lam, rel=1e-12)
-        assert sc.reduction == "none"  # perturbed ring cannot share quadrants
+        assert sc.processing.reduction == "none"  # perturbed ring cannot share quadrants
         assert sc.config["array"][0]["sigma_m"] == pytest.approx(2 * lam, rel=1e-12)
         assert "sigma_wavelengths" not in sc.config["array"][0]
 
@@ -89,7 +90,7 @@ class TestResolve:
             pipeline.resolve(cfg)
         cfg["scene"][0]["distance_m"] = 10.0
         sc = pipeline.resolve(cfg)
-        assert sc.model == "spherical"
+        assert sc.processing.model == "spherical"
 
     def test_resolved_config_is_stable(self):
         sc = pipeline.resolve(small_scenario())
@@ -104,6 +105,40 @@ class TestResolve:
             text = json.dumps(sc.config, sort_keys=True)
             again = pipeline.resolve(json.loads(text))
             assert json.dumps(again.config, sort_keys=True) == text, name
+
+    def test_every_processing_key_off_default_resolves_again(self):
+        proc = {"model": "spherical", "design": "average", "modes": 41,
+                "mode_threshold": 1e-4, "reduction": "none", "pad_az": 3, "pad_delay": 3,
+                "exclusion_cells": [4, 6], "exclusion_deg": 9, "snr_db": 20.0}
+        defaults = {f.name: f.default for f in fields(pipeline.Processing)}
+        assert proc.keys() == defaults.keys()
+        assert all(value != defaults[key] for key, value in proc.items())
+        cfg = small_scenario(**proc)
+        cfg["scene"][0]["distance_m"] = 10.0
+        sc = pipeline.resolve(cfg)
+        assert sc.processing == pipeline.Processing(
+            model="spherical", design="average", modes=41, mode_threshold=1e-4,
+            reduction="none", pad_az=3, pad_delay=3,
+            exclusion_cells=(1, 6), exclusion_deg=9, snr_db=20.0)  # 9 deg is one 8.8-deg cell
+        assert sc.processing.mode_half == 20
+        section = sc.config["processing"]
+        assert section.keys() == defaults.keys()
+        assert type(section["exclusion_deg"]) is int  # kept as configured
+        for again in (pipeline.resolve(sc.config),
+                      pipeline.resolve(json.loads(json.dumps(sc.config)))):
+            assert again.processing == sc.processing
+
+    def test_ingested_and_built_arrays_resolve_equal_processing(self, tmp_path):
+        proc = {"design": "plain", "modes": 41, "reduction": "none", "pad_delay": 3,
+                "exclusion_deg": 5.0, "snr_db": 30.0}
+        sc = pipeline.resolve(small_scenario(**proc))
+        sc.array.to_csv(tmp_path / "geo.csv")
+        ingested = pipeline.resolve_ingested(
+            geometry.SensorArray.from_csv(tmp_path / "geo.csv"), sc.grid,
+            sc.config["processing"])
+        assert ingested.processing == sc.processing
+        assert ingested.mode_limit_value == sc.mode_limit_value
+        assert ingested.config["processing"] == sc.config["processing"]
 
 
 class TestSetPath:
@@ -198,7 +233,7 @@ class TestRun:
                 "delta_db": alone.anchored.delta_db,
                 "global_phi_deg": alone.report.main.phi_deg,
                 "global_tau_s": alone.report.main.tau_s,
-                "modes_total": 2 * sc.mode_half + 1,
+                "modes_total": 2 * sc.processing.mode_half + 1,
             }
 
     def test_sweep_resolves_every_point_before_computing(self, monkeypatch):
@@ -389,6 +424,41 @@ class TestCli:
                                         2, "validation error: ")
         assert field in err
         assert f"MAX_ARRAY_BYTES = {pipeline.MAX_ARRAY_BYTES}" in err
+
+    def test_unknown_processing_key_exits_1_naming_it(self, tmp_path, capsys):
+        err = self.assert_one_line_exit(
+            tmp_path, capsys, ["run"],
+            lambda cfg: cfg["processing"].update(mode_treshold=1e-4), 1, "config error: ")
+        assert "'mode_treshold'" in err
+
+    def test_oversized_bessel_table_exits_2_naming_the_fields(self, tmp_path, capsys):
+        """One unreduced 720-sensor ring at 1,999,999 modes: the spectrum
+        (0.24 GiB) fits, but one frequency sample of the bank's Bessel table
+        would take 8 (M_h + 2) 720 bytes = 5.4 GiB."""
+        def edit(cfg):
+            cfg["array"][0].update(sensors=720, sigma_m=1e-4)
+            cfg["grid"]["samples"] = 2
+            cfg["processing"]["modes"] = 1_999_999
+
+        err = self.assert_one_line_exit(tmp_path, capsys, ["run", "--force-modes"], edit,
+                                        2, "validation error: ")
+        assert "processing.modes (1999999)" in err and "array[*].sensors (720)" in err
+        assert f"MAX_ARRAY_BYTES = {pipeline.MAX_ARRAY_BYTES}" in err
+
+    def test_average_design_on_ingested_array_exits_2(self, tmp_path, capsys):
+        """An ingested ring has no ellipse parameters to average."""
+        sc = pipeline.resolve(small_scenario())
+        sc.array.to_csv(tmp_path / "geo.csv")
+        channel.export_channel(channel.superpose(sc.scene, sc.array, sc.grid),
+                               tmp_path / "chan.csv")
+        (tmp_path / "proc.json").write_text(json.dumps({"processing": {"design": "average"}}))
+        rc = cli.main(["ingest", "--geometry", str(tmp_path / "geo.csv"), "--channel",
+                       str(tmp_path / "chan.csv"), "--config", str(tmp_path / "proc.json"),
+                       "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "validation error: average design needs ellipse parameters on every ring\n")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("path,value", [
         ("array.0.semi_major_m", 1e9),
