@@ -7,11 +7,14 @@ without its runtime_s.  Then it exports fig13's geometry and channel,
 `ingest`s them with fig13's processing section, and prints the same four
 digests for that run.  Then comes the digest of a small noisy sweep's
 sweep.csv without its runtime_s column (fig3's ring, e in {0.0, 0.7} x three
-azimuths, snr_db 10), which reaches the batched-sweep and noise paths.  Last
+azimuths, snr_db 10), which reaches the batched-sweep and noise paths.  Then
 come the four digests of a fig12 run whose processing section sets every key
 to a value other than its default, so each field of the manifest's
-processing section is pinned.  Two commits produce the same numbers exactly
-when their outputs diff empty:
+processing section is pinned.  Last comes the sweep.csv digest of a
+noiseless two-row fig4a sweep at azimuths -45, 0, 45 and 90: its e = 0 rows
+at +-45 degrees are exact half-bin ties, so the tie rule decides both their
+anchored and their global peaks.  Two commits produce the same numbers
+exactly when their outputs diff empty:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/preset_digests.py > a.txt
 
@@ -58,17 +61,19 @@ def ingest_argv(tmp: Path, preset: str) -> list:
             str(tmp / "channel.csv"), "--config", str(tmp / "processing.json")]
 
 
-def sweep_argv(tmp: Path) -> list:
-    """`sweep` arguments for a noisy two-row sweep on fig3's ring."""
-    cfg = get_preset("fig3")
-    cfg["processing"]["snr_db"] = 10.0
+def sweep_argv(tmp: Path, preset: str, azimuths: list, snr_db=None) -> list:
+    """`sweep` arguments for a two-row sweep on a preset's ring: e in
+    {0.0, 0.7} at auto modes, times the given azimuths."""
+    cfg = get_preset(preset)
+    cfg["processing"]["snr_db"] = snr_db
     cfg["sweep"] = {"axes": [
         {"paths": ["array.*.eccentricity", "processing.modes"],
          "values": [[0.0, "auto"], [0.7, "auto"]]},
-        {"path": "scene.0.azimuth_deg", "values": [-45.0, 20.0, 90.0]},
+        {"path": "scene.0.azimuth_deg", "values": azimuths},
     ]}
-    (tmp / "sweep.json").write_text(json.dumps(cfg))
-    return ["sweep", "--config", str(tmp / "sweep.json")]
+    path = tmp / f"{preset}-sweep.json"
+    path.write_text(json.dumps(cfg))
+    return ["sweep", "--config", str(path)]
 
 
 def sweep_digests(out: Path) -> list:
@@ -100,8 +105,11 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         runs = [(preset, ["run", "--preset", preset], digests) for preset in PRESETS]
         runs.append(("fig13-ingest", ingest_argv(Path(tmp), "fig13"), digests))
-        runs.append(("fig3-noisy-sweep", sweep_argv(Path(tmp)), sweep_digests))
+        runs.append(("fig3-noisy-sweep", sweep_argv(Path(tmp), "fig3", [-45.0, 20.0, 90.0], 10.0),
+                     sweep_digests))
         runs.append(("fig12-processing", processing_argv(Path(tmp)), digests))
+        runs.append(("fig4a-tie-sweep", sweep_argv(Path(tmp), "fig4a", [-45.0, 0.0, 45.0, 90.0]),
+                     sweep_digests))
         for label, argv, digest_of in runs:
             out = Path(tmp) / label
             with contextlib.redirect_stdout(io.StringIO()):

@@ -138,6 +138,8 @@ MODELS = ("planewave", "spherical")
 """Propagation models superpose accepts."""
 
 
+# a finite scene may overflow: ChannelMatrix's non-finite check reports it once
+@np.errstate(over="ignore", invalid="ignore")
 def superpose(scene: Sequence[IncidentWave], array: SensorArray,
               grid: FrequencyGrid, model: str = "planewave") -> ChannelMatrix:
     """Entrywise sum of per-wave responses, in scene order (deterministic).
@@ -196,6 +198,7 @@ def superpose(scene: Sequence[IncidentWave], array: SensorArray,
     return ChannelMatrix(array=array, grid=grid, values=values)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as superpose
 def add_awgn(channel: ChannelMatrix, snr_db: Optional[float], seed: int = 0) -> ChannelMatrix:
     """Add circularly-symmetric complex Gaussian noise at a target mean SNR.
 

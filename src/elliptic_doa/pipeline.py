@@ -372,7 +372,6 @@ class RunResult:
     channel: ChannelMatrix
     spectrum: JointSpectrum
     report: PeakReport
-    anchored: PeakReport
     runtime_s: float
     bank_unique_evals: int
     bank_dense_weights: int
@@ -405,9 +404,10 @@ def run_channel(scenario: ResolvedScenario, ch: ChannelMatrix) -> RunResult:
     proc = scenario.processing
     bank = build_bank(ch.array, ch.grid, design=proc.design,
                       mode_half=proc.mode_half, reduction=proc.reduction)
-    spec, report, anchored = _spectrum_and_peaks(scenario, expand_array(ch, bank))
-    return RunResult(scenario=scenario, channel=ch, spectrum=spec, report=report,
-                     anchored=anchored, runtime_s=time.perf_counter() - t0,
+    spec = joint_spectrum(expand_array(ch, bank), pad_az=proc.pad_az, pad_delay=proc.pad_delay)
+    return RunResult(scenario=scenario, channel=ch, spectrum=spec,
+                     report=find_peaks(spec, exclusion_cells=proc.exclusion_cells),
+                     runtime_s=time.perf_counter() - t0,
                      bank_unique_evals=bank.unique_eval_count,
                      bank_dense_weights=bank.dense_weight_count)
 
@@ -427,20 +427,6 @@ def _synthesize(scenario: ResolvedScenario) -> ChannelMatrix:
     if proc.snr_db is not None:
         ch = add_awgn(ch, proc.snr_db, seed=scenario.seed)
     return ch
-
-
-def _spectrum_and_peaks(scenario: ResolvedScenario, modes: ModeMatrix):
-    """Joint spectrum, global peak report and the report anchored on the first wave."""
-    proc = scenario.processing
-    spec = joint_spectrum(modes, pad_az=proc.pad_az, pad_delay=proc.pad_delay)
-    report = find_peaks(spec, exclusion_cells=proc.exclusion_cells)
-    if scenario.scene:
-        first = scenario.scene[0]
-        anchored = find_peaks(spec, expected=(first.azimuth_deg, first.delay_s),
-                              exclusion_cells=proc.exclusion_cells)
-    else:
-        anchored = report
-    return spec, report, anchored
 
 
 def write_outputs(result: RunResult, out_dir) -> list:
@@ -481,9 +467,9 @@ def sweep_rows(cfg: dict, allow_undersampled: bool = False,
                force_modes: bool = False):
     """Run the scenario once per sweep grid point (cartesian, row-major).
 
-    Yields dict rows in row-major order: the axis values, the peak anchored
-    near the true wave (phi_deg, tau_s, delta_db), the unanchored global
-    peak, and the resolved mode count.
+    Yields dict rows in row-major order: the axis values, the peak report
+    anchored on the first wave (phi_deg, tau_s, delta_db), the global peak
+    (JointSpectrum.peak), and the resolved mode count.
 
     Every point is resolved before any is computed, so a bad point fails
     first.  Points whose filter bank would be the same (equal resolved
@@ -493,10 +479,11 @@ def sweep_rows(cfg: dict, allow_undersampled: bool = False,
     point's channel, with noise from its own seed, joins a stacked channel
     that one expand_array call turns into mode matrices, so a batch
     evaluates its Bessel tables and filter weights once per frequency.
-    Spectrum and peaks then run per point.  Every numeric column equals a
-    run_scenario of that point alone, bit for bit; runtime_s is the batch's
-    wall time divided by its point count.  Determinism comes from per-point
-    seeds in the config, so evaluation order carries no state.
+    The spectrum and its one peak report then run per point.  Every numeric
+    column equals the same reading of a run_scenario spectrum of that point
+    alone, bit for bit; runtime_s is the batch's wall time divided by its
+    point count.  Determinism comes from per-point seeds in the config, so
+    evaluation order carries no state.
     """
     sweep = cfg.get("sweep")
     if not isinstance(sweep, dict) or not isinstance(sweep.get("axes"), (list, tuple)) \
@@ -544,9 +531,9 @@ def sweep_rows(cfg: dict, allow_undersampled: bool = False,
     rows = [None] * len(points)
     for members in groups.values():
         first = points[members[0]][1]
-        proc = first.processing
-        bank = build_bank(first.array, first.grid, design=proc.design,
-                          mode_half=proc.mode_half, reduction=proc.reduction)
+        shared = first.processing  # the bank's keys; pads and windows stay per point
+        bank = build_bank(first.array, first.grid, design=shared.design,
+                          mode_half=shared.mode_half, reduction=shared.reduction)
         point_bytes = 16 * first.array.total_sensors * first.grid.samples
         size = max(1, SWEEP_BATCH_BYTES // point_bytes)
         for lo in range(0, len(members), size):
@@ -560,17 +547,21 @@ def sweep_rows(cfg: dict, allow_undersampled: bool = False,
                                                values=values), bank)
             for b, i in enumerate(batch):
                 assignment, scenario = points[i]
-                _, report, anchored = _spectrum_and_peaks(scenario, ModeMatrix(
-                    values=modes.values[..., b], mode_half=modes.mode_half,
-                    grid=modes.grid))
+                proc, wave = scenario.processing, scenario.scene[0]
+                spec = joint_spectrum(ModeMatrix(values=modes.values[..., b],
+                                                 mode_half=modes.mode_half, grid=modes.grid),
+                                      pad_az=proc.pad_az, pad_delay=proc.pad_delay)
+                anchored = find_peaks(spec, expected=(wave.azimuth_deg, wave.delay_s),
+                                      exclusion_cells=proc.exclusion_cells)
+                peak = spec.peak()
                 rows[i] = {path: value for path, value in assignment}
                 rows[i].update({
                     "phi_deg": anchored.main.phi_deg,
                     "tau_s": anchored.main.tau_s,
                     "delta_db": anchored.delta_db,
-                    "global_phi_deg": report.main.phi_deg,
-                    "global_tau_s": report.main.tau_s,
-                    "modes_total": scenario.processing.modes,
+                    "global_phi_deg": peak.phi_deg,
+                    "global_tau_s": peak.tau_s,
+                    "modes_total": proc.modes,
                 })
             runtime_s = (time.perf_counter() - t0) / len(batch)
             for i in batch:

@@ -20,7 +20,8 @@ sidelobe skirt of a rectangular truncation window (modes in azimuth,
 samples in delay): sidelobe k sits (2k+1)/2 cells out at ~2/((2k+1) pi)
 relative amplitude.  Those skirts are part of the peak's own response
 envelope, not geometry-induced artifacts, so the default window of +-5
-cells per axis excludes them down to -24.7 dB.
+cells per axis excludes them down to -24.7 dB.  find_peaks reads a map in
+one pass; JointSpectrum.peak is its global maximum alone, under one tie rule.
 """
 
 from __future__ import annotations
@@ -81,6 +82,16 @@ class JointSpectrum:
 
     def delay_of_bin(self, k: int) -> float:
         return k / (self.pad_delay * self.grid.bandwidth_hz)
+
+    def peak(self) -> "SpectrumPeak":
+        """The global maximum under `_strongest`'s tie rule, as find_peaks picks it."""
+        return self._peak_at(_strongest(self.magnitudes, np.arange(self.magnitudes.size)))
+
+    def _peak_at(self, cell: int) -> "SpectrumPeak":
+        """The peak at a flat (azimuth, delay) bin index."""
+        q, k = divmod(cell, self.magnitudes.shape[1])
+        return SpectrumPeak(phi_deg=self.azimuth_of_bin(q), tau_s=self.delay_of_bin(k),
+                            magnitude=float(self.magnitudes[q, k]))
 
     def _magnitudes_db(self) -> np.ndarray:
         """Magnitudes in dB relative to the global peak, floored at -400 dB."""
@@ -152,17 +163,17 @@ class PeakReport:
 
 
 def _local_maxima_mask(s: np.ndarray) -> np.ndarray:
-    """Strictly-greater-than-8-neighbors mask; azimuth cyclic, delay clamped."""
+    """Strictly-greater-than-8-neighbors mask; azimuth cyclic, delay clamped: eight
+    slices of one padded copy, its wrap rows cyclic neighbors, its edge columns -1."""
     n_az, n_d = s.shape
-    padded = np.full((n_az, n_d + 2), -1.0)
-    padded[:, 1:-1] = s
+    padded = np.full((n_az + 2, n_d + 2), -1.0)
+    padded[1:-1, 1:-1] = s
+    padded[[0, -1], 1:-1] = s[[-1, 0]]
     mask = np.ones_like(s, dtype=bool)
-    for dq in (-1, 0, 1):
-        rolled = np.roll(padded, dq, axis=0)
-        for dk in (-1, 0, 1):
-            if dq == 0 and dk == 0:
-                continue
-            mask &= s > rolled[:, 1 + dk: 1 + dk + n_d]
+    for dq in range(3):
+        for dk in range(3):
+            if dq != 1 or dk != 1:
+                mask &= s > padded[dq: dq + n_az, dk: dk + n_d]
     return mask
 
 
@@ -206,36 +217,27 @@ def find_peaks(spectrum: JointSpectrum,
     cells = np.arange(s.size)
     if expected is not None:
         phi_e, tau_e = expected
-        q_e = int(round(phi_e / 360.0 * n_az)) % n_az
-        k_e = min(max(int(round(tau_e * spectrum.pad_delay * spectrum.grid.bandwidth_hz)), 0),
-                  n_d - 1)
+        # exact fmod and clamping before round(): huge finite positions cannot overflow
+        q_e = int(round(math.fmod(phi_e, 360.0) / 360.0 * n_az)) % n_az
+        k_e = int(round(min(max(tau_e * spectrum.pad_delay * spectrum.grid.bandwidth_hz, 0.0),
+                            n_d - 1.0)))
         cells = np.flatnonzero(window_mask(q_e, k_e))
-    q_main, k_main = divmod(_strongest(s, cells), n_d)
-    main = SpectrumPeak(phi_deg=spectrum.azimuth_of_bin(q_main),
-                        tau_s=spectrum.delay_of_bin(k_main),
-                        magnitude=float(s[q_main, k_main]))
+    main_cell = _strongest(s, cells)
+    main = spectrum._peak_at(main_cell)
 
     maxima_mask = _local_maxima_mask(s)
-    candidates = np.flatnonzero(maxima_mask & ~window_mask(q_main, k_main))
-    if candidates.size:
-        qa, ka = divmod(_strongest(s, candidates), n_d)
-        artifact = SpectrumPeak(phi_deg=spectrum.azimuth_of_bin(qa),
-                                tau_s=spectrum.delay_of_bin(ka),
-                                magnitude=float(s[qa, ka]))
-        delta_db = math.inf if artifact.magnitude == 0.0 else (
-            20.0 * math.log10(main.magnitude / artifact.magnitude))
-    else:
-        artifact = None
-        delta_db = math.inf
+    candidates = np.flatnonzero(maxima_mask & ~window_mask(*divmod(main_cell, n_d)))
+    artifact = spectrum._peak_at(_strongest(s, candidates)) if candidates.size else None
+    delta_db = (math.inf if artifact is None or artifact.magnitude == 0.0
+                else 20.0 * math.log10(main.magnitude / artifact.magnitude))
 
     # rank by repeated picks, so maxima within TIE_RTOL of each other (mirror
     # twins) keep the tie rule's order whatever their rounding
     maxima, left = [], np.flatnonzero(maxima_mask)
     for _ in range(min(_RANKED_MAXIMA, left.size)):
-        q, k = divmod(_strongest(s, left), n_d)
-        maxima.append(SpectrumPeak(phi_deg=spectrum.azimuth_of_bin(q),
-                                   tau_s=spectrum.delay_of_bin(k), magnitude=float(s[q, k])))
-        left = left[left != q * n_d + k]
+        cell = _strongest(s, left)
+        maxima.append(spectrum._peak_at(cell))
+        left = left[left != cell]
     return PeakReport(main=main, artifact=artifact, delta_db=float(delta_db),
                       maxima=tuple(maxima),
                       exclusion_cells=(int(exclusion_cells[0]), int(exclusion_cells[1])))

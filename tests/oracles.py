@@ -5,8 +5,9 @@ arbitrary precision, plain Python loops over the defining sums) so it shares
 no code path with the package.  The helpers at the end are the exception:
 they read a package FilterBank back out in the literal (mode x sensor)
 layout, keep the per-cell writers the array-speed exports must match byte
-for byte, and hold scalar conveniences built on the package's Bessel
-functions, all of which only tests need.
+for byte, hold scalar conveniences built on the package's Bessel
+functions, and read a run's peak report anchored on its first wave, all of
+which only tests need.
 """
 
 import cmath
@@ -19,6 +20,7 @@ import numpy as np
 from elliptic_doa.beamform import DENOMINATOR_FLOOR, DESIGNS
 from elliptic_doa.errors import DomainError, InstabilityError
 from elliptic_doa.specfun import bessel_j, bessel_j_prime
+from elliptic_doa.spectrum import find_peaks
 
 C = 299_792_458.0
 
@@ -98,6 +100,19 @@ def brute_joint_spectrum(mode_values, mode_half, k_count):
                             * cmath.exp(-1j * modes[mi] * phi)
                             * cmath.exp(-2j * math.pi * k * t / k_count))
             out[q, t] = abs(acc)
+    return out
+
+
+def brute_local_maxima(s):
+    """Per-cell loop: True where s beats all 8 neighbors strictly; azimuth
+    (rows) cyclic, delay (columns) clamped, so edge columns have 5 neighbors."""
+    n_az, n_d = s.shape
+    out = np.zeros(s.shape, dtype=bool)
+    for q in range(n_az):
+        for k in range(n_d):
+            out[q, k] = all(s[q, k] > s[(q + dq) % n_az, k + dk]
+                            for dq in (-1, 0, 1) for dk in (-1, 0, 1)
+                            if (dq, dk) != (0, 0) and 0 <= k + dk < n_d)
     return out
 
 
@@ -228,3 +243,11 @@ def mirror_rotate_sensors(xy, alpha_deg):
     ca, sa = math.cos(alpha), math.sin(alpha)
     x, y = xy[:, 0], xy[:, 1]
     return np.column_stack([x * ca + y * sa, x * sa - y * ca])
+
+
+def anchored_report(result):
+    """A RunResult's peak report anchored on its first wave, with the run's
+    exclusion window: what a sweep row reads for that point."""
+    wave = result.scenario.scene[0]
+    return find_peaks(result.spectrum, expected=(wave.azimuth_deg, wave.delay_s),
+                      exclusion_cells=result.scenario.processing.exclusion_cells)

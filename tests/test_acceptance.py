@@ -149,7 +149,7 @@ def test_criterion_05_layout_comparison():
     deltas = {}
     for name in ("fig7-uca", "fig7-ucca", "fig7-cea"):
         result = pipeline.run_scenario(pipeline.resolve(presets.get_preset(name)))
-        deltas[name] = result.anchored.delta_db
+        deltas[name] = oracles.anchored_report(result).delta_db
     ok = (12.0 <= deltas["fig7-uca"] <= 18.0
           and deltas["fig7-ucca"] >= 22.0 and deltas["fig7-cea"] >= 22.0)
     _report(5, ok, "; ".join(f"{k}: {v:.2f} dB" for k, v in deltas.items()))

@@ -15,6 +15,8 @@ import pytest
 from elliptic_doa import channel, cli, geometry, pipeline, presets
 from elliptic_doa.errors import ConfigError, ValidationError
 
+import oracles
+
 
 def small_scenario(**proc):
     return {
@@ -226,15 +228,33 @@ class TestRun:
             point["array"][0]["eccentricity"] = ecc
             sc = pipeline.resolve(point)
             alone = pipeline.run_scenario(sc)
+            anchored = oracles.anchored_report(alone)
             assert row.pop("runtime_s") > 0.0
             assert row == {
                 "scene.0.azimuth_deg": az, "array.0.eccentricity": ecc,
-                "phi_deg": alone.anchored.main.phi_deg, "tau_s": alone.anchored.main.tau_s,
-                "delta_db": alone.anchored.delta_db,
+                "phi_deg": anchored.main.phi_deg, "tau_s": anchored.main.tau_s,
+                "delta_db": anchored.delta_db,
                 "global_phi_deg": alone.report.main.phi_deg,
                 "global_tau_s": alone.report.main.tau_s,
                 "modes_total": 2 * sc.processing.mode_half + 1,
             }
+
+    def test_one_peak_pass_per_map(self, monkeypatch):
+        expected = []
+        find_peaks = pipeline.find_peaks
+
+        def counting_find_peaks(spec, **kwargs):
+            expected.append(kwargs.get("expected"))
+            return find_peaks(spec, **kwargs)
+
+        monkeypatch.setattr(pipeline, "find_peaks", counting_find_peaks)
+        pipeline.run_scenario(pipeline.resolve(small_scenario()))
+        assert expected == [None]
+        expected.clear()
+        cfg = small_scenario()
+        cfg["sweep"] = {"axes": [{"path": "scene.0.azimuth_deg", "values": [0.0, 45.0, 100.0]}]}
+        assert len(list(pipeline.sweep_rows(cfg))) == 3
+        assert expected == [(0.0, 8e-9), (45.0, 8e-9), (100.0, 8e-9)]
 
     def test_sweep_resolves_every_point_before_computing(self, monkeypatch):
         cfg = small_scenario()
@@ -257,7 +277,7 @@ class TestRun:
             cfg["processing"]["pad_az"] = pa
             cfg["processing"]["pad_delay"] = pd
             res = pipeline.run_scenario(pipeline.resolve(cfg))
-            deltas.append(res.anchored.delta_db)
+            deltas.append(oracles.anchored_report(res).delta_db)
         assert max(deltas) - min(deltas) <= 0.5
 
 
@@ -388,8 +408,16 @@ class TestCli:
         lambda cfg: cfg["processing"].update(exclusion_deg=math.nan),
         lambda cfg: cfg["array"][0].update(sigma_m=math.nan),
         lambda cfg: cfg.update(seed=-1),
+        # finite values whose synthesis overflows: one line, no numpy warnings
+        lambda cfg: cfg["scene"][0].update(delay_s=1e297),
+        lambda cfg: (cfg["scene"][0].update(amplitude=1e300),
+                     cfg["processing"].update(snr_db=10.0)),
+        lambda cfg: (cfg["scene"][0].update(distance_m=1e300),
+                     cfg["processing"].update(model="spherical")),
     ], ids=["snr-db-overflows", "snr-db-underflows", "exclusion-deg-nan", "sigma-nan",
-            "seed-negative"])
+            "seed-negative", "delay-overflows-phase", "amplitude-overflows-noise-power",
+            "distance-overflows-spherical-path"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_out_of_domain_input_exits_2_with_one_line(self, tmp_path, capsys, edit):
         self.assert_one_line_exit(tmp_path, capsys, ["run"], edit, 2, "validation error: ")
 
@@ -424,6 +452,18 @@ class TestCli:
                                         2, "validation error: ")
         assert field in err
         assert f"MAX_ARRAY_BYTES = {pipeline.MAX_ARRAY_BYTES}" in err
+
+    @pytest.mark.parametrize("verb", ["run", "sweep"])
+    def test_huge_anchor_azimuth_exits_0(self, tmp_path, capsys, verb):
+        cfg = small_scenario(pad_az=8)  # 488 bins: 1.7e308 / 360 * 488 overflows a double
+        cfg["scene"][0]["azimuth_deg"] = 1.7e308
+        if verb == "sweep":
+            cfg["sweep"] = {"axes": [{"path": "array.0.eccentricity", "values": [0.0, 0.5]}]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = cli.main([verb, "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")])
+        assert rc == 0
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_unknown_processing_key_exits_1_naming_it(self, tmp_path, capsys):
         err = self.assert_one_line_exit(

@@ -124,9 +124,50 @@ def test_half_bin_tie_ignores_rounding(nudge):
         for expected in (None, (phi % 360.0, tau)):
             assert spectrum.find_peaks(sp, expected=expected).main.phi_deg == \
                 sp.azimuth_of_bin(want)
+        assert sp.peak() == spectrum.find_peaks(sp).main
     # a real difference still wins
     sp.magnitudes[75, 5] *= 1.0 + 1e-6
     assert spectrum.find_peaks(sp).main.phi_deg == sp.azimuth_of_bin(75)
+
+
+def test_huge_expected_position_reduces_without_overflow():
+    # 484 azimuth bins: 1.7e308 / 360 * 484 overflows a double
+    tau = 5 / GRID.bandwidth_hz
+    sp = spectrum.joint_spectrum(ideal_modes(60, GRID, 40.0, tau), pad_az=4)
+    for phi in (1.7e308, -1.7e308):
+        assert spectrum.find_peaks(sp, expected=(phi, tau)) == \
+            spectrum.find_peaks(sp, expected=(math.fmod(phi, 360.0), tau))
+    last = sp.delay_of_bin(sp.magnitudes.shape[1] - 1)
+    assert spectrum.find_peaks(sp, expected=(40.0, 1e308)) == \
+        spectrum.find_peaks(sp, expected=(40.0, last))
+
+
+@pytest.mark.parametrize("shape", [(1, 6), (2, 5), (3, 1), (16, 12), (41, 30)])
+def test_local_maxima_mask_matches_brute_force(shape):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    # three levels make exactly equal neighbors common: a tie is no maximum
+    for s in (rng.random(shape), rng.integers(0, 3, shape).astype(float)):
+        assert np.array_equal(spectrum._local_maxima_mask(s), oracles.brute_local_maxima(s))
+
+
+def test_local_maxima_mask_edges_and_ties():
+    n_az, n_d = 12, 9
+    s = 0.1 * np.random.default_rng(7).random((n_az, n_d))
+    planted = {
+        (0, 4): (3.0, True),           # first azimuth row
+        (n_az - 1, 0): (2.0, True),    # last row, first delay column
+        (5, n_d - 1): (2.0, True),     # last delay column
+        (0, 7): (1.0, False),          # beaten across the azimuth wrap...
+        (n_az - 1, 7): (1.5, True),    # ...by the last row
+        (8, 4): (2.5, False),          # exactly equal neighbors
+        (8, 5): (2.5, False),
+    }
+    for cell, (value, _) in planted.items():
+        s[cell] = value
+    mask = spectrum._local_maxima_mask(s)
+    assert np.array_equal(mask, oracles.brute_local_maxima(s))
+    assert {cell: bool(mask[cell]) for cell in planted} == \
+        {cell: is_max for cell, (_, is_max) in planted.items()}
 
 
 @pytest.mark.parametrize("twin", [0, 1])
