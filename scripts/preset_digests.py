@@ -10,11 +10,13 @@ sweep.csv without its runtime_s column (fig3's ring, e in {0.0, 0.7} x three
 azimuths, snr_db 10), which reaches the batched-sweep and noise paths.  Then
 come the four digests of a fig12 run whose processing section sets every key
 to a value other than its default, so each field of the manifest's
-processing section is pinned.  Last comes the sweep.csv digest of a
+processing section is pinned.  Then comes the sweep.csv digest of a
 noiseless two-row fig4a sweep at azimuths -45, 0, 45 and 90: its e = 0 rows
 at +-45 degrees are exact half-bin ties, so the tie rule decides both their
-anchored and their global peaks.  Two commits produce the same numbers
-exactly when their outputs diff empty:
+anchored and their global peaks.  Last come the four digests of fig12 with
+its one ring rotated by 90 degrees, a lone rotated folded ring, whose bank
+radii and phase tables come from its shape at rotation 0.  Two commits
+produce the same numbers exactly when their outputs diff empty:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/preset_digests.py > a.txt
 
@@ -101,6 +103,15 @@ def processing_argv(tmp: Path) -> list:
     return ["run", "--config", str(tmp / "processing-run.json")]
 
 
+def rotated_argv(tmp: Path) -> list:
+    """`run` arguments for fig12 with its ring rotated by 90 degrees."""
+    cfg = get_preset("fig12")
+    (ring,) = cfg["array"]
+    ring["rotation_deg"] = 90.0
+    (tmp / "rotated-run.json").write_text(json.dumps(cfg))
+    return ["run", "--config", str(tmp / "rotated-run.json")]
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         runs = [(preset, ["run", "--preset", preset], digests) for preset in PRESETS]
@@ -110,6 +121,7 @@ def main():
         runs.append(("fig12-processing", processing_argv(Path(tmp)), digests))
         runs.append(("fig4a-tie-sweep", sweep_argv(Path(tmp), "fig4a", [-45.0, 0.0, 45.0, 90.0]),
                      sweep_digests))
+        runs.append(("fig12-rot90", rotated_argv(Path(tmp)), digests))
         for label, argv, digest_of in runs:
             out = Path(tmp) / label
             with contextlib.redirect_stdout(io.StringIO()):

@@ -26,8 +26,15 @@ exactly and only non-negative orders ever reach the Bessel kernel.  Quadrant
 reduction additionally maps each sensor to its first elliptic-quadrant
 mirror (same radius when placement noise is zero), cutting distinct radii to
 P/4 + 1 per ring, and the bank keeps one radius vector for all rings, so
-bitwise-equal radii of different rings (rotated copies of one ellipse) are
-evaluated once.
+bitwise-equal radii of different rings are evaluated once.
+
+Rotation convention: a ring rotated by alpha is its shape (semi-major axis,
+eccentricity, sensor count) at rotation 0, turned rigidly, and turning a
+ring only multiplies its mode m by e^{jm alpha}.  So a folded ring takes its
+radii and its azimuths theta_r from its shape at rotation 0, never from its
+rotated coordinates (which agree with them but for a few ulps), and rotated
+copies of one ellipse share every bank column, every phase table and every
+weight product; the e^{jm alpha} factor is applied per ring.
 
 The expansion H_m(f_k) = (1/P) sum_p H[p,k] exp(+j m phi_p) W_{m,p}(f_k)
 runs over ring representatives and never forms a (2 M_h + 1) x P operator:
@@ -37,14 +44,15 @@ separate path (the DFT phase-mode excitation of uniform circular arrays,
 Davies 1983; Mathews & Zoltowski, IEEE TSP 1994).  Concentric rings average
 their per-ring mode matrices.  One kernel does all of it: per chunk of the
 band one Bessel table over the bank's radii, per frequency one weight
-evaluation, per ring a gather and two matmuls (see _expand).
+evaluation, per shape a gather and two matmuls over all its rings (see
+_expand).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -52,7 +60,7 @@ import numpy as np
 from .channel import ChannelMatrix, FrequencyGrid
 from .constants import SPEED_OF_LIGHT
 from .errors import DomainError, InstabilityError, ValidationError
-from .geometry import SensorArray
+from .geometry import EllipseSpec, SensorArray, build_ellipse
 from .specfun import ORDER_GUARD, bessel_j_table
 
 DESIGNS = ("robust", "plain", "average")
@@ -176,10 +184,12 @@ class FilterBank:
 
     All rings share one radius vector, `radii`, and sensor p of ring i takes
     its weights from column `ring_sensor_map[i][p]`.  Symmetric reduction
-    keeps each ring's quadrant representatives (sensors 0..P/4), the average
-    design one radius per ring, and bitwise-equal radii then share a column,
-    within a ring (a circle's quadrant radii round to a few doubles) and
-    across rings (rotated copies of one ellipse agree but for a few ulps).
+    keeps each ring's quadrant representatives (sensors 0..P/4) and the
+    average design one radius per ring; bitwise-equal radii then share a
+    column, within a ring (a circle's quadrant radii round to a few doubles)
+    and across rings.  A folded ring (see `folded`) takes its radii from its
+    shape at rotation 0, so rotated copies of one ellipse share all their
+    columns.
     Without reduction every sensor keeps a column of its own.  Weights are
     evaluated per frequency sample over the columns, non-negative modes
     only; `unique_eval_count` reports how many (mode, column) filter
@@ -256,13 +266,20 @@ def _quadrant_map(sensor_count: int) -> np.ndarray:
     return rep
 
 
+def _shape_xy(spec: EllipseSpec) -> np.ndarray:
+    """A folded ring's shape: the ring at rotation 0 (sigma is 0, so its seed
+    does not matter), which each rotated copy of it shares."""
+    return build_ellipse(replace(spec, rotation_deg=0.0))
+
+
 def build_bank(array: SensorArray, grid: FrequencyGrid, design: str = "robust",
                mode_half: int = 0, reduction: str = "none") -> FilterBank:
     """Construct the filter bank for an array over a frequency grid.
 
     reduction="symmetric" exploits the four-fold radius symmetry of an
     unperturbed ring; it requires sigma = 0 and P divisible by 4 on every
-    ring, whatever the design, and is rejected otherwise.  The "average"
+    ring, whatever the design, and is rejected otherwise; a folded ring's
+    radii come from its shape at rotation 0 (see FilterBank).  The "average"
     design needs ellipse parameters (it evaluates at (a+b)/2) and therefore
     a built geometry.
     """
@@ -291,7 +308,8 @@ def build_bank(array: SensorArray, grid: FrequencyGrid, design: str = "robust",
             reps.append(np.array([0.5 * (spec.semi_major_m + spec.semi_minor_m)]))
             maps.append(offset + np.zeros(p, dtype=np.intp))
         elif reduction == "symmetric":
-            reps.append(radii[: p // 4 + 1])
+            xy = _shape_xy(spec)[: p // 4 + 1]
+            reps.append(np.hypot(xy[:, 0], xy[:, 1]))
             maps.append(offset + _quadrant_map(p))
         else:
             reps.append(radii)
@@ -306,57 +324,82 @@ def build_bank(array: SensorArray, grid: FrequencyGrid, design: str = "robust",
                       ring_sensor_map=[column[m].astype(np.intp) for m in maps])
 
 
-class _RingTerms:
-    """What the expansion needs of one ring: its representatives r, their
-    phase tables cos/sin(m theta_r), weight columns and mode rotation, and
-    the data fold of any band chunk.
+class _ShapeTerms:
+    """What the expansion needs of the rings of one shape: their shared
+    representatives r, phase tables cos/sin(m theta_r) and weight columns,
+    each ring's mode rotation e^{jm alpha}/P, and the stacked data fold of
+    any band chunk.
 
-    A folded ring (FilterBank.folded) takes r = 0..P/4, whose mirrors
-    P/2 - r, P/2 + r and P - r sit at pi - theta_r, pi + theta_r and
-    -theta_r, with theta_r = phi_r - alpha; any other ring is its own fold:
-    r = p, alpha = 0, B = 0.
+    Folded rings (FilterBank.folded) group by shape (semi-major axis,
+    eccentricity, sensor count) and take r = 0..P/4 of the shape at rotation
+    0, whose mirrors P/2 - r, P/2 + r and P - r sit at pi - theta_r,
+    pi + theta_r and -theta_r; ring g of the group is the shape turned by its
+    alpha_g.  Any other ring is a group of its own and its own fold: r = p,
+    theta_r = phi_p, alpha = 0, B = 0.
     """
 
-    def __init__(self, channel: ChannelMatrix, bank: FilterBank, ring: int):
-        values = channel.ring_rows(ring)
-        self.data = np.moveaxis(values.reshape(values.shape[:2] + (-1,)), 0, -1)  # (K, B, P)
-        p = self.data.shape[-1]
-        orders = np.arange(bank.mode_half + 1)
+    def __init__(self, channel: ChannelMatrix, bank: FilterBank, rings: Sequence[int]):
+        self.rings = list(rings)
+        self.data = []  # per ring (K, B, P)
+        for ring in self.rings:
+            values = channel.ring_rows(ring)
+            self.data.append(np.moveaxis(values.reshape(values.shape[:2] + (-1,)), 0, -1))
+        p, self.points = self.data[0].shape[-1], self.data[0].shape[1]
+        self.orders = np.arange(bank.mode_half + 1)
         self.folded = bank.folded
         if self.folded:
+            specs = [channel.array.ring_spec(ring) for ring in self.rings]
             r = np.arange(p // 4 + 1)
-            alpha = math.radians(channel.array.ring_spec(ring).rotation_deg)
+            xy = _shape_xy(specs[0])
+            theta = np.arctan2(xy[:, 1], xy[:, 0])
+            alphas = [math.radians(spec.rotation_deg) for spec in specs]
             self.orbits = np.stack([r, p // 2 + r, p - r, p // 2 - r]) % p
-            self.parity = orders % 2
+            self.parity = self.orders % 2
         else:
-            r, alpha, self.parity = np.arange(p), 0.0, np.zeros_like(orders)
-        angle = np.outer(orders, channel.array.ring_azimuths(ring)[r] - alpha)
+            r, theta, alphas = np.arange(p), channel.array.ring_azimuths(self.rings[0]), [0.0]
+            self.parity = np.zeros_like(self.orders)
+        angle = np.outer(self.orders, theta[r])
         self.cos_mt, self.sin_mt = np.cos(angle), np.sin(angle)
-        columns = bank.ring_sensor_map[ring][r]
+        columns = bank.ring_sensor_map[self.rings[0]][r]
         if np.array_equal(columns, columns[0] + np.arange(columns.size)):
             # an unshared ring's columns are one block: take a view, not a copy
             columns = slice(int(columns[0]), int(columns[0]) + columns.size)
         self.columns = columns
-        self.rot = np.exp(1j * orders * alpha)[:, None] / p
-        self.rot_neg = self.rot.conj()
-        # sums and diffs of one sample (an unfolded ring's are channel views)
-        self.fold_bytes = 2 * 2 * 16 * self.data.shape[1] * r.size if self.folded else 0
+        self.rot = [np.exp(1j * self.orders * alpha)[:, None] / p for alpha in alphas]
+        # sums and diffs of one sample, all rings (an unfolded ring's are channel views)
+        self.fold_bytes = 2 * 2 * 16 * self.points * r.size * len(self.rings) if self.folded else 0
 
     def fold(self, k0: int, k1: int) -> tuple:
-        """(sums, diffs) of samples k0..k1-1, each (k1 - k0, B, R, parity).
+        """(sums, diffs) of samples k0..k1-1, each (k1 - k0, G B, R, parity),
+        ring g's B points at g B .. (g + 1) B - 1.
 
         With A = H_r +- H_{P/2+r} and B = H_{P-r} +- H_{P/2-r} (sign = parity
         of m), sums = A + B and diffs = A - B; the r = 0 and r = P/4 orbits,
         which list each sensor twice, enter at weight 1/2.
         """
-        data = self.data[k0:k1]
         if not self.folded:
+            data = self.data[0][k0:k1]
             return data[..., None], data[..., None]
-        h = data[..., self.orbits]  # (k1 - k0, B, 4, R)
-        h[..., [0, -1]] *= 0.5
-        a = np.stack([h[..., 0, :] + h[..., 1, :], h[..., 0, :] - h[..., 1, :]], axis=-1)
-        b = np.stack([h[..., 2, :] + h[..., 3, :], h[..., 2, :] - h[..., 3, :]], axis=-1)
-        return a + b, a - b
+        b = self.points
+        shape = (k1 - k0, len(self.rings) * b, self.orbits.shape[1], 2)
+        sums, diffs = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+        for g, data in enumerate(self.data):
+            h = data[k0:k1][..., self.orbits]  # (k1 - k0, B, 4, R)
+            h[..., [0, -1]] *= 0.5
+            a = np.stack([h[..., 0, :] + h[..., 1, :], h[..., 0, :] - h[..., 1, :]], axis=-1)
+            c = np.stack([h[..., 2, :] + h[..., 3, :], h[..., 2, :] - h[..., 3, :]], axis=-1)
+            np.add(a, c, out=sums[:, g * b:(g + 1) * b])
+            np.subtract(a, c, out=diffs[:, g * b:(g + 1) * b])
+        return sums, diffs
+
+    def products(self, w_bank: np.ndarray, sums: np.ndarray, diffs: np.ndarray) -> tuple:
+        """One sample's (even, odd) mode sums, each (mode_half + 1, G B):
+        one gather, one pair of weight-phase products and one matmul pair
+        for all the group's rings."""
+        w = w_bank[:, self.columns]
+        even = ((w * self.cos_mt) @ sums)[:, self.orders, self.parity].T
+        odd = 1j * ((w * self.sin_mt) @ diffs)[:, self.orders, self.parity].T
+        return even, odd
 
 
 def _expand(channel: ChannelMatrix, bank: FilterBank, rings: Sequence[int]) -> ModeMatrix:
@@ -365,26 +408,36 @@ def _expand(channel: ChannelMatrix, bank: FilterBank, rings: Sequence[int]) -> M
     The band runs in chunks of at most TABLE_CHUNK_BYTES of Bessel table and
     folded data (one bessel_j_table call over all bank radii per chunk), then frequency
     by frequency (one weight evaluation, with its floor check, per sample),
-    then ring by ring (a gather of the ring's columns and two matmuls):
+    then shape by shape (a gather of the shape's columns and two matmuls
+    over all its rings), then ring by ring:
 
-    H_{+-m} = e^{+-jm alpha}/P sum_r W_{m,r} [cos(m theta_r) sums_r +- j sin(m theta_r) diffs_r].
+    H_{+-m} = e^{+-jm alpha}/P sum_r W_{m,r} [cos(m theta_r) sums_r +- j sin(m theta_r) diffs_r],
 
-    A trailing point axis on the channel, values[p, k, b], yields mode
-    values[i, k, b]: the matmuls stack the points, which numpy runs as one
-    GEMM per point with the shapes of a single-point call, so every point
-    gets the bits it would get alone.  Rings add into the output in list
-    order and the sum is divided by their count once, as concentric_expand
-    does.
+    theta_r the azimuths of the ring's shape at rotation 0 and alpha its
+    rotation (see _ShapeTerms).  A trailing point axis on the channel,
+    values[p, k, b], yields mode values[i, k, b].  The matmuls stack the
+    shape's rings and their points, which numpy runs as one GEMM per ring
+    and point with the shapes of a single-point call, so every ring and
+    point gets the bits it would get alone.  Rings add into the output in
+    list order and the sum is divided by their count once, as
+    concentric_expand does.
     """
     if bank.array is not channel.array and bank.array != channel.array:
         raise ValidationError("bank and channel refer to different arrays")
     if bank.grid != channel.grid:
         raise ValidationError("bank and channel grids differ")
     mh, samples = bank.mode_half, channel.grid.samples
-    orders = np.arange(mh + 1)
     out = np.zeros((2 * mh + 1,) + channel.values.shape[1:], dtype=complex)
     total = out.reshape(out.shape[:2] + (-1,))  # (modes, K, B) view
-    terms = [_RingTerms(channel, bank, ring) for ring in rings]
+    groups = {}
+    for ring in rings:  # folded rings group by shape, any other ring is its own group
+        spec = channel.array.ring_spec(ring)
+        key = (spec.semi_major_m, spec.eccentricity, spec.sensors) if bank.folded else ring
+        groups.setdefault(key, []).append(ring)
+    terms = [_ShapeTerms(channel, bank, members) for members in groups.values()]
+    # each ring's group, and the columns of its points in the group's products
+    place = {ring: (n, slice(g * t.points, (g + 1) * t.points), t.rot[g], t.rot[g].conj())
+             for n, t in enumerate(terms) for g, ring in enumerate(t.rings)}
     sample_bytes = 8 * (mh + 2) * bank.radii.size + sum(t.fold_bytes for t in terms)
     step = max(1, TABLE_CHUNK_BYTES // sample_bytes)
     for k0 in range(0, samples, step):
@@ -394,14 +447,15 @@ def _expand(channel: ChannelMatrix, bank: FilterBank, rings: Sequence[int]) -> M
         jtab = bank.jtable(k0, k1)
         for i, k in enumerate(range(k0, k1)):
             w_bank = bank.weights_from_jtable(jtab[:, i], k)
-            for t, (sums, diffs) in zip(terms, folds):
-                w = w_bank[:, t.columns]
-                even = ((w * t.cos_mt) @ sums[i])[:, orders, t.parity].T
-                odd = 1j * ((w * t.sin_mt) @ diffs[i])[:, orders, t.parity].T
-                total[mh + 1:, k] += t.rot[1:] * (even[1:] + odd[1:])
-                total[mh::-1, k] += t.rot_neg * (even - odd)
+            parts = [t.products(w_bank, sums[i], diffs[i])
+                     for t, (sums, diffs) in zip(terms, folds)]
+            for ring in rings:
+                n, cols, rot, rot_neg = place[ring]
+                even, odd = parts[n][0][:, cols], parts[n][1][:, cols]
+                total[mh + 1:, k] += rot[1:] * (even[1:] + odd[1:])
+                total[mh::-1, k] += rot_neg * (even - odd)
         del folds, jtab  # the next chunk's table must not overlap this one
-    out /= len(terms)
+    out /= len(rings)
     return ModeMatrix(values=out, mode_half=mh, grid=channel.grid)
 
 

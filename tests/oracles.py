@@ -63,11 +63,12 @@ def brute_phase_mode(channel_values, phis, radii, freqs, mode_half, design="robu
     """Literal per-term phase-mode expansion of one ring, no reductions.
 
     H_m(f_k) = (1/P) sum_p H[p,k] e^{j m phi_p} W_{m,p}(f_k) with the filter
-    evaluated through mpmath Bessel values, term by term.
+    evaluated through mpmath Bessel values, term by term.  A trailing point
+    axis on channel_values, H[p, k, b], gives out[i, k, b].
     """
     p_count = len(phis)
     k_count = len(freqs)
-    out = np.zeros((2 * mode_half + 1, k_count), dtype=complex)
+    out = np.zeros((2 * mode_half + 1, k_count) + np.shape(channel_values)[2:], dtype=complex)
     for mi, m in enumerate(range(-mode_half, mode_half + 1)):
         jm = 1j**m
         for k in range(k_count):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from elliptic_doa import beamform, channel, geometry
+from elliptic_doa import beamform, channel, geometry, spectrum
 from elliptic_doa.constants import SPEED_OF_LIGHT
 from elliptic_doa.errors import DomainError, InstabilityError, ValidationError
 from elliptic_doa.specfun import bessel_j
@@ -19,9 +19,11 @@ FIRST_J0_ROOT = 2.404825557695773
 
 # Rounding of a phase m * phi (|phi| <= pi) per unit m, in rad: pi * 2**-53
 PHASE_ROUNDING = math.pi * 2.0**-53
-# Distance of a realized sensor azimuth from its ideal quadrant mirror, in
-# rad: eta_p, x_p, y_p, atan2 and theta_r = phi_r - alpha each round once.
-# Measured up to 6 PHASE_ROUNDING on ellipses to e = 0.9 and P = 1000.
+# Distance of a realized sensor azimuth from the kernel's, its shape's
+# quadrant mirror turned by alpha, in rad: eta_p, x_p, y_p and atan2 round
+# once on the ring and once on its shape at rotation 0, and alpha once.
+# Measured up to 6.4 PHASE_ROUNDING on ellipses to e = 0.9 and P = 1000,
+# rotated up to 337.5 degrees.
 MIRROR_ROUNDING = 8 * PHASE_ROUNDING
 
 
@@ -446,8 +448,16 @@ class TestSharedBank:
                 for alpha in (0.0, 40.0, 80.0)] + [
                     geometry.EllipseSpec(semi_major_m=0.1, sensors=32)]
 
-    def setup_case(self, samples=7, batch=False):
-        arr = geometry.build_concentric(self.rotated_copies_and_circle())
+    @classmethod
+    def interleaved_shapes(cls):
+        """The rotated copies with a second ellipse and the circle between them."""
+        copies = cls.rotated_copies_and_circle()
+        other = geometry.EllipseSpec(semi_major_m=0.12, eccentricity=0.6,
+                                     rotation_deg=30.0, sensors=36)
+        return [copies[1], other, copies[0], copies[3], copies[2]]
+
+    def setup_case(self, samples=7, batch=False, specs=None):
+        arr = geometry.build_concentric(specs or self.rotated_copies_and_circle())
         grid = small_grid(samples=samples, f_start=4e9, bw=1e9)
         waves = [channel.IncidentWave(azimuth_deg=az, delay_s=3e-9) for az in (72.5, -10.0)]
         values = [channel.superpose([w], arr, grid).values for w in waves]
@@ -455,18 +465,65 @@ class TestSharedBank:
                                    values=np.stack(values, axis=-1) if batch else values[0])
         return arr, grid, ch, beamform.build_bank(arr, grid, mode_half=8, reduction="symmetric")
 
-    def test_rotated_copies_equal_single_ring_banks(self):
-        arr, grid, ch, bank = self.setup_case()
-        singles, columns = [], 0
-        for ring, spec in enumerate(self.rotated_copies_and_circle()):
+    def assert_single_ring_banks(self, specs):
+        """The array's expansion equals the mean of one-ring expansions bit
+        for bit, and each shape's rotated copies add no bank radii."""
+        arr, grid, ch, bank = self.setup_case(specs=specs)
+        singles = []
+        for ring, spec in enumerate(specs):
             one = geometry.build_concentric([spec])
             one_bank = beamform.build_bank(one, grid, mode_half=8, reduction="symmetric")
-            columns += one_bank.radii.size
             one_ch = channel.ChannelMatrix(array=one, grid=grid, values=ch.ring_rows(ring))
             singles.append(beamform.expand_array(one_ch, one_bank))
-        assert bank.radii.size < columns  # the rotated copies share radii
         want = beamform.concentric_expand(singles).values
         assert np.array_equal(beamform.expand_array(ch, bank).values, want)
+        shapes = {}  # the first ring of each shape
+        for spec in specs:
+            shapes.setdefault((spec.semi_major_m, spec.eccentricity, spec.sensors), spec)
+        first_copies = geometry.build_concentric(list(shapes.values()))
+        assert np.array_equal(
+            bank.radii, beamform.build_bank(first_copies, grid, reduction="symmetric").radii)
+        # the e = 0.9 copies evaluate the P/4 + 1 quadrant radii of their shape at rotation 0
+        shape = geometry.build_concentric([geometry.EllipseSpec(
+            semi_major_m=0.15, eccentricity=0.9, sensors=40)])
+        shape_radii = beamform.build_bank(shape, grid, reduction="symmetric").radii
+        assert shape_radii.size == 40 // 4 + 1
+        assert np.isin(shape_radii, bank.radii).all()
+
+    def test_rotated_copies_equal_single_ring_banks(self):
+        self.assert_single_ring_banks(self.rotated_copies_and_circle())
+
+    def test_interleaved_shapes_equal_single_ring_banks(self):
+        self.assert_single_ring_banks(self.interleaved_shapes())
+
+    @pytest.mark.parametrize("points", [1, 2])
+    def test_scaled_cea_matches_literal(self, points):
+        """A scaled-down fig7-cea (four rotated copies of an e = 0.9 ellipse
+        and a circle) with a second ellipse shape among the copies, against
+        the mean of literal per-ring expansions at realized azimuths and radii."""
+        copy = [geometry.EllipseSpec(semi_major_m=0.15, eccentricity=0.9,
+                                     rotation_deg=alpha, sensors=32)
+                for alpha in (0.0, 22.5, 45.0, 67.5)]
+        other = geometry.EllipseSpec(semi_major_m=0.12, eccentricity=0.6,
+                                     rotation_deg=30.0, sensors=24)
+        arr = geometry.build_concentric(copy[:2] + [other] + copy[2:] + [
+            geometry.EllipseSpec(semi_major_m=0.1, sensors=16)])
+        grid = channel.FrequencyGrid(f_start_hz=2e9, bandwidth_hz=0.5e9, samples=8)
+        waves = [channel.IncidentWave(azimuth_deg=72.5, delay_s=6e-9),
+                 channel.IncidentWave(azimuth_deg=-10.0, delay_s=3e-9)][:points]
+        values = np.stack([channel.superpose([w], arr, grid).values for w in waves], axis=-1)
+        ch = channel.ChannelMatrix(array=arr, grid=grid,
+                                   values=values if points > 1 else values[..., 0])
+        bank = beamform.build_bank(arr, grid, mode_half=6, reduction="symmetric")
+        modes = beamform.expand_array(ch, bank).values.reshape(13, 8, points)
+        literal_modes = np.mean([oracles.brute_phase_mode(
+            ch.ring_rows(i).reshape(-1, 8, points), arr.ring_azimuths(i), arr.ring_radii(i),
+            grid.frequencies, mode_half=6) for i in range(arr.ring_count)], axis=0)
+        for b in range(points):
+            fast = spectrum.joint_spectrum(beamform.ModeMatrix(
+                values=modes[..., b], mode_half=6, grid=grid), pad_az=1, pad_delay=1).magnitudes
+            literal = oracles.brute_joint_spectrum(literal_modes[..., b], 6, 8)
+            assert np.abs(fast - literal).max() / literal.max() <= 1e-10, b
 
     @pytest.mark.parametrize("batch", [False, True])
     def test_band_chunks_do_not_change_bits(self, monkeypatch, batch):
@@ -489,7 +546,7 @@ class TestSharedBank:
             assert np.array_equal(got, want), width
 
     def test_peak_memory_stays_within_budget(self, monkeypatch):
-        arr = geometry.build_concentric(self.rotated_copies_and_circle())
+        arr = geometry.build_concentric(self.interleaved_shapes())
         grid = small_grid(samples=128)
         ch = channel.superpose([channel.IncidentWave(azimuth_deg=30.0, delay_s=2e-9)], arr, grid)
         bank = beamform.build_bank(arr, grid, mode_half=40, reduction="symmetric")

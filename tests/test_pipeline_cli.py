@@ -559,7 +559,12 @@ class TestCli:
 
 
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):
-    """The expansion runs through matmul; BLAS threading must not move a bit."""
+    """The expansion runs through matmul; BLAS threading must not move a bit.
+
+    The 256-sensor rings keep every GEMM below OpenBLAS's threading
+    threshold; fig7-cea stacks eight rotated copies of one ellipse into the
+    widest matmul the expansion runs.
+    """
     cfg = small_scenario()
     cfg["array"] = [
         {"semi_major_m": 0.15, "eccentricity": 0.9, "rotation_deg": 22.5, "sensors": 256},
@@ -569,16 +574,17 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     src = str(Path(__file__).resolve().parents[1] / "src")
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = tmp_path / f"threads{threads}"
-        subprocess.run([sys.executable, "-m", "elliptic_doa.cli", "run",
-                        "--config", str(cfg_path), "--out-dir", str(out)],
-                       env=env, check=True, capture_output=True)
-        outputs.append([(out / name).read_bytes() for name in ("spectrum.csv", "peaks.txt")])
-    assert outputs[0] == outputs[1]
+    for label, source in (("rings", ["--config", str(cfg_path)]),
+                          ("fig7-cea", ["--preset", "fig7-cea"])):
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])))
+            out = tmp_path / f"{label}-threads{threads}"
+            subprocess.run([sys.executable, "-m", "elliptic_doa.cli", "run", *source,
+                            "--out-dir", str(out)], env=env, check=True, capture_output=True)
+            outputs.append([(out / name).read_bytes() for name in ("spectrum.csv", "peaks.txt")])
+        assert outputs[0] == outputs[1], label
 
 
 def test_public_names_resolve():
