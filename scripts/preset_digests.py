@@ -22,16 +22,28 @@ produce the same numbers exactly when their outputs diff empty:
 
 (Outputs are compared with one BLAS thread: the thread count may move the
 last printed digits.)
+
+`--check FILE` also compares the lines with FILE, whose "# host" lines name
+what the digests depend on besides the code: the numpy and BLAS versions,
+the SIMD features numpy dispatches on, and the BLAS thread count.  If this
+host's facts equal FILE's, a line that differs (or is missing or extra)
+fails the check and is named; otherwise the check prints "not comparable"
+and passes.  scripts/preset_digests.txt holds the expected lines; a change
+that moves numbers on purpose replaces its digest lines.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
+
+import numpy
 
 from elliptic_doa import channel, cli, pipeline
 from elliptic_doa.presets import get_preset
@@ -112,7 +124,47 @@ def rotated_argv(tmp: Path) -> list:
     return ["run", "--config", str(tmp / "rotated-run.json")]
 
 
-def main():
+def host_facts() -> list:
+    """The "# host" lines: what the digests depend on besides the code."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    try:
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # a numpy that only prints its build config
+        blas = "unknown"
+    simd = list(umath.__cpu_baseline__) + [
+        name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+    return [f"# host numpy {numpy.__version__}", f"# host blas {blas}",
+            f"# host simd {' '.join(simd)}",
+            f"# host OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}"]
+
+
+def check(expected_text: str, facts: list, lines: list) -> tuple:
+    """(exit code, verdict) of digest lines against an expected file's text."""
+    expected = expected_text.splitlines()
+    want_facts = [line for line in expected if line.startswith("# host ")]
+    if want_facts != facts:
+        pairs = [f"{here!r} here, {there!r} expected"
+                 for here, there in zip(facts, want_facts) if here != there]
+        return 0, f"not comparable: {'; '.join(pairs) or 'the host facts differ'}"
+    want = dict(line.rsplit(" ", 1) for line in expected
+                if line.strip() and not line.startswith("#"))
+    got = dict(line.rsplit(" ", 1) for line in lines)
+    differ = [key for key in dict.fromkeys([*want, *got]) if want.get(key) != got.get(key)]
+    if differ:
+        return 1, f"{len(differ)} lines differ: {', '.join(differ)}"
+    return 0, f"all {len(want)} lines match"
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--check", metavar="FILE", help="compare the lines with FILE's")
+    args = ap.parse_args(argv)
+    expected = Path(args.check).read_text() if args.check else None
+    lines = []
     with tempfile.TemporaryDirectory() as tmp:
         runs = [(preset, ["run", "--preset", preset], digests) for preset in PRESETS]
         runs.append(("fig13-ingest", ingest_argv(Path(tmp), "fig13"), digests))
@@ -130,8 +182,13 @@ def main():
                 print(f"preset_digests: {label} exited {code}", file=sys.stderr)
                 return code
             for name, digest in digest_of(out):
-                print(f"{label} {name} {digest}")
-    return 0
+                lines.append(f"{label} {name} {digest}")
+                print(lines[-1])
+    if expected is None:
+        return 0
+    code, verdict = check(expected, host_facts(), lines)
+    print(f"preset_digests: {verdict}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

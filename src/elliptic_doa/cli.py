@@ -38,7 +38,7 @@ from .presets import PRESETS, get_preset
 def _add_common(p: argparse.ArgumentParser, need_scenario: bool = True) -> None:
     if need_scenario:
         src = p.add_mutually_exclusive_group(required=True)
-        src.add_argument("--config", help="scenario JSON path (or a run manifest)")
+        src.add_argument("--config", help="scenario JSON path (or a run manifest or sweep record)")
         src.add_argument("--preset", help="name of a shipped preset")
     p.add_argument("--out-dir", default=None, help="output directory "
                    "(default: runs/<scenario name>)")

@@ -5,19 +5,21 @@ A scenario is a JSON document (kept diffable on disk) with sections:
     name        run label (string)
     seed        master seed; rings and the noise injector derive their
                 streams from it unless given their own
-    array       list of ring specs: semi_major_m, eccentricity, rotation_deg,
-                sensors, sigma_m | sigma_wavelengths, seed (optional)
-    grid        f_start_hz, bandwidth_hz, samples
-    scene       list of waves: azimuth_deg, delay_s, elevation_deg,
-                amplitude, distance_m (null = far field)
+    array       list of rings: the fields of geometry.EllipseSpec, with
+                sigma_m or sigma_wavelengths, seed null or absent = master
+    grid        the fields of channel.FrequencyGrid
+    scene       list of waves: the fields of channel.IncidentWave
     processing  the fields of Processing, each optional
     sweep       optional: {"axes": [{"path": ..., "values": [...]}, ...]}
 
-Resolution turns "auto" fields into concrete numbers (mode counts via the
-stability limit, sigma via the band-center wavelength, per-ring seeds) and
-validates spatial sampling.  A resolved config is itself a valid scenario;
-re-running one reproduces every numeric output bit for bit, which is what
-the run manifest records.
+Every section rejects unknown keys; grid, rings, waves and processing are
+read into their records, and a missing field or a value that does not
+convert (an int field takes integral values only) is a ConfigError naming
+the section and the key.  Resolution pins "auto" fields (mode counts via
+the stability limit, sigma via the band-center wavelength, per-ring seeds)
+and validates spatial sampling.  A resolved config is itself a valid
+scenario; re-running one reproduces every numeric output bit for bit,
+which is what the run manifest records.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -71,7 +73,7 @@ class Processing:
     Resolved, `modes` is the odd total 2 M_h + 1, `reduction` is not "auto",
     and `exclusion_cells` is what find_peaks excludes, its azimuth entry
     taken from exclusion_deg when that is set; exclusion_deg itself stays
-    as configured.
+    as configured (an int stays an int), so it is not typed float here.
     """
 
     model: str = "planewave"
@@ -82,7 +84,7 @@ class Processing:
     pad_az: int = 4
     pad_delay: int = 2
     exclusion_cells: tuple = DEFAULT_EXCLUSION_CELLS
-    exclusion_deg: Optional[float] = None
+    exclusion_deg: object = None
     snr_db: Optional[float] = None
 
     @property
@@ -91,6 +93,7 @@ class Processing:
 
 
 def load_config(path) -> dict:
+    """A scenario, or the config a run manifest or sweep record embeds."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -101,7 +104,7 @@ def load_config(path) -> dict:
                           f"column {exc.colno}: {exc.msg}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
-    if cfg.get("kind") == "elliptic-doa-manifest":
+    if cfg.get("kind") in ("elliptic-doa-manifest", "elliptic-doa-sweep"):
         cfg = cfg.get("config")
         if not isinstance(cfg, dict):
             raise ConfigError("manifest carries no embedded config")
@@ -160,56 +163,78 @@ bytes; P bounds the bank's columns) that resolve admits, checked before any
 is allocated."""
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(f"config is missing required section {key!r}")
-    return cfg[key]
-
-
-_PARSE_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
-"""How reading one config value fails: a missing key, a wrong type, an
-unparseable string, or int() of an infinity."""
-
-
 def _parse(kind, value, what: str):
     """kind(value), a failed conversion being a ConfigError naming the field."""
     try:
         return kind(value)
-    except _PARSE_ERRORS as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # float() of a huge int overflows
         raise ConfigError(f"bad {what}: {exc}") from exc
+
+
+def _integral(value) -> int:
+    """int(value) that raises on a fraction, infinity or NaN: 720.0 is 720."""
+    if isinstance(value, int):
+        return int(value)
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(number)
+
+
+def _object(section: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{section} must be an object")
+    return dict(value)
+
+
+def _check_keys(section: str, value: dict, known, required=()) -> None:
+    unknown = set(value) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
+    for key in required:
+        if key not in value:
+            raise ConfigError(f"{section} is missing required key {key!r}")
+
+
+def _read(record, section: str, value):
+    """A record from a config object: float, int (integral only) and
+    Optional[float] fields convert their values, other fields take them as
+    given, and the record's __post_init__ checks domains.  The records'
+    modules postpone annotations, so a field's type is its source text."""
+    value = _object(section, value)
+    declared = {f.name: f.type for f in fields(record)}
+    _check_keys(section, value, declared,
+                [f.name for f in fields(record) if f.default is MISSING])
+    convert = {"float": float, "int": _integral,
+               "Optional[float]": lambda v: None if v is None else float(v)}
+    for name, given in value.items():
+        if declared[name] in convert:
+            value[name] = _parse(convert[declared[name]], given, f"{section}.{name}")
+    return record(**value)
 
 
 def _resolve_processing(proc_cfg: dict, array: SensorArray, grid: FrequencyGrid,
                         allow_undersampled: bool, force_modes: bool) -> tuple:
     """Pin every processing knob against a realized array and grid:
     (Processing, stability limit M_h, Nyquist report)."""
-    if proc_cfg is not None and not isinstance(proc_cfg, dict):
-        raise ConfigError("processing must be an object")
-    unknown = set(proc_cfg or {}) - {f.name for f in fields(Processing)}
-    if unknown:
-        raise ConfigError(f"unknown processing keys: {sorted(unknown)}")
-    proc = Processing(**(proc_cfg or {}))
-    if proc.model not in MODELS:
-        raise ConfigError(f"unknown model {proc.model!r}")
-    if proc.design not in DESIGNS:
-        raise ConfigError(f"unknown design {proc.design!r}")
+    proc = _read(Processing, "processing", {} if proc_cfg is None else proc_cfg)
+    for key, names in (("model", MODELS), ("design", DESIGNS),
+                       ("reduction", ("auto", *REDUCTIONS))):
+        if getattr(proc, key) not in names:
+            raise ConfigError(f"unknown {key} {getattr(proc, key)!r}")
 
-    threshold = _parse(float, proc.mode_threshold, "mode_threshold")
-    limit = mode_limit(array, grid, threshold, design=proc.design)
+    limit = mode_limit(array, grid, proc.mode_threshold, design=proc.design)
     if proc.modes == "auto":
         mh = limit
     else:
-        try:
-            total = int(proc.modes)
-        except _PARSE_ERRORS as exc:
-            raise ConfigError(f"modes must be 'auto' or an integer: {exc}") from exc
+        total = _parse(_integral, proc.modes, "processing.modes ('auto' or an integer)")
         if total < 1:
             raise ConfigError("modes must be positive")
         mh = total // 2  # symmetric range: requested total rounds up to odd
         if mh > limit and not force_modes:
             raise ValidationError(
                 f"requested modes {total} (half-range {mh}) exceed the stability "
-                f"limit {limit} at threshold {threshold}; "
+                f"limit {limit} at threshold {proc.mode_threshold}; "
                 f"pass --force-modes to override")
 
     reduction = proc.reduction
@@ -218,8 +243,6 @@ def _resolve_processing(proc_cfg: dict, array: SensorArray, grid: FrequencyGrid,
         clean = all(s is not None and s.sigma_m == 0.0 and s.sensors % 4 == 0
                     for s in specs)
         reduction = "symmetric" if (clean and proc.design != "average") else "none"
-    elif reduction not in REDUCTIONS:
-        raise ConfigError(f"unknown reduction {reduction!r}")
 
     audit = nyquist_audit(array, grid.f_max_hz)
     if not audit.passed and not allow_undersampled:
@@ -228,8 +251,7 @@ def _resolve_processing(proc_cfg: dict, array: SensorArray, grid: FrequencyGrid,
             f"(max spacing {audit.max_spacing_m:.4g} m > {audit.limit_m:.4g} m); "
             "pass --allow-undersampled to override")
 
-    pad_az = _parse(int, proc.pad_az, "pad_az")
-    pad_delay = _parse(int, proc.pad_delay, "pad_delay")
+    pad_az, pad_delay = proc.pad_az, proc.pad_delay
     if pad_az < 1 or pad_delay < 1:
         raise ConfigError("pad factors must be >= 1")
     if 16 * (2 * mh + 1) * pad_az * grid.samples * pad_delay > MAX_ARRAY_BYTES:
@@ -242,24 +264,20 @@ def _resolve_processing(proc_cfg: dict, array: SensorArray, grid: FrequencyGrid,
                               f"({array.total_sensors}): one frequency sample of the filter "
                               f"bank's Bessel table would exceed "
                               f"MAX_ARRAY_BYTES = {MAX_ARRAY_BYTES}")
-    cells = proc.exclusion_cells
-    try:  # a string would split into digits: "12" is not (1, 2)
-        excl = tuple(int(v) for v in cells) if isinstance(cells, (list, tuple)) else ()
-    except _PARSE_ERRORS as exc:
-        raise ConfigError(f"exclusion_cells must be two non-negative integers: {exc}") from exc
+    cells = proc.exclusion_cells  # a string would split into digits: "12" is not (1, 2)
+    excl = _parse(lambda c: tuple(map(_integral, c)),
+                  cells if isinstance(cells, (list, tuple)) else (), "processing.exclusion_cells")
     if len(excl) != 2 or any(v < 0 for v in excl):
         raise ConfigError("exclusion_cells must be two non-negative integers")
     if proc.exclusion_deg is not None:
         # fixed angular window: keeps artifact readings comparable across
         # runs whose auto-selected mode counts (and thus cell sizes) differ
-        exclusion_deg = _parse(float, proc.exclusion_deg, "exclusion_deg")
+        exclusion_deg = _parse(float, proc.exclusion_deg, "processing.exclusion_deg")
         if not math.isfinite(exclusion_deg):
             raise DomainError(f"exclusion_deg must be finite, got {exclusion_deg}")
         cell_deg = 360.0 / (2 * mh + 1)
         excl = (max(1, round(exclusion_deg / cell_deg)), excl[1])
-    snr_db = None if proc.snr_db is None else _parse(float, proc.snr_db, "snr_db")
-    return (replace(proc, modes=2 * mh + 1, mode_threshold=threshold, reduction=reduction,
-                    pad_az=pad_az, pad_delay=pad_delay, exclusion_cells=excl, snr_db=snr_db),
+    return (replace(proc, modes=2 * mh + 1, reduction=reduction, exclusion_cells=excl),
             limit, audit)
 
 
@@ -267,68 +285,47 @@ def resolve(cfg: dict, allow_undersampled: bool = False,
             force_modes: bool = False) -> ResolvedScenario:
     """Validate a raw scenario and pin every derived quantity."""
     cfg = copy.deepcopy(cfg)
+    _check_keys("scenario", cfg, ("name", "seed", "allow_undersampled", "array", "grid", "scene",
+                                  "processing", "sweep"), required=("array", "grid", "scene"))
     name = cfg.get("name", "scenario")
     if not isinstance(name, str):
         raise ConfigError(f"name must be a string, got {name!r}")
-    seed = _parse(int, cfg.get("seed", 0), "seed")
+    seed = _parse(_integral, cfg.get("seed", 0), "seed")
     if seed < 0:
         raise DomainError(f"seed must be unsigned, got {seed}")
     # heavily perturbed layouts cannot pass a strict consecutive-spacing
     # audit; scenarios that rely on average sampling may opt out themselves
     allow_undersampled = allow_undersampled or bool(cfg.get("allow_undersampled", False))
 
-    grid_cfg = _require(cfg, "grid")
-    try:
-        grid = FrequencyGrid(f_start_hz=float(grid_cfg["f_start_hz"]),
-                             bandwidth_hz=float(grid_cfg["bandwidth_hz"]),
-                             samples=int(grid_cfg["samples"]))
-    except _PARSE_ERRORS as exc:
-        raise ConfigError(f"bad grid section: {exc}") from exc
+    grid = _read(FrequencyGrid, "grid", cfg["grid"])
 
-    rings_cfg = _require(cfg, "array")
+    rings_cfg = cfg["array"]
     if not isinstance(rings_cfg, list) or not rings_cfg:
         raise ConfigError("array must be a non-empty list of ring specs")
     lam_center = SPEED_OF_LIGHT / grid.f_center_hz
     specs = []
     for i, ring in enumerate(rings_cfg):
-        if not isinstance(ring, dict):
-            raise ConfigError(f"array[{i}] must be an object")
-        if ring.get("sigma_wavelengths") is not None and ring.get("sigma_m"):
-            raise ConfigError(f"array[{i}]: give sigma_m or sigma_wavelengths, not both")
-        try:
-            sigma_m = (float(ring["sigma_wavelengths"]) * lam_center
-                       if ring.get("sigma_wavelengths") is not None
-                       else float(ring.get("sigma_m", 0.0)))
-            specs.append(EllipseSpec(
-                semi_major_m=float(ring["semi_major_m"]),
-                eccentricity=float(ring.get("eccentricity", 0.0)),
-                rotation_deg=float(ring.get("rotation_deg", 0.0)),
-                sensors=int(ring.get("sensors", 720)),
-                sigma_m=sigma_m,
-                seed=int(seed if ring.get("seed") is None else ring["seed"])))
-        except _PARSE_ERRORS as exc:
-            raise ConfigError(f"bad array[{i}] spec: {exc}") from exc
+        section = f"array[{i}]"
+        ring = _object(section, ring)
+        sigma_wavelengths = ring.pop("sigma_wavelengths", None)
+        if sigma_wavelengths is not None:
+            if ring.get("sigma_m"):
+                raise ConfigError(f"{section}: give sigma_m or sigma_wavelengths, not both")
+            ring["sigma_m"] = lam_center * _parse(float, sigma_wavelengths,
+                                                  f"{section}.sigma_wavelengths")
+        if ring.get("seed") is None:
+            ring["seed"] = seed
+        specs.append(_read(EllipseSpec, section, ring))
         rings_cfg[i] = asdict(specs[-1])
     if 16 * sum(spec.sensors for spec in specs) * grid.samples > MAX_ARRAY_BYTES:
         raise ValidationError("array[*].sensors x grid.samples: the channel would "
                               f"exceed MAX_ARRAY_BYTES = {MAX_ARRAY_BYTES}")
     array = build_concentric(specs)
 
-    scene_cfg = _require(cfg, "scene")
+    scene_cfg = cfg["scene"]
     if not isinstance(scene_cfg, list) or not scene_cfg:
         raise ConfigError("scene must be a non-empty list of waves")
-    scene = []
-    for i, wv in enumerate(scene_cfg):
-        try:
-            scene.append(IncidentWave(
-                azimuth_deg=float(wv["azimuth_deg"]),
-                delay_s=float(wv["delay_s"]),
-                elevation_deg=float(wv.get("elevation_deg", 90.0)),
-                amplitude=float(wv.get("amplitude", 1.0)),
-                distance_m=None if wv.get("distance_m") is None
-                else float(wv["distance_m"])))
-        except _PARSE_ERRORS as exc:
-            raise ConfigError(f"bad scene[{i}] wave: {exc}") from exc
+    scene = [_read(IncidentWave, f"scene[{i}]", wave) for i, wave in enumerate(scene_cfg)]
 
     proc, limit, audit = _resolve_processing(cfg.get("processing", {}), array, grid,
                                              allow_undersampled=allow_undersampled,
@@ -489,26 +486,28 @@ def sweep_rows(cfg: dict, allow_undersampled: bool = False,
     if not isinstance(sweep, dict) or not isinstance(sweep.get("axes"), (list, tuple)) \
             or not sweep["axes"]:
         raise ConfigError("sweep requires a 'sweep' section with a list of axes")
+    _check_keys("sweep", sweep, ("axes",))
     axes = []
-    for ax in sweep["axes"]:
+    for i, ax in enumerate(sweep["axes"]):
         # an axis is one path with scalar values, or several paths advancing
         # in lockstep ("paths" + rows of values), e.g. eccentricity paired
         # with its mode count
         if not isinstance(ax, dict) or not isinstance(ax.get("values", []), (list, tuple)):
             raise ConfigError("each sweep axis must be an object with a list of values")
+        _check_keys(f"sweep.axes[{i}]", ax, ("path", "paths", "values"))
+        if ("path" in ax) == ("paths" in ax):
+            raise ConfigError(f"sweep.axes[{i}] needs a path or paths, not both or neither")
         if "paths" in ax:
             paths = ax["paths"]
             values = ax.get("values", [])
             if not isinstance(paths, (list, tuple)) or not values or any(
                     not isinstance(v, (list, tuple)) or len(v) != len(paths) for v in values):
                 raise ConfigError("zipped sweep axis needs one value per path")
-        elif "path" in ax:
+        else:
             paths = [ax["path"]]
             values = [[v] for v in ax.get("values", [])]
             if not values:
                 raise ConfigError("sweep axis needs non-empty values")
-        else:
-            raise ConfigError("each sweep axis needs a path (or paths)")
         if not all(isinstance(path, str) for path in paths):
             raise ConfigError(f"sweep paths must be strings, got {paths!r}")
         axes.append([list(zip(paths, row_vals)) for row_vals in values])

@@ -100,13 +100,34 @@ class TestResolve:
         again = pipeline.resolve(json.loads(text))
         assert json.dumps(again.config, sort_keys=True) == text
 
-    def test_presets_resolve_and_roundtrip(self):
+    def test_presets_resolve_and_roundtrip(self, tmp_path):
+        """A resolved config, bare or embedded in a run manifest or a sweep
+        record, resolves again to the same config and records."""
         for name in presets.PRESETS:
             cfg = presets.get_preset(name)
             sc = pipeline.resolve(cfg)
             text = json.dumps(sc.config, sort_keys=True)
             again = pipeline.resolve(json.loads(text))
             assert json.dumps(again.config, sort_keys=True) == text, name
+            for kind in ("elliptic-doa-manifest", "elliptic-doa-sweep"):
+                path = tmp_path / f"{name}-{kind}.json"
+                path.write_text(json.dumps({"kind": kind, "config": sc.config}))
+                again = pipeline.resolve(pipeline.load_config(path))
+                assert json.dumps(again.config, sort_keys=True) == text, (name, kind)
+                assert (again.grid, again.scene, again.processing, again.seed) == (
+                    sc.grid, sc.scene, sc.processing, sc.seed), (name, kind)
+                assert [again.array.ring_spec(i) for i in range(again.array.ring_count)] == [
+                    sc.array.ring_spec(i) for i in range(sc.array.ring_count)], (name, kind)
+
+    def test_integral_floats_read_as_ints(self):
+        cfg = small_scenario(modes=61.0, pad_az=2.0, pad_delay=2.0, exclusion_cells=[5.0, 5.0])
+        cfg["seed"] = 3.0
+        cfg["array"][0].update(sensors=256.0, seed=3.0)
+        cfg["grid"]["samples"] = 24.0
+        sc = pipeline.resolve(cfg)
+        assert json.dumps(sc.config, sort_keys=True) == json.dumps(
+            pipeline.resolve(small_scenario()).config, sort_keys=True)
+        assert type(sc.seed) is int and type(sc.grid.samples) is int
 
     def test_every_processing_key_off_default_resolves_again(self):
         proc = {"model": "spherical", "design": "average", "modes": 41,
@@ -324,6 +345,24 @@ class TestCli:
         assert len(lines) == 3
         assert lines[0].startswith("scene.0.azimuth_deg,")
 
+    def test_sweep_record_reruns_to_the_same_rows(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_scenario(snr_db=10.0)))
+        flags = ["--axis", "scene.0.azimuth_deg=0,30", "--seed", "5", "--pad-az", "3"]
+        assert cli.main(["sweep", "--config", str(cfg_path), *flags,
+                         "--out-dir", str(tmp_path / "a")]) == 0
+        assert cli.main(["sweep", "--config", str(tmp_path / "a" / "sweep_config.json"),
+                         "--out-dir", str(tmp_path / "b")]) == 0
+
+        def without_runtime(out):
+            rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()]
+            col = rows[0].index("runtime_s")
+            return [row[:col] + row[col + 1:] for row in rows]
+
+        rows = without_runtime(tmp_path / "a")
+        assert len(rows) == 3
+        assert without_runtime(tmp_path / "b") == rows
+
     def test_audit_verb(self, tmp_path, capsys):
         cfg = small_scenario()
         cfg_path = tmp_path / "cfg.json"
@@ -373,34 +412,66 @@ class TestCli:
         b = (tmp_path / "b" / "spectrum.csv").read_bytes()
         assert a != b
 
-    @pytest.mark.parametrize("extra,edit", [
-        (["sweep", "--axis", "scene.0.azimuth_deg=0,abc"], None),
-        (["sweep", "--axis", "scene.x.azimuth_deg=0"], None),
-        (["run"], lambda cfg: cfg.update(processing=[1])),
-        (["run", "--pad-az", "2"], lambda cfg: cfg.update(processing=[1])),
-        (["run"], lambda cfg: cfg["processing"].update(exclusion_cells=5)),
-        *((["run"], lambda cfg, v=v: cfg.update(seed=v))
+    @pytest.mark.parametrize("extra,edit,named", [
+        (["sweep", "--axis", "scene.0.azimuth_deg=0,abc"], None, "--axis"),
+        (["sweep", "--axis", "scene.x.azimuth_deg=0"], None, "'scene.x.azimuth_deg'"),
+        (["run"], lambda cfg: cfg.update(processing=[1]), "processing"),
+        (["run", "--pad-az", "2"], lambda cfg: cfg.update(processing=[1]), "processing"),
+        (["run"], lambda cfg: cfg["processing"].update(exclusion_cells=5), "exclusion_cells"),
+        *((["run"], lambda cfg, v=v: cfg.update(seed=v), "seed")
           for v in ("auto", [1], {"a": 1}, math.nan)),
-        (["run"], lambda cfg: cfg["array"][0].update(sensors=math.inf)),
-        *((["run"], lambda cfg, v=v: cfg["processing"].update(mode_threshold=v))
-          for v in (None, {"a": 1})),
-        *((["run"], lambda cfg, k=k, v=v: cfg["processing"].update({k: v}))
+        (["run"], lambda cfg: cfg["array"][0].update(sensors=math.inf), "array[0].sensors"),
+        *((["run"], lambda cfg, v=v: cfg["processing"].update(mode_threshold=v),
+           "processing.mode_threshold") for v in (None, {"a": 1})),
+        *((["run"], lambda cfg, k=k, v=v: cfg["processing"].update({k: v}), f"processing.{k}")
           for k in ("pad_az", "pad_delay") for v in ("x", None)),
-        (["run"], lambda cfg: cfg["processing"].update(exclusion_deg="x")),
-        (["run"], lambda cfg: cfg["processing"].update(snr_db=[1])),
-        (["run"], lambda cfg: cfg["processing"].update(exclusion_cells="12")),
-        (["sweep"], lambda cfg: cfg.update(sweep=[1])),
-        (["sweep", "--axis", "seed=1"], lambda cfg: cfg.update(sweep={"axes": 5})),
-        (["sweep"], lambda cfg: cfg.update(sweep={"axes": [{"path": 5, "values": [1]}]})),
+        (["run"], lambda cfg: cfg["processing"].update(exclusion_deg="x"),
+         "processing.exclusion_deg"),
+        (["run"], lambda cfg: cfg["processing"].update(snr_db=[1]), "processing.snr_db"),
+        (["run"], lambda cfg: cfg["processing"].update(exclusion_cells="12"), "exclusion_cells"),
+        (["sweep"], lambda cfg: cfg.update(sweep=[1]), "sweep"),
+        (["sweep", "--axis", "seed=1"], lambda cfg: cfg.update(sweep={"axes": 5}), "sweep"),
+        (["sweep"], lambda cfg: cfg.update(sweep={"axes": [{"path": 5, "values": [1]}]}),
+         "sweep paths"),
+        # integer fields take integral values only: none is truncated
+        (["run"], lambda cfg: cfg["array"][0].update(sensors=256.5), "array[0].sensors"),
+        (["run"], lambda cfg: cfg["grid"].update(samples=24.5), "grid.samples"),
+        (["run"], lambda cfg: cfg.update(seed=3.5), "seed"),
+        (["run"], lambda cfg: cfg["array"][0].update(seed=1.5), "array[0].seed"),
+        *((["run"], lambda cfg, k=k: cfg["processing"].update({k: 2.5}), f"processing.{k}")
+          for k in ("pad_az", "pad_delay")),
+        (["run"], lambda cfg: cfg["processing"].update(exclusion_cells=[2.5, 5]),
+         "processing.exclusion_cells"),
+        (["run"], lambda cfg: cfg["processing"].update(modes=61.5), "processing.modes"),
+        # every section rejects a key that is not a field of its record
+        (["run"], lambda cfg: cfg.update(procesing=cfg.pop("processing")), "'procesing'"),
+        (["run"], lambda cfg: cfg["grid"].update(sampels=30), "'sampels'"),
+        (["run"], lambda cfg: cfg["array"][0].update(eccentricty=cfg["array"][0].pop(
+            "eccentricity")), "'eccentricty'"),
+        (["run"], lambda cfg: cfg["scene"][0].update(elevation=60.0), "'elevation'"),
+        (["run"], lambda cfg: cfg["grid"].pop("samples"), "'samples'"),
+        (["run"], lambda cfg: cfg.pop("grid"), "'grid'"),
+        *((["sweep"], lambda cfg, sweep=sweep: cfg.update(sweep=sweep), named)
+          for sweep, named in (
+              ({"axes": [{"path": "seed", "values": [1]}], "axis": []}, "'axis'"),
+              ({"axes": [{"path": "seed", "values": [1], "vales": [2]}]}, "'vales'"),
+              ({"axes": [{"path": "seed", "paths": ["seed"], "values": [[1]]}]},
+               "sweep.axes[0]"))),
     ], ids=["axis-value-not-json", "axis-path-not-index", "processing-not-object",
             "processing-not-object-with-pad-flag", "exclusion-cells-not-list",
             "seed-auto", "seed-list", "seed-dict", "seed-nan", "sensors-infinite",
             "mode-threshold-null", "mode-threshold-dict", "pad-az-text", "pad-az-null",
             "pad-delay-text", "pad-delay-null", "exclusion-deg-text", "snr-db-list",
             "exclusion-cells-text", "sweep-not-object", "sweep-axes-not-list-with-axis-flag",
-            "sweep-path-not-text"])
-    def test_malformed_input_exits_1_with_one_line(self, tmp_path, capsys, extra, edit):
-        self.assert_one_line_exit(tmp_path, capsys, extra, edit, 1, "config error: ")
+            "sweep-path-not-text", "sensors-fraction", "samples-fraction", "seed-fraction",
+            "ring-seed-fraction", "pad-az-fraction", "pad-delay-fraction",
+            "exclusion-cells-fraction", "modes-fraction", "top-level-procesing",
+            "grid-sampels", "ring-eccentricty", "scene-elevation", "grid-samples-missing",
+            "grid-missing", "sweep-unknown-key", "sweep-axis-unknown-key",
+            "sweep-axis-path-and-paths"])
+    def test_malformed_input_exits_1_with_one_line(self, tmp_path, capsys, extra, edit, named):
+        err = self.assert_one_line_exit(tmp_path, capsys, extra, edit, 1, "config error: ")
+        assert named in err
 
     @pytest.mark.parametrize("edit", [
         lambda cfg: cfg["processing"].update(snr_db=1e30),
@@ -592,3 +663,28 @@ def test_public_names_resolve():
 
     missing = [name for name in elliptic_doa.__all__ if not hasattr(elliptic_doa, name)]
     assert missing == []
+
+
+def test_digest_check_names_differing_lines_and_skips_other_hosts():
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "preset_digests.py"
+    spec = importlib.util.spec_from_file_location("preset_digests", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    facts = ["# host numpy 9.9", "# host simd A B"]
+    text = "\n".join(["# expected digests", *facts, "a spectrum.csv 01", "b peaks.txt 02"]) + "\n"
+    assert script.check(text, facts, ["a spectrum.csv 01", "b peaks.txt 02"]) == (
+        0, "all 2 lines match")
+    code, verdict = script.check(text, facts, ["a spectrum.csv 01", "b peaks.txt 03",
+                                               "c heatmap.pgm 04"])
+    assert code == 1
+    assert verdict == "2 lines differ: b peaks.txt, c heatmap.pgm"
+    code, verdict = script.check(text, ["# host numpy 9.8", "# host simd A B"], [])
+    assert code == 0
+    assert verdict.startswith("not comparable: '# host numpy 9.8' here")
+    # the committed file carries the host facts and the 30 digest lines
+    committed = path.with_suffix(".txt").read_text().splitlines()
+    assert [line.split()[2] for line in committed if line.startswith("# host ")] == [
+        "numpy", "blas", "simd", "OPENBLAS_NUM_THREADS=1"]
+    assert len([line for line in committed if not line.startswith("#")]) == 30
