@@ -104,9 +104,10 @@ def mode_limit(array: SensorArray, grid: FrequencyGrid, threshold: float,
     (the semi-minor axis for an unperturbed ellipse), or for the average
     design the smallest averaged ring radius (a + b)/2, the smallest
     argument such a bank ever evaluates; f_min is the lowest grid
-    frequency.  Non-decreasing in both r_min and f_min.  An x_min whose
-    search would need Bessel orders past ORDER_GUARD is a DomainError that
-    names it, raised before any table is built.
+    frequency.  Non-decreasing in both r_min and f_min.  The search reads
+    the bank's own plain float64 table at x_min (FilterBank.jtable).  An
+    x_min whose search would need Bessel orders past ORDER_GUARD is a
+    DomainError that names it, raised before any table is built.
     """
     if not (threshold > 0.0):
         raise DomainError(f"threshold must be positive, got {threshold}")
@@ -133,7 +134,7 @@ def _mode_limit_at(x_min: float, threshold: float, design: str) -> int:
     """mode_limit's search at one argument; sweep points share it."""
     cap = int(math.ceil(x_min)) + 64
     while True:
-        jtab = bessel_j_table(cap + 1, np.array([x_min]))
+        jtab = bessel_j_table(cap + 1, np.array([x_min]), compensated=False)
         mags = np.abs(_denominators(jtab, design))[:, 0]
         failing = np.flatnonzero(mags < threshold)
         if failing.size:

@@ -72,23 +72,32 @@ def _with_pad_flags(proc, args) -> dict:
 
 
 def _out_dir(args, name: str) -> Path:
-    return Path(args.out_dir) if args.out_dir else Path("runs") / name
+    """The output directory; a file in its way is an error before any work runs."""
+    out = Path(args.out_dir) if args.out_dir else Path("runs") / name
+    blocker = next(p for p in (out, *out.parents) if p.exists())
+    if not blocker.is_dir():
+        raise ConfigError(f"cannot make output directory {out}: {blocker} is not a directory")
+    return out
+
+
+def _write_run(result, out: Path, summary: str) -> int:
+    """Write a run's artifacts; print the summary, the peak and the paths."""
+    paths = write_outputs(result, out)
+    report = result.report
+    print(f"{summary}\npeak: phi={report.main.phi_deg:.6g} deg "
+          f"tau={report.main.tau_s * 1e9:.6g} ns delta={report.delta_db:.2f} dB")
+    print("\n".join(f"wrote {p}" for p in paths))
+    return 0
 
 
 def _cmd_run(args) -> int:
     cfg = _load_scenario(args)
     scenario = resolve(cfg, allow_undersampled=args.allow_undersampled,
                        force_modes=args.force_modes)
+    out = _out_dir(args, scenario.name)
     result = run_scenario(scenario)
-    paths = write_outputs(result, _out_dir(args, scenario.name))
-    print(f"{scenario.name}: modes={scenario.processing.modes} "
-          f"reduction={scenario.processing.reduction} runtime={result.runtime_s:.2f}s")
-    print(f"peak: phi={result.report.main.phi_deg:.6g} deg "
-          f"tau={result.report.main.tau_s * 1e9:.6g} ns "
-          f"delta={result.report.delta_db:.2f} dB")
-    for p in paths:
-        print(f"wrote {p}")
-    return 0
+    return _write_run(result, out, f"{scenario.name}: modes={scenario.processing.modes} "
+                      f"reduction={scenario.processing.reduction} runtime={result.runtime_s:.2f}s")
 
 
 def _cmd_sweep(args) -> int:
@@ -105,9 +114,9 @@ def _cmd_sweep(args) -> int:
         if not isinstance(sweep, dict) or not isinstance(sweep.setdefault("axes", []), list):
             raise ConfigError("sweep must be an object with a list of axes")
         sweep["axes"].append({"path": path, "values": parsed})
+    out = _out_dir(args, cfg.get("name", "sweep"))
     rows = list(sweep_rows(cfg, allow_undersampled=args.allow_undersampled,
                            force_modes=args.force_modes))
-    out = _out_dir(args, cfg.get("name", "sweep"))
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "sweep.csv"
     n = write_sweep_csv(rows, csv_path)
@@ -121,7 +130,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_audit(args) -> int:
     cfg = _load_scenario(args)
     scenario = resolve(cfg, allow_undersampled=True, force_modes=True)
-    f_max = args.f_max if args.f_max else scenario.grid.f_max_hz
+    f_max = scenario.grid.f_max_hz if args.f_max is None else args.f_max
     report = nyquist_audit(scenario.array, f_max)
     print(report.to_text())
     if args.export_geometry:
@@ -138,16 +147,10 @@ def _cmd_ingest(args) -> int:
     scenario = resolve_ingested(array, ch.grid, proc, name=args.name,
                                 allow_undersampled=args.allow_undersampled,
                                 force_modes=args.force_modes)
+    out = _out_dir(args, scenario.name)
     result = run_channel(scenario, ch)
-    paths = write_outputs(result, _out_dir(args, scenario.name))
-    print(f"{scenario.name}: sensors={array.total_sensors} "
-          f"K={ch.grid.samples} modes={scenario.processing.modes}")
-    print(f"peak: phi={result.report.main.phi_deg:.6g} deg "
-          f"tau={result.report.main.tau_s * 1e9:.6g} ns "
-          f"delta={result.report.delta_db:.2f} dB")
-    for p in paths:
-        print(f"wrote {p}")
-    return 0
+    return _write_run(result, out, f"{scenario.name}: sensors={array.total_sensors} "
+                      f"K={ch.grid.samples} modes={scenario.processing.modes}")
 
 
 def _cmd_presets(_args) -> int:
@@ -208,6 +211,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # an output path that cannot be written
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

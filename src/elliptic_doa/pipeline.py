@@ -30,6 +30,7 @@ import json
 import math
 import time
 from dataclasses import MISSING, asdict, dataclass, fields, replace
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -295,7 +296,10 @@ def resolve(cfg: dict, allow_undersampled: bool = False,
         raise DomainError(f"seed must be unsigned, got {seed}")
     # heavily perturbed layouts cannot pass a strict consecutive-spacing
     # audit; scenarios that rely on average sampling may opt out themselves
-    allow_undersampled = allow_undersampled or bool(cfg.get("allow_undersampled", False))
+    opt_out = cfg.get("allow_undersampled", False)
+    if not isinstance(opt_out, bool):
+        raise ConfigError(f"allow_undersampled must be true or false, got {opt_out!r}")
+    allow_undersampled = allow_undersampled or opt_out
 
     grid = _read(FrequencyGrid, "grid", cfg["grid"])
 
@@ -428,23 +432,13 @@ def _synthesize(scenario: ResolvedScenario) -> ChannelMatrix:
 
 def write_outputs(result: RunResult, out_dir) -> list:
     """Write manifest, peak report, spectrum CSV and heatmap; return paths."""
-    from pathlib import Path
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(result.manifest(), indent=2, sort_keys=True) + "\n")
-    paths.append(manifest_path)
-    peaks_path = out / "peaks.txt"
-    peaks_path.write_text(result.report.to_text() + "\n")
-    paths.append(peaks_path)
-    csv_path = out / "spectrum.csv"
-    result.spectrum.export_csv(csv_path)
-    paths.append(csv_path)
-    pgm_path = out / "heatmap.pgm"
-    result.spectrum.export_pgm(pgm_path)
-    paths.append(pgm_path)
+    paths = [out / name for name in ("manifest.json", "peaks.txt", "spectrum.csv", "heatmap.pgm")]
+    paths[0].write_text(json.dumps(result.manifest(), indent=2, sort_keys=True) + "\n")
+    paths[1].write_text(result.report.to_text() + "\n")
+    result.spectrum.export_csv(paths[2])
+    result.spectrum.export_pgm(paths[3])
     return paths
 
 

@@ -14,9 +14,9 @@ keeps the *absolute* error near 1e-30 times the oscillation envelope.  The
 scalar entry points therefore hold a relative error below 1e-13 even for
 arguments that land next to a zero of J_m.  The recurrence runs as a scalar
 loop for single values and as one vectorized table kernel for many
-arguments; the table builder accepts ``compensated=False`` for bulk filter
-synthesis, trading accuracy down to ~1e-14 relative to the envelope for a
-~4x speedup.
+arguments.  The program builds every table, the filter banks' and the
+mode-limit search's, with ``compensated=False``: plain float64, ~1e-14 of
+the envelope, ~4x faster.
 
 Negative orders are never evaluated directly: J_{-m} = (-1)^m J_m is applied
 structurally, so the parity identity holds bit-exactly.

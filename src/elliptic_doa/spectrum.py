@@ -52,8 +52,8 @@ def joint_spectrum(modes: ModeMatrix, pad_az: int = 1, pad_delay: int = 1) -> "J
     buf = np.zeros((n_az, modes.grid.samples), dtype=complex)
     buf[modes.modes % n_az] = modes.values
     spec = np.fft.fft(np.fft.fft(buf, axis=0), n=n_delay, axis=1)
-    return JointSpectrum(magnitudes=np.abs(spec), mode_half=modes.mode_half,
-                         pad_az=pad_az, pad_delay=pad_delay, grid=modes.grid)
+    return JointSpectrum(magnitudes=np.abs(spec), pad_az=pad_az, pad_delay=pad_delay,
+                         grid=modes.grid)
 
 
 @dataclass
@@ -61,7 +61,6 @@ class JointSpectrum:
     """Magnitude map over azimuth bins (rows) and delay bins (columns)."""
 
     magnitudes: np.ndarray
-    mode_half: int
     pad_az: int
     pad_delay: int
     grid: FrequencyGrid

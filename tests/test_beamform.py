@@ -1,11 +1,12 @@
 import cmath
+import inspect
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from elliptic_doa import beamform, channel, geometry, spectrum
+from elliptic_doa import beamform, channel, geometry, specfun, spectrum
 from elliptic_doa.constants import SPEED_OF_LIGHT
 from elliptic_doa.errors import DomainError, InstabilityError, ValidationError
 from elliptic_doa.specfun import bessel_j
@@ -37,6 +38,54 @@ def small_grid(samples=8, f_start=28e9, bw=2e9):
     return channel.FrequencyGrid(f_start_hz=f_start, bandwidth_hz=bw, samples=samples)
 
 
+# mode_limit's search at 41 log-spaced x_min in [1, 1e4], as a double-double
+# table gave it: x_min, then robust at thresholds 1e-3 and 1e-6, then plain
+# at 1e-3 and 1e-6 (the plain design's nulls make its column jump)
+MODE_LIMITS = [
+    (1.0, 5, 7, 4, 7),
+    (1.25893, 5, 8, 4, 7),
+    (1.58489, 6, 9, 5, 8),
+    (1.99526, 6, 10, 6, 9),
+    (2.51189, 7, 11, 6, 10),
+    (3.16228, 8, 12, 7, 11),
+    (3.98107, 9, 13, 8, 12),
+    (5.01187, 10, 15, 10, 14),
+    (6.30957, 12, 17, 11, 16),
+    (7.94328, 14, 19, 13, 18),
+    (10.0, 16, 22, 16, 21),
+    (12.5893, 19, 25, 19, 25),
+    (15.8489, 23, 29, 23, 29),
+    (19.9526, 28, 34, 27, 34),
+    (25.1189, 33, 41, 33, 40),
+    (31.6228, 40, 48, 40, 48),
+    (39.8107, 49, 58, 49, 57),
+    (50.1187, 60, 69, 60, 69),
+    (63.0957, 74, 84, 73, 83),
+    (79.4328, 91, 101, 90, 101),
+    (100.0, 112, 124, 23, 123),
+    (125.893, 139, 151, 138, 151),
+    (158.489, 172, 186, 71, 185),
+    (199.526, 214, 229, 108, 228),
+    (251.189, 267, 282, 98, 282),
+    (316.228, 333, 350, 13, 350),
+    (398.107, 416, 434, 7, 434),
+    (501.187, 520, 540, 25, 540),
+    (630.957, 651, 673, 59, 672),
+    (794.328, 816, 839, 44, 839),
+    (1000.0, 1023, 1048, 51, 1048),
+    (1258.93, 1283, 1311, 7, 1310),
+    (1584.89, 1610, 1640, 49, 1640),
+    (1995.26, 2022, 2055, 38, 2055),
+    (2511.89, 2541, 2576, 51, 2576),
+    (3162.28, 3193, 3231, 53, 3231),
+    (3981.07, 4014, 4055, 16, 4055),
+    (5011.87, 5047, 5091, 111, 5091),
+    (6309.57, 6346, 6395, 113, 6395),
+    (7943.28, 7982, 8035, 121, 8035),
+    (10000.0, 10041, 10098, 84, 7363),
+]
+
+
 class TestModeLimit:
     def test_paper_scale_circle(self):
         arr = make_array()
@@ -63,6 +112,58 @@ class TestModeLimit:
     def test_threshold_guard(self):
         with pytest.raises(DomainError):
             beamform.mode_limit(make_array(sensors=8), small_grid(), 0.0)
+
+    def test_search_requests_plain_tables_only(self, monkeypatch):
+        """The search builds its table as FilterBank.jtable does."""
+        real = beamform.bessel_j_table
+        signature = inspect.signature(real)
+        requested = []
+
+        def spy(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            requested.append(bound.arguments["compensated"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(beamform, "bessel_j_table", spy)
+        beamform._mode_limit_at.cache_clear()
+        arr = make_array(ecc=0.5, sensors=64)
+        for design in beamform.DESIGNS:
+            beamform.mode_limit(arr, small_grid(), 1e-6, design=design)
+        designs_only = len(requested)
+        beamform.mode_limit(arr, small_grid(f_start=1e9), 1e-300)
+        assert len(requested) - designs_only >= 2  # the cap doubled
+        assert not any(requested)
+
+    @pytest.mark.parametrize("x_min,limits", [(row[0], row[1:]) for row in MODE_LIMITS],
+                             ids=[f"{row[0]:g}" for row in MODE_LIMITS])
+    def test_limits_equal_the_double_double_search(self, x_min, limits):
+        search = beamform._mode_limit_at.__wrapped__
+        assert (search(x_min, 1e-3, "robust"), search(x_min, 1e-6, "robust"),
+                search(x_min, 1e-3, "plain"), search(x_min, 1e-6, "plain")) == limits
+
+    def test_search_doubles_its_cap_up_to_the_order_guard(self, monkeypatch):
+        """A table that never fails drives the search loop: the first table has
+        order ceil(x_min) + 65, each next one the doubled cap 2 cap + 64 (+ 1),
+        and a cap past ORDER_GUARD raises naming x_min before its table is built."""
+        orders = []
+
+        def never_failing(m_max, x, compensated=True):
+            orders.append(m_max)
+            return np.ones((m_max + 1, len(x)))
+
+        monkeypatch.setattr(beamform, "bessel_j_table", never_failing)
+        search = beamform._mode_limit_at.__wrapped__
+        with pytest.raises(DomainError, match=r"x_min=999000 passes the Bessel order guard"):
+            search(999000.0, 1e-6, "robust")
+        assert orders == [999065]  # the doubled cap 1998192 is never built
+        orders.clear()
+        with pytest.raises(DomainError, match=r"x_min=1000 passes the Bessel order guard"):
+            search(1000.0, 1e-6, "plain")
+        caps = [1064]
+        while 2 * caps[-1] + 64 + 1 <= specfun.ORDER_GUARD:
+            caps.append(2 * caps[-1] + 64)
+        assert orders == [cap + 1 for cap in caps]
 
 
 class TestMakeFilter:

@@ -457,6 +457,9 @@ class TestCli:
               ({"axes": [{"path": "seed", "values": [1], "vales": [2]}]}, "'vales'"),
               ({"axes": [{"path": "seed", "paths": ["seed"], "values": [[1]]}]},
                "sweep.axes[0]"))),
+        # a boolean field takes JSON true/false only: "false" is not falsy
+        *((["run"], lambda cfg, v=v: cfg.update(allow_undersampled=v), "allow_undersampled")
+          for v in ("false", "no", 0, 1, None)),
     ], ids=["axis-value-not-json", "axis-path-not-index", "processing-not-object",
             "processing-not-object-with-pad-flag", "exclusion-cells-not-list",
             "seed-auto", "seed-list", "seed-dict", "seed-nan", "sensors-infinite",
@@ -468,7 +471,9 @@ class TestCli:
             "exclusion-cells-fraction", "modes-fraction", "top-level-procesing",
             "grid-sampels", "ring-eccentricty", "scene-elevation", "grid-samples-missing",
             "grid-missing", "sweep-unknown-key", "sweep-axis-unknown-key",
-            "sweep-axis-path-and-paths"])
+            "sweep-axis-path-and-paths", "allow-undersampled-text-false",
+            "allow-undersampled-text-no", "allow-undersampled-zero", "allow-undersampled-one",
+            "allow-undersampled-null"])
     def test_malformed_input_exits_1_with_one_line(self, tmp_path, capsys, extra, edit, named):
         err = self.assert_one_line_exit(tmp_path, capsys, extra, edit, 1, "config error: ")
         assert named in err
@@ -535,6 +540,45 @@ class TestCli:
         rc = cli.main([verb, "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")])
         assert rc == 0
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb,work", [("run", "run_scenario"), ("sweep", "sweep_rows")])
+    def test_output_dir_blocked_by_a_file_exits_1_before_any_work(self, tmp_path, capsys,
+                                                                   monkeypatch, verb, work):
+        """run --out-dir under a regular file, sweep --out-dir that is one."""
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker / "sub" if verb == "run" else blocker
+
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{work} ran before the output directory was checked")
+
+        monkeypatch.setattr(cli, work, no_work)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_scenario()))
+        axis = ["--axis", "seed=1,2"] if verb == "sweep" else []
+        rc = cli.main([verb, "--config", str(cfg_path), "--out-dir", str(out), *axis])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == (f"config error: cannot make output directory {out}: "
+                       f"{blocker} is not a directory\n")
+
+    def test_geometry_export_into_missing_directory_exits_1_naming_it(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_scenario()))
+        target = tmp_path / "missing" / "geo.csv"
+        rc = cli.main(["audit", "--config", str(cfg_path), "--export-geometry", str(target)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("cannot write output: ") and str(target) in err
+        assert len(err.splitlines()) == 1
+
+    def test_audit_f_max_zero_exits_2(self, tmp_path, capsys):
+        """0 is a given frequency, not the grid-top default."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_scenario()))
+        rc = cli.main(["audit", "--config", str(cfg_path), "--f-max", "0"])
+        assert rc == 2
+        assert capsys.readouterr().err == "validation error: f_max_hz must be positive, got 0.0\n"
 
     def test_unknown_processing_key_exits_1_naming_it(self, tmp_path, capsys):
         err = self.assert_one_line_exit(
@@ -663,6 +707,24 @@ def test_public_names_resolve():
 
     missing = [name for name in elliptic_doa.__all__ if not hasattr(elliptic_doa, name)]
     assert missing == []
+
+
+def test_tracer_sites_resolve():
+    """Every call site the benchmark tracer wraps still exists, so a rename
+    or removal in the program fails here and not only in `perfbench`."""
+    import importlib
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)  # imports no program code
+    assert tracer.SITES
+    for module_name, attr, _span in tracer.SITES:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (module_name, attr)
 
 
 def test_digest_check_names_differing_lines_and_skips_other_hosts():
