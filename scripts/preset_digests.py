@@ -18,18 +18,15 @@ its one ring rotated by 90 degrees, a lone rotated folded ring, whose bank
 radii and phase tables come from its shape at rotation 0.  Two commits
 produce the same numbers exactly when their outputs diff empty:
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/preset_digests.py > a.txt
-
-(Outputs are compared with one BLAS thread: the thread count may move the
-last printed digits.)
+    PYTHONPATH=src python scripts/preset_digests.py > a.txt
 
 `--check FILE` also compares the lines with FILE, whose "# host" lines name
-what the digests depend on besides the code: the numpy and BLAS versions,
-the SIMD features numpy dispatches on, and the BLAS thread count.  If this
-host's facts equal FILE's, a line that differs (or is missing or extra)
-fails the check and is named; otherwise the check prints "not comparable"
-and passes.  scripts/preset_digests.txt holds the expected lines; a change
-that moves numbers on purpose replaces its digest lines.
+what the digests depend on besides the code: the numpy and BLAS versions and
+the SIMD features numpy dispatches on.  If this host's facts equal FILE's, a
+line that differs (or is missing or extra) fails the check and is named;
+otherwise the check prints "not comparable" and passes.
+scripts/preset_digests.txt holds the expected lines; a change that moves
+numbers on purpose replaces its digest lines.
 """
 
 import argparse
@@ -37,7 +34,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import sys
 import tempfile
 from dataclasses import fields
@@ -138,8 +134,7 @@ def host_facts() -> list:
     simd = list(umath.__cpu_baseline__) + [
         name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
     return [f"# host numpy {numpy.__version__}", f"# host blas {blas}",
-            f"# host simd {' '.join(simd)}",
-            f"# host OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}"]
+            f"# host simd {' '.join(simd)}"]
 
 
 def check(expected_text: str, facts: list, lines: list) -> tuple:

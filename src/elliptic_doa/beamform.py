@@ -44,8 +44,8 @@ separate path (the DFT phase-mode excitation of uniform circular arrays,
 Davies 1983; Mathews & Zoltowski, IEEE TSP 1994).  Concentric rings average
 their per-ring mode matrices.  One kernel does all of it: per chunk of the
 band one Bessel table over the bank's radii, per frequency one weight
-evaluation, per shape a gather and two matmuls over all its rings (see
-_expand).
+evaluation, per shape a gather and, per parity the fold keeps, two
+matrix-vector products per ring and point (see _expand).
 """
 
 from __future__ import annotations
@@ -355,12 +355,14 @@ class _ShapeTerms:
             theta = np.arctan2(xy[:, 1], xy[:, 0])
             alphas = [math.radians(spec.rotation_deg) for spec in specs]
             self.orbits = np.stack([r, p // 2 + r, p - r, p // 2 - r]) % p
-            self.parity = self.orders % 2
         else:
             r, theta, alphas = np.arange(p), channel.array.ring_azimuths(self.rings[0]), [0.0]
-            self.parity = np.zeros_like(self.orders)
+        # per parity q the fold keeps (two folded, one not), rows m = q (mod
+        # parities) of cos/sin(m theta_r), complex so weight products cast nothing
+        parities = 2 if self.folded else 1
         angle = np.outer(self.orders, theta[r])
-        self.cos_mt, self.sin_mt = np.cos(angle), np.sin(angle)
+        self.phases = [(np.cos(angle[q::parities]).astype(complex),
+                        np.sin(angle[q::parities]).astype(complex)) for q in range(parities)]
         columns = bank.ring_sensor_map[self.rings[0]][r]
         if np.array_equal(columns, columns[0] + np.arange(columns.size)):
             # an unshared ring's columns are one block: take a view, not a copy
@@ -394,12 +396,18 @@ class _ShapeTerms:
         return sums, diffs
 
     def products(self, w_bank: np.ndarray, sums: np.ndarray, diffs: np.ndarray) -> tuple:
-        """One sample's (even, odd) mode sums, each (mode_half + 1, G B):
-        one gather, one pair of weight-phase products and one matmul pair
-        for all the group's rings."""
+        """One sample's (even, odd) mode sums, each (mode_half + 1, G B): one
+        gather for all the group's rings, then per parity q one pair of
+        weight-phase products over the rows m = q (mod parities) and one
+        matrix-vector product per ring and point with parity q's column."""
         w = w_bank[:, self.columns]
-        even = ((w * self.cos_mt) @ sums)[:, self.orders, self.parity].T
-        odd = 1j * ((w * self.sin_mt) @ diffs)[:, self.orders, self.parity].T
+        even = np.empty((self.orders.size, sums.shape[0]), dtype=complex)
+        odd = np.empty_like(even)
+        n = len(self.phases)
+        for q, (cos_q, sin_q) in enumerate(self.phases):
+            even[q::n] = ((w[q::n] * cos_q) @ sums[..., q:q + 1])[..., 0].T
+            odd[q::n] = ((w[q::n] * sin_q) @ diffs[..., q:q + 1])[..., 0].T
+        odd *= 1j
         return even, odd
 
 
@@ -409,19 +417,20 @@ def _expand(channel: ChannelMatrix, bank: FilterBank, rings: Sequence[int]) -> M
     The band runs in chunks of at most TABLE_CHUNK_BYTES of Bessel table and
     folded data (one bessel_j_table call over all bank radii per chunk), then frequency
     by frequency (one weight evaluation, with its floor check, per sample),
-    then shape by shape (a gather of the shape's columns and two matmuls
-    over all its rings), then ring by ring:
+    then shape by shape (a gather of the shape's columns, then per parity
+    two weight-phase products and two matmuls), then ring by ring:
 
     H_{+-m} = e^{+-jm alpha}/P sum_r W_{m,r} [cos(m theta_r) sums_r +- j sin(m theta_r) diffs_r],
 
     theta_r the azimuths of the ring's shape at rotation 0 and alpha its
     rotation (see _ShapeTerms).  A trailing point axis on the channel,
     values[p, k, b], yields mode values[i, k, b].  The matmuls stack the
-    shape's rings and their points, which numpy runs as one GEMM per ring
-    and point with the shapes of a single-point call, so every ring and
-    point gets the bits it would get alone.  Rings add into the output in
-    list order and the sum is divided by their count once, as
-    concentric_expand does.
+    shape's rings and their points, which numpy runs as one matrix-vector
+    product per parity, ring and point with the shapes of a single-point
+    call, so every ring and point gets the bits it would get alone (and,
+    as measured with OpenBLAS, the same bits at 1, 2 and 4 threads).
+    Rings add into the output in list order and the sum is divided by their
+    count once, as concentric_expand does.
     """
     if bank.array is not channel.array and bank.array != channel.array:
         raise ValidationError("bank and channel refer to different arrays")

@@ -154,6 +154,19 @@ def bank_dense_weights(bank, ring, k):
     return gather[abs_m]
 
 
+def parity_select_products(w, cos_mt, sin_mt, sums, diffs):
+    """One sample's (even, odd) mode sums the wasteful way: each weight-phase
+    product (rows m = 0..M_h) against every parity column of the fold, then
+    row m keeps column m mod 2, or column 0 when the fold has one.  w, cos_mt
+    and sin_mt are (M_h + 1, R), sums and diffs (G B, R, parities); even and
+    odd are (M_h + 1, G B)."""
+    orders = np.arange(w.shape[0])
+    parity = orders % sums.shape[-1]
+    even = ((w * cos_mt) @ sums)[:, orders, parity].T
+    odd = 1j * ((w * sin_mt) @ diffs)[:, orders, parity].T
+    return even, odd
+
+
 def dump_bank_csv(bank, path):
     """Write the dense bank as `m,p,ring,f_hz,re,im` rows (small cases only)."""
     freqs = bank.grid.frequencies

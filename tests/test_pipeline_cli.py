@@ -676,9 +676,10 @@ class TestCli:
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     """The expansion runs through matmul; BLAS threading must not move a bit.
 
-    The 256-sensor rings keep every GEMM below OpenBLAS's threading
-    threshold; fig7-cea stacks eight rotated copies of one ellipse into the
-    widest matmul the expansion runs.
+    fig7-cea stacks eight rotated copies of one ellipse into the widest
+    products the expansion runs; fig3's 720-sensor circle and the two-row
+    fig4a sweep (e = 0 and 0.7, three points per row) run the longest mode
+    columns, where a summation split over threads would move the last digits.
     """
     cfg = small_scenario()
     cfg["array"] = [
@@ -688,18 +689,38 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     cfg["allow_undersampled"] = True  # the flattened ring's ends are sparse
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
+    sweep = presets.get_preset("fig4a")
+    sweep["sweep"]["axes"][0]["values"] = [[0.0, "auto"], [0.7, "auto"]]
+    sweep["sweep"]["axes"][1]["values"] = [-90.0, -30.0, 30.0]
+    sweep_path = tmp_path / "sweep.json"
+    sweep_path.write_text(json.dumps(sweep))
+
+    def run_files(out):
+        return [(out / name).read_bytes() for name in ("spectrum.csv", "peaks.txt")]
+
+    def sweep_rows(out):  # sweep.csv without its runtime_s column
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()]
+        col = rows[0].index("runtime_s")
+        return [row[:col] + row[col + 1:] for row in rows]
+
     src = str(Path(__file__).resolve().parents[1] / "src")
-    for label, source in (("rings", ["--config", str(cfg_path)]),
-                          ("fig7-cea", ["--preset", "fig7-cea"])):
+    differ = []
+    for label, argv, read in (
+            ("rings", ["run", "--config", str(cfg_path)], run_files),
+            ("fig7-cea", ["run", "--preset", "fig7-cea"], run_files),
+            ("fig3", ["run", "--preset", "fig3"], run_files),
+            ("fig4a-sweep", ["sweep", "--config", str(sweep_path)], sweep_rows)):
         outputs = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
                 filter(None, [src, os.environ.get("PYTHONPATH")])))
             out = tmp_path / f"{label}-threads{threads}"
-            subprocess.run([sys.executable, "-m", "elliptic_doa.cli", "run", *source,
+            subprocess.run([sys.executable, "-m", "elliptic_doa.cli", *argv,
                             "--out-dir", str(out)], env=env, check=True, capture_output=True)
-            outputs.append([(out / name).read_bytes() for name in ("spectrum.csv", "peaks.txt")])
-        assert outputs[0] == outputs[1], label
+            outputs.append(read(out))
+        if outputs[0] != outputs[1]:
+            differ.append(label)
+    assert differ == []
 
 
 def test_public_names_resolve():
@@ -748,5 +769,5 @@ def test_digest_check_names_differing_lines_and_skips_other_hosts():
     # the committed file carries the host facts and the 30 digest lines
     committed = path.with_suffix(".txt").read_text().splitlines()
     assert [line.split()[2] for line in committed if line.startswith("# host ")] == [
-        "numpy", "blas", "simd", "OPENBLAS_NUM_THREADS=1"]
+        "numpy", "blas", "simd"]
     assert len([line for line in committed if not line.startswith("#")]) == 30
