@@ -174,9 +174,9 @@ class ModeMatrix:
 
 
 TABLE_CHUNK_BYTES = 8 << 20
-"""Bytes of Bessel table and folded ring data per band chunk of the
-expansion: each chunk takes as many frequency samples as fit (at least
-one), so peak memory does not grow with samples x radii."""
+"""Bytes of Bessel table, folded ring data and mode products per band chunk
+of the expansion: each chunk takes as many frequency samples as fit (at
+least one), so peak memory does not grow with samples x radii."""
 
 
 @dataclass
@@ -341,11 +341,9 @@ class _ShapeTerms:
 
     def __init__(self, channel: ChannelMatrix, bank: FilterBank, rings: Sequence[int]):
         self.rings = list(rings)
-        self.data = []  # per ring (K, B, P)
-        for ring in self.rings:
-            values = channel.ring_rows(ring)
-            self.data.append(np.moveaxis(values.reshape(values.shape[:2] + (-1,)), 0, -1))
-        p, self.points = self.data[0].shape[-1], self.data[0].shape[1]
+        self.data = [v.reshape(v.shape[:2] + (-1,))  # per ring (P, K, B)
+                     for v in map(channel.ring_rows, self.rings)]
+        p, _, self.points = self.data[0].shape
         self.orders = np.arange(bank.mode_half + 1)
         self.folded = bank.folded
         if self.folded:
@@ -368,9 +366,11 @@ class _ShapeTerms:
             # an unshared ring's columns are one block: take a view, not a copy
             columns = slice(int(columns[0]), int(columns[0]) + columns.size)
         self.columns = columns
-        self.rot = [np.exp(1j * self.orders * alpha)[:, None] / p for alpha in alphas]
-        # sums and diffs of one sample, all rings (an unfolded ring's are channel views)
-        self.fold_bytes = 2 * 2 * 16 * self.points * r.size * len(self.rings) if self.folded else 0
+        self.rot = [np.exp(1j * self.orders * alpha)[:, None, None] / p for alpha in alphas]
+        # one sample's (even, odd) products of all rings and, folded, their sums
+        # and diffs (an unfolded ring's are channel views)
+        self.sample_bytes = 32 * self.points * len(self.rings) * (
+            self.orders.size + (2 * r.size if self.folded else 0))
 
     def fold(self, k0: int, k1: int) -> tuple:
         """(sums, diffs) of samples k0..k1-1, each (k1 - k0, G B, R, parity),
@@ -378,31 +378,38 @@ class _ShapeTerms:
 
         With A = H_r +- H_{P/2+r} and B = H_{P-r} +- H_{P/2-r} (sign = parity
         of m), sums = A + B and diffs = A - B; the r = 0 and r = P/4 orbits,
-        which list each sensor twice, enter at weight 1/2.
+        which list each sensor twice, enter at weight 1/2.  Each ring gathers
+        its orbits' sensor rows, (4, R, k1 - k0, B), and writes through
+        transposed views; an unfolded ring's sums and diffs are channel views.
         """
         if not self.folded:
-            data = self.data[0][k0:k1]
+            data = self.data[0][:, k0:k1].transpose(1, 2, 0)
             return data[..., None], data[..., None]
         b = self.points
         shape = (k1 - k0, len(self.rings) * b, self.orbits.shape[1], 2)
         sums, diffs = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
         for g, data in enumerate(self.data):
-            h = data[k0:k1][..., self.orbits]  # (k1 - k0, B, 4, R)
-            h[..., [0, -1]] *= 0.5
-            a = np.stack([h[..., 0, :] + h[..., 1, :], h[..., 0, :] - h[..., 1, :]], axis=-1)
-            c = np.stack([h[..., 2, :] + h[..., 3, :], h[..., 2, :] - h[..., 3, :]], axis=-1)
-            np.add(a, c, out=sums[:, g * b:(g + 1) * b])
-            np.subtract(a, c, out=diffs[:, g * b:(g + 1) * b])
+            h = data[self.orbits, k0:k1]
+            h[:, [0, -1]] *= 0.5
+            s, d = (x[:, g * b:(g + 1) * b].transpose(3, 2, 0, 1) for x in (sums, diffs))
+            np.add(h[0], h[1], out=s[0])  # s = A
+            np.subtract(h[0], h[1], out=s[1])
+            np.add(h[2], h[3], out=h[0])  # h[:2] = B
+            np.subtract(h[2], h[3], out=h[1])
+            np.subtract(s, h[:2], out=d)
+            s += h[:2]
         return sums, diffs
 
-    def products(self, w_bank: np.ndarray, sums: np.ndarray, diffs: np.ndarray) -> tuple:
-        """One sample's (even, odd) mode sums, each (mode_half + 1, G B): one
-        gather for all the group's rings, then per parity q one pair of
-        weight-phase products over the rows m = q (mod parities) and one
-        matrix-vector product per ring and point with parity q's column."""
+    def products(self, w_bank: np.ndarray, sums: np.ndarray, diffs: np.ndarray,
+                 out=None) -> tuple:
+        """One sample's (even, odd) mode sums, each (mode_half + 1, G B), in
+        `out` when given: one gather for all the group's rings, then per parity
+        q one pair of weight-phase products over the rows m = q (mod parities)
+        and one matrix-vector product per ring and point with parity q's column."""
         w = w_bank[:, self.columns]
-        even = np.empty((self.orders.size, sums.shape[0]), dtype=complex)
-        odd = np.empty_like(even)
+        if out is None:
+            out = np.empty((2, self.orders.size, sums.shape[0]), dtype=complex)
+        even, odd = out
         n = len(self.phases)
         for q, (cos_q, sin_q) in enumerate(self.phases):
             even[q::n] = ((w[q::n] * cos_q) @ sums[..., q:q + 1])[..., 0].T
@@ -414,11 +421,14 @@ class _ShapeTerms:
 def _expand(channel: ChannelMatrix, bank: FilterBank, rings: Sequence[int]) -> ModeMatrix:
     """The expansion kernel: the mean of the listed rings' mode matrices.
 
-    The band runs in chunks of at most TABLE_CHUNK_BYTES of Bessel table and
-    folded data (one bessel_j_table call over all bank radii per chunk), then frequency
-    by frequency (one weight evaluation, with its floor check, per sample),
-    then shape by shape (a gather of the shape's columns, then per parity
-    two weight-phase products and two matmuls), then ring by ring:
+    The band runs in chunks of at most TABLE_CHUNK_BYTES of Bessel table,
+    folded data and mode products (one bessel_j_table call over all bank
+    radii and one fold per shape per chunk), then frequency by frequency
+    (one weight evaluation, with its floor check, per sample), then shape by
+    shape (a gather of the shape's columns, then per parity two weight-phase
+    products and two matmuls, written into the chunk's products).  After a
+    chunk's samples, each ring adds its rotated products into the output
+    once per chunk:
 
     H_{+-m} = e^{+-jm alpha}/P sum_r W_{m,r} [cos(m theta_r) sums_r +- j sin(m theta_r) diffs_r],
 
@@ -448,23 +458,26 @@ def _expand(channel: ChannelMatrix, bank: FilterBank, rings: Sequence[int]) -> M
     # each ring's group, and the columns of its points in the group's products
     place = {ring: (n, slice(g * t.points, (g + 1) * t.points), t.rot[g], t.rot[g].conj())
              for n, t in enumerate(terms) for g, ring in enumerate(t.rings)}
-    sample_bytes = 8 * (mh + 2) * bank.radii.size + sum(t.fold_bytes for t in terms)
+    sample_bytes = 8 * (mh + 2) * bank.radii.size + sum(t.sample_bytes for t in terms)
     step = max(1, TABLE_CHUNK_BYTES // sample_bytes)
     for k0 in range(0, samples, step):
         k1 = min(k0 + step, samples)
         # folding first keeps its temporaries out of the table's lifetime
         folds = [t.fold(k0, k1) for t in terms]
         jtab = bank.jtable(k0, k1)
+        parts = [np.empty((2, k1 - k0, mh + 1, t.points * len(t.rings)), dtype=complex)
+                 for t in terms]  # per shape: (even, odd) products by sample
         for i, k in enumerate(range(k0, k1)):
             w_bank = bank.weights_from_jtable(jtab[:, i], k)
-            parts = [t.products(w_bank, sums[i], diffs[i])
-                     for t, (sums, diffs) in zip(terms, folds)]
-            for ring in rings:
-                n, cols, rot, rot_neg = place[ring]
-                even, odd = parts[n][0][:, cols], parts[n][1][:, cols]
-                total[mh + 1:, k] += rot[1:] * (even[1:] + odd[1:])
-                total[mh::-1, k] += rot_neg * (even - odd)
+            for t, (sums, diffs), part in zip(terms, folds, parts):
+                t.products(w_bank, sums[i], diffs[i], part[:, i])
         del folds, jtab  # the next chunk's table must not overlap this one
+        for ring in rings:
+            n, cols, rot, rot_neg = place[ring]
+            even, odd = parts[n][..., cols].transpose(0, 2, 1, 3)  # (mh + 1, k1 - k0, B)
+            total[mh + 1:, k0:k1] += rot[1:] * (even[1:] + odd[1:])
+            total[mh::-1, k0:k1] += rot_neg * (even - odd)
+        del parts
     out /= len(rings)
     return ModeMatrix(values=out, mode_half=mh, grid=channel.grid)
 

@@ -43,16 +43,19 @@ _PGM_FLOOR_DB = -35.0  # heatmap dynamic range below the peak
 
 
 def joint_spectrum(modes: ModeMatrix, pad_az: int = 1, pad_delay: int = 1) -> "JointSpectrum":
-    """2-D transform of the mode matrix into the azimuth-delay magnitude map."""
+    """2-D transform of the mode matrix into the azimuth-delay magnitude map,
+    in place in one zeroed (n_az, n_delay) buffer, the modes in its first K
+    columns: the azimuth transform over those, the delay one over all."""
     if pad_az < 1 or pad_delay < 1:
         raise DomainError("pad factors must be >= 1")
     m_count = 2 * modes.mode_half + 1
     n_az = m_count * pad_az
-    n_delay = modes.grid.samples * pad_delay
-    buf = np.zeros((n_az, modes.grid.samples), dtype=complex)
-    buf[modes.modes % n_az] = modes.values
-    spec = np.fft.fft(np.fft.fft(buf, axis=0), n=n_delay, axis=1)
-    return JointSpectrum(magnitudes=np.abs(spec), pad_az=pad_az, pad_delay=pad_delay,
+    k_count = modes.grid.samples
+    buf = np.zeros((n_az, k_count * pad_delay), dtype=complex)
+    buf[modes.modes % n_az, :k_count] = modes.values
+    np.fft.fft(buf[:, :k_count], axis=0, out=buf[:, :k_count])
+    np.fft.fft(buf, axis=1, out=buf)
+    return JointSpectrum(magnitudes=np.abs(buf), pad_az=pad_az, pad_delay=pad_delay,
                          grid=modes.grid)
 
 
@@ -84,7 +87,7 @@ class JointSpectrum:
 
     def peak(self) -> "SpectrumPeak":
         """The global maximum under `_strongest`'s tie rule, as find_peaks picks it."""
-        return self._peak_at(_strongest(self.magnitudes, np.arange(self.magnitudes.size)))
+        return self._peak_at(_strongest(self.magnitudes))
 
     def _peak_at(self, cell: int) -> "SpectrumPeak":
         """The peak at a flat (azimuth, delay) bin index."""
@@ -97,17 +100,20 @@ class JointSpectrum:
         peak = self.magnitudes.max()
         if peak <= 0.0:
             raise DegenerateInputError("cannot export an all-zero spectrum")
-        return 20.0 * np.log10(np.maximum(self.magnitudes, peak * 1e-20) / peak)
+        db = np.maximum(self.magnitudes, peak * 1e-20)
+        db /= peak
+        return np.multiply(np.log10(db, out=db), 20.0, out=db)
 
     def export_csv(self, path) -> None:
-        """Write `phi_deg,tau_s,mag_db` rows, dB relative to the global peak."""
+        """Write `phi_deg,tau_s,mag_db` rows, dB relative to the global peak,
+        as bytes: every line ends in LF on every platform."""
         db = self._magnitudes_db()
         # one ",tau,%.10g\n" piece per delay bin; a row joins them after its azimuth
-        pieces = [""] + [f",{tau:.17g},%.10g\n" for tau in self.delay_bins_s]
-        with open(path, "w") as fh:
-            fh.write("phi_deg,tau_s,mag_db\n")
+        pieces = [b""] + [b",%.17g,%%.10g\n" % tau for tau in self.delay_bins_s]
+        with open(path, "wb") as fh:
+            fh.write(b"phi_deg,tau_s,mag_db\n")
             for q, row in enumerate(db):
-                fh.write(f"{self.azimuth_of_bin(q):.10g}".join(pieces) % tuple(row.tolist()))
+                fh.write((b"%.10g" % self.azimuth_of_bin(q)).join(pieces) % tuple(row.tolist()))
 
     def export_pgm(self, path) -> None:
         """8-bit binary PGM heatmap.
@@ -116,8 +122,10 @@ class JointSpectrum:
         dynamic range clamps at -35 dB (_PGM_FLOOR_DB) below the peak, with
         255 at the peak and 0 at or below the floor.
         """
-        db = self._magnitudes_db()
-        img = np.clip(255.0 * (1.0 - db / _PGM_FLOOR_DB), 0.0, 255.0).round().astype(np.uint8)
+        img = self._magnitudes_db()  # scaled, clipped and rounded in place
+        img /= _PGM_FLOOR_DB
+        np.multiply(np.subtract(1.0, img, out=img), 255.0, out=img)
+        img = np.clip(img, 0.0, 255.0, out=img).round(out=img).astype(np.uint8)
         n_az, n_d = img.shape
         header = (f"P5\n# rows: azimuth bins 0..{n_az - 1}, step {360.0 / n_az:.10g} deg\n"
                   f"# cols: delay bins 0..{n_d - 1}, "
@@ -162,29 +170,39 @@ class PeakReport:
 
 
 def _local_maxima_mask(s: np.ndarray) -> np.ndarray:
-    """Strictly-greater-than-8-neighbors mask; azimuth cyclic, delay clamped: eight
-    slices of one padded copy, its wrap rows cyclic neighbors, its edge columns -1."""
-    n_az, n_d = s.shape
-    padded = np.full((n_az + 2, n_d + 2), -1.0)
-    padded[1:-1, 1:-1] = s
-    padded[[0, -1], 1:-1] = s[[-1, 0]]
-    mask = np.ones_like(s, dtype=bool)
-    for dq in range(3):
-        for dk in range(3):
-            if dq != 1 or dk != 1:
-                mask &= s > padded[dq: dq + n_az, dk: dk + n_d]
+    """Strictly-greater-than-8-neighbors mask; azimuth cyclic, delay clamped.
+
+    The delay and azimuth neighbors are compared over the whole map, the four
+    diagonal ones only at the cells that pass those four."""
+    n_d = s.shape[1]
+    mask = np.ones(s.shape, dtype=bool)
+    np.greater(s[:, 1:], s[:, :-1], out=mask[:, 1:])
+    mask[:, :-1] &= s[:, :-1] > s[:, 1:]
+    mask[1:] &= s[1:] > s[:-1]
+    mask[:-1] &= s[:-1] > s[1:]
+    mask[0] &= s[0] > s[-1]  # the azimuth wrap
+    mask[-1] &= s[-1] > s[0]
+    cells = np.flatnonzero(mask)
+    flat, k = s.ravel(), cells % n_d
+    values, keep = flat[cells], np.ones(cells.size, dtype=bool)
+    for dk, edge in ((-1, k == 0), (1, k == n_d - 1)):
+        for dq in (-n_d, n_d):  # flat indices wrap as azimuth does
+            keep &= (values > flat.take(cells + dq + dk, mode="wrap")) | edge
+    mask.ravel()[cells[~keep]] = False
     return mask
 
 
-def _strongest(s: np.ndarray, cells: np.ndarray) -> int:
-    """Flat index of the maximum of s among `cells` (ascending flat indices).
+def _strongest(s: np.ndarray, cells: Optional[np.ndarray] = None) -> int:
+    """Flat index of the maximum of s among `cells` (ascending flat indices;
+    None: all of s).
 
     Entries within TIE_RTOL of the maximum tie, so rounding cannot move the
     pick; ties go to the bin farther from azimuth 0 (mirrored scenes pick
     mirrored bins), then to the lowest (azimuth, delay) pair.
     """
-    values = s.ravel()[cells]
-    tied = cells[values >= values.max() * (1.0 - TIE_RTOL)]
+    values = s.ravel() if cells is None else s.ravel()[cells]
+    tied = np.flatnonzero(values >= values.max() * (1.0 - TIE_RTOL))
+    tied = tied if cells is None else cells[tied]
     q = tied // s.shape[1]
     return int(tied[np.argmax(np.minimum(q, s.shape[0] - q))])
 
@@ -198,7 +216,8 @@ def find_peaks(spectrum: JointSpectrum,
     the exclusion window around the expected bin (so a wrong global maximum
     shows up as delta_db < 0); otherwise it is the global maximum.  The main
     peak, the artifact and the ranking of the ten strongest local maxima
-    (_RANKED_MAXIMA) all break ties as `_strongest` does.
+    (_RANKED_MAXIMA) all break ties as `_strongest` does; the ranking picks
+    among the maxima within TIE_RTOL of the tenth largest or above it.
     """
     s = spectrum.magnitudes
     if not np.any(s > 0.0):
@@ -213,7 +232,7 @@ def find_peaks(spectrum: JointSpectrum,
         dk = np.abs(np.arange(n_d) - k0)
         return (dq[:, None] <= excl_q) & (dk[None, :] <= excl_k)
 
-    cells = np.arange(s.size)
+    cells = None
     if expected is not None:
         phi_e, tau_e = expected
         # exact fmod and clamping before round(): huge finite positions cannot overflow
@@ -231,8 +250,14 @@ def find_peaks(spectrum: JointSpectrum,
                 else 20.0 * math.log10(main.magnitude / artifact.magnitude))
 
     # rank by repeated picks, so maxima within TIE_RTOL of each other (mirror
-    # twins) keep the tie rule's order whatever their rounding
+    # twins) keep the tie rule's order whatever their rounding; a pick is
+    # within TIE_RTOL of the largest maximum left, which is never below the
+    # tenth largest
     maxima, left = [], np.flatnonzero(maxima_mask)
+    if left.size > _RANKED_MAXIMA:
+        values = s.ravel()[left]
+        left = left[values >= np.partition(values, -_RANKED_MAXIMA)[-_RANKED_MAXIMA]
+                    * (1.0 - TIE_RTOL)]
     for _ in range(min(_RANKED_MAXIMA, left.size)):
         cell = _strongest(s, left)
         maxima.append(spectrum._peak_at(cell))

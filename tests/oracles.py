@@ -5,9 +5,11 @@ arbitrary precision, plain Python loops over the defining sums) so it shares
 no code path with the package.  The helpers at the end are the exception:
 they read a package FilterBank back out in the literal (mode x sensor)
 layout, keep the per-cell writers the array-speed exports must match byte
-for byte, hold scalar conveniences built on the package's Bessel
-functions, and read a run's peak report anchored on its first wave, all of
-which only tests need.
+for byte, keep the plainer formulations (parity selection, the stacked
+fold, ranking over all maxima, the text writer, the one-expression
+heatmap) the fast paths must match, hold scalar conveniences built on the
+package's Bessel functions, and read a run's peak report anchored on its
+first wave, all of which only tests need.
 """
 
 import cmath
@@ -20,7 +22,7 @@ import numpy as np
 from elliptic_doa.beamform import DENOMINATOR_FLOOR, DESIGNS
 from elliptic_doa.errors import DomainError, InstabilityError
 from elliptic_doa.specfun import bessel_j, bessel_j_prime
-from elliptic_doa.spectrum import find_peaks
+from elliptic_doa.spectrum import _PGM_FLOOR_DB, _RANKED_MAXIMA, TIE_RTOL, find_peaks
 
 C = 299_792_458.0
 
@@ -167,6 +169,41 @@ def parity_select_products(w, cos_mt, sin_mt, sums, diffs):
     return even, odd
 
 
+def stacked_fold(terms, k0, k1):
+    """A _ShapeTerms fold of samples k0..k1-1 the stacked way: each ring's
+    data moved to (K, B, P), its orbits gathered across the sensor stride,
+    then the parity pairs A and B of fold's docstring stacked on a last axis
+    before sums = A + B and diffs = A - B.  An unfolded ring's data are its
+    own sums and diffs."""
+    if not terms.folded:
+        data = terms.data[0][:, k0:k1].transpose(1, 2, 0)[..., None]
+        return data, data
+    sums, diffs = [], []
+    for data in terms.data:
+        h = np.moveaxis(data, 0, -1)[k0:k1][..., terms.orbits]  # (k1 - k0, B, 4, R)
+        h[..., [0, -1]] *= 0.5
+        a = np.stack([h[..., 0, :] + h[..., 1, :], h[..., 0, :] - h[..., 1, :]], axis=-1)
+        c = np.stack([h[..., 2, :] + h[..., 3, :], h[..., 2, :] - h[..., 3, :]], axis=-1)
+        sums.append(a + c)
+        diffs.append(a - c)
+    return np.concatenate(sums, axis=1), np.concatenate(diffs, axis=1)
+
+
+def ranked_maxima(spectrum):
+    """The strongest local maxima of a (small) map by repeated tie-rule picks
+    over all of its maxima: what find_peaks lists as PeakReport.maxima."""
+    s = spectrum.magnitudes
+    left, picks = np.flatnonzero(brute_local_maxima(s)), []
+    while left.size and len(picks) < _RANKED_MAXIMA:
+        values = s.ravel()[left]
+        tied = left[values >= values.max() * (1.0 - TIE_RTOL)]
+        q = tied // s.shape[1]
+        cell = int(tied[np.argmax(np.minimum(q, s.shape[0] - q))])
+        picks.append(spectrum._peak_at(cell))
+        left = left[left != cell]
+    return tuple(picks)
+
+
 def dump_bank_csv(bank, path):
     """Write the dense bank as `m,p,ring,f_hz,re,im` rows (small cases only)."""
     freqs = bank.grid.frequencies
@@ -193,6 +230,25 @@ def export_csv_cells(spectrum, path):
             phi = spectrum.azimuth_of_bin(q)
             for k in range(mags.shape[1]):
                 fh.write(f"{phi:.10g},{taus[k]:.17g},{db[q, k]:.10g}\n")
+
+
+def export_csv_text(spectrum, path):
+    """Row-at-a-time `phi_deg,tau_s,mag_db` writer through a text-mode file
+    and str formatting, that JointSpectrum.export_csv must match."""
+    db = spectrum._magnitudes_db()
+    pieces = [""] + [f",{tau:.17g},%.10g\n" for tau in spectrum.delay_bins_s]
+    with open(path, "w", newline="\n") as fh:
+        fh.write("phi_deg,tau_s,mag_db\n")
+        for q, row in enumerate(db):
+            fh.write(f"{spectrum.azimuth_of_bin(q):.10g}".join(pieces) % tuple(row.tolist()))
+
+
+def pgm_pixels(spectrum):
+    """The heatmap pixels JointSpectrum.export_pgm must write, each step a
+    fresh array."""
+    mags = spectrum.magnitudes
+    db = 20.0 * np.log10(np.maximum(mags, mags.max() * 1e-20) / mags.max())
+    return np.clip(255.0 * (1.0 - db / _PGM_FLOOR_DB), 0.0, 255.0).round().astype(np.uint8)
 
 
 def export_channel_cells(channel, path):

@@ -586,6 +586,35 @@ class TestParityProducts:
                     assert np.abs(fast - slow).max() <= 1e-13 * np.abs(slow).max(), (rings, k)
 
 
+class TestFold:
+    """_ShapeTerms.fold against the stacked fold (oracles.stacked_fold), bit
+    for bit: three rotated copies of one ellipse and a circle."""
+
+    @pytest.mark.parametrize("span", [(0, 7), (2, 5), (4, 5)])
+    @pytest.mark.parametrize("points", [1, 3])
+    @pytest.mark.parametrize("rings", [[1], [0, 1, 2]])
+    def test_matches_stacked_fold(self, rings, points, span):
+        specs = TestSharedBank.rotated_copies_and_circle()
+        arr = geometry.build_concentric(specs)
+        grid = small_grid(samples=7, f_start=4e9, bw=1e9)
+        values = np.stack([channel.superpose([channel.IncidentWave(azimuth_deg=az, delay_s=3e-9)],
+                                             arr, grid).values
+                           for az in (72.5, -10.0, 133.0)[:points]], axis=-1)
+        ch = channel.ChannelMatrix(array=arr, grid=grid,
+                                   values=values if points > 1 else values[..., 0])
+        bank = beamform.build_bank(arr, grid, mode_half=8, reduction="symmetric")
+        terms = beamform._ShapeTerms(ch, bank, rings)
+        got, want = terms.fold(*span), oracles.stacked_fold(terms, *span)
+        for fast, slow in zip(got, want):
+            assert fast.shape == (span[1] - span[0], len(rings) * points, 40 // 4 + 1, 2)
+            assert np.array_equal(fast, slow)
+        # an unfolded ring's sums and diffs are views of its channel rows
+        unfolded = beamform._ShapeTerms(ch, beamform.build_bank(arr, grid, mode_half=8), [3])
+        for fast, slow in zip(unfolded.fold(*span), oracles.stacked_fold(unfolded, *span)):
+            assert np.shares_memory(fast, ch.values)
+            assert np.array_equal(fast, slow)
+
+
 class TestSharedBank:
     """One radius vector for all rings, evaluated in band chunks."""
 
@@ -681,10 +710,12 @@ class TestSharedBank:
         jtable = beamform.FilterBank.jtable
         monkeypatch.setattr(beamform.FilterBank, "jtable",
                             lambda self, k0, k1: spans.append(k1 - k0) or jtable(self, k0, k1))
-        # bytes per sample: the table column plus each folded ring's sums and diffs
+        # bytes per sample: the table column plus each folded ring's sums and
+        # diffs and its (even, odd) mode products
         points = 2 if batch else 1
         per_sample = (8 * (bank.mode_half + 2) * bank.radii.size
                       + sum(64 * points * (spec.sensors // 4 + 1)
+                            + 32 * (bank.mode_half + 1) * points
                             for spec in self.rotated_copies_and_circle()))
         for width in (1, 2, 3):
             spans.clear()

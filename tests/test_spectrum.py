@@ -188,6 +188,20 @@ def test_ranked_mirror_twins_ignore_rounding(twin, nudge):
     sp.magnitudes[(q, mirror)[twin], k] *= 1.0 + nudge
     got = spectrum.find_peaks(sp).maxima
     assert [(pk.phi_deg, pk.tau_s) for pk in got] == [(pk.phi_deg, pk.tau_s) for pk in want]
+    assert got == oracles.ranked_maxima(sp)
+
+
+def test_ranked_maxima_on_a_tied_plateau():
+    # 36 isolated maxima within TIE_RTOL of each other on a low random floor:
+    # the ranking must pick among all of them, as over all maxima
+    rng = np.random.default_rng(11)
+    s = 0.1 * rng.random((30, 40))
+    for q in range(1, 30, 5):
+        for k in range(2, 40, 7):
+            s[q, k] = 1.0 + rng.uniform(-2e-11, 2e-11)
+    sp = spectrum.JointSpectrum(magnitudes=s, pad_az=1, pad_delay=1, grid=GRID)
+    assert np.count_nonzero(s[oracles.brute_local_maxima(s)] > 0.5) == 36
+    assert spectrum.find_peaks(sp).maxima == oracles.ranked_maxima(sp)
 
 
 def test_two_ray_ranked_maxima():
@@ -198,7 +212,9 @@ def test_two_ray_ranked_maxima():
     v = (ideal_modes(mh, GRID, phi1, tau1).values
          + 0.8 * ideal_modes(mh, GRID, phi2, tau2).values)
     mm = beamform.ModeMatrix(values=v, mode_half=mh, grid=GRID)
-    rep = spectrum.find_peaks(spectrum.joint_spectrum(mm))
+    sp = spectrum.joint_spectrum(mm)
+    rep = spectrum.find_peaks(sp)
+    assert rep.maxima == oracles.ranked_maxima(sp)
     top2 = {(round(p.phi_deg, 6), round(p.tau_s * 1e12, 3)) for p in rep.maxima[:2]}
     assert top2 == {(round(phi1, 6), round(tau1 * 1e12, 3)),
                     (round(phi2, 6), round(tau2 * 1e12, 3))}
@@ -254,6 +270,26 @@ def test_exports(tmp_path):
     # byte-determinism
     sp.export_pgm(tmp_path / "again.pgm")
     assert (tmp_path / "again.pgm").read_bytes() == blob
+
+
+@pytest.mark.parametrize("pad_delay", [1, 2])
+def test_exports_match_reference_writers(tmp_path, pad_delay):
+    mm = beamform.ModeMatrix(
+        values=ideal_modes(6, GRID, 10.0, 2e-9).values + ideal_modes(6, GRID, 200.0, 7e-9).values,
+        mode_half=6, grid=GRID)
+    sp = spectrum.joint_spectrum(mm, pad_az=2, pad_delay=pad_delay)
+    s = sp.magnitudes
+    peak = s.max()
+    s[1, :3] = 0.0  # the -400 dB floor
+    s[2, :4] = peak * (1.0 - np.array([1e-7, 3e-9, 2e-11, 1e-12]))  # |mag_db| < 1e-4
+    sp.export_csv(tmp_path / "bytes.csv")
+    oracles.export_csv_text(sp, tmp_path / "text.csv")
+    blob = (tmp_path / "bytes.csv").read_bytes()
+    assert blob == (tmp_path / "text.csv").read_bytes()
+    assert b",-400\n" in blob and b",0\n" in blob and b"e-0" in blob and b"\r" not in blob
+    sp.export_pgm(tmp_path / "heatmap.pgm")
+    pixels = (tmp_path / "heatmap.pgm").read_bytes().split(b"255\n", 1)[1]
+    assert pixels == oracles.pgm_pixels(sp).tobytes()
 
 
 def test_report_text():
