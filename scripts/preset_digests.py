@@ -15,7 +15,9 @@ noiseless two-row fig4a sweep at azimuths -45, 0, 45 and 90: its e = 0 rows
 at +-45 degrees are exact half-bin ties, so the tie rule decides both their
 anchored and their global peaks.  Last come the four digests of fig12 with
 its one ring rotated by 90 degrees, a lone rotated folded ring, whose bank
-radii and phase tables come from its shape at rotation 0.  Two commits
+radii and phase tables come from its shape at rotation 0, and the four of
+fig3 with its ring rotated by 30 degrees, a rotated folded circle, whose
+FFT modes take their rotation from e^{jm alpha} alone.  Two commits
 produce the same numbers exactly when their outputs diff empty:
 
     PYTHONPATH=src python scripts/preset_digests.py > a.txt
@@ -111,13 +113,14 @@ def processing_argv(tmp: Path) -> list:
     return ["run", "--config", str(tmp / "processing-run.json")]
 
 
-def rotated_argv(tmp: Path) -> list:
-    """`run` arguments for fig12 with its ring rotated by 90 degrees."""
-    cfg = get_preset("fig12")
+def rotated_argv(tmp: Path, preset: str, degrees: float) -> list:
+    """`run` arguments for a one-ring preset with its ring rotated."""
+    cfg = get_preset(preset)
     (ring,) = cfg["array"]
-    ring["rotation_deg"] = 90.0
-    (tmp / "rotated-run.json").write_text(json.dumps(cfg))
-    return ["run", "--config", str(tmp / "rotated-run.json")]
+    ring["rotation_deg"] = degrees
+    path = tmp / f"{preset}-rotated-run.json"
+    path.write_text(json.dumps(cfg))
+    return ["run", "--config", str(path)]
 
 
 def host_facts() -> list:
@@ -168,7 +171,8 @@ def main(argv=None):
         runs.append(("fig12-processing", processing_argv(Path(tmp)), digests))
         runs.append(("fig4a-tie-sweep", sweep_argv(Path(tmp), "fig4a", [-45.0, 0.0, 45.0, 90.0]),
                      sweep_digests))
-        runs.append(("fig12-rot90", rotated_argv(Path(tmp)), digests))
+        runs.append(("fig12-rot90", rotated_argv(Path(tmp), "fig12", 90.0), digests))
+        runs.append(("fig3-rot30", rotated_argv(Path(tmp), "fig3", 30.0), digests))
         for label, argv, digest_of in runs:
             out = Path(tmp) / label
             with contextlib.redirect_stdout(io.StringIO()):

@@ -39,13 +39,16 @@ weight product; the e^{jm alpha} factor is applied per ring.
 The expansion H_m(f_k) = (1/P) sum_p H[p,k] exp(+j m phi_p) W_{m,p}(f_k)
 runs over ring representatives and never forms a (2 M_h + 1) x P operator:
 modes +m and -m share W_m, and on a symmetric ring the four quadrant mirrors
-share it too, so their data fold into parity pairs first.  A circle needs no
-separate path (the DFT phase-mode excitation of uniform circular arrays,
-Davies 1983; Mathews & Zoltowski, IEEE TSP 1994).  Concentric rings average
-their per-ring mode matrices.  One kernel does all of it: per chunk of the
-band one Bessel table over the bank's radii, per frequency one weight
-evaluation, per shape a gather and, per parity the fold keeps, two
-matrix-vector products per ring and point (see _expand).
+share it too, so their data fold into parity pairs first.  A folded circle
+has one weight per mode, so its sum over sensors is a DFT (the phase-mode
+excitation of uniform circular arrays, Davies 1983; Mathews & Zoltowski,
+IEEE TSP 1994): one FFT along its sensor axis per band chunk gives all its
+modes, which the weights then scale.  Concentric rings average their per-ring
+mode matrices.  One kernel does all of it: per chunk of the band one Bessel
+table over the bank's radii and one fold per shape, per frequency one weight
+evaluation and, per shape, a gather and either two matrix-vector products
+per parity the fold keeps, ring and point, or on a circle two elementwise
+products (see _expand).
 """
 
 from __future__ import annotations
@@ -187,10 +190,10 @@ class FilterBank:
     its weights from column `ring_sensor_map[i][p]`.  Symmetric reduction
     keeps each ring's quadrant representatives (sensors 0..P/4) and the
     average design one radius per ring; bitwise-equal radii then share a
-    column, within a ring (a circle's quadrant radii round to a few doubles)
-    and across rings.  A folded ring (see `folded`) takes its radii from its
-    shape at rotation 0, so rotated copies of one ellipse share all their
-    columns.
+    column, within a ring and across rings.  A folded ring (see `folded`)
+    takes its radii from its shape at rotation 0, so rotated copies of one
+    ellipse share all their columns, and every representative of a circle
+    takes its semi-major axis, so a folded circle has exactly one column.
     Without reduction every sensor keeps a column of its own.  Weights are
     evaluated per frequency sample over the columns, non-negative modes
     only; `unique_eval_count` reports how many (mode, column) filter
@@ -309,8 +312,11 @@ def build_bank(array: SensorArray, grid: FrequencyGrid, design: str = "robust",
             reps.append(np.array([0.5 * (spec.semi_major_m + spec.semi_minor_m)]))
             maps.append(offset + np.zeros(p, dtype=np.intp))
         elif reduction == "symmetric":
-            xy = _shape_xy(spec)[: p // 4 + 1]
-            reps.append(np.hypot(xy[:, 0], xy[:, 1]))
+            if spec.eccentricity == 0.0:  # hypot's radius at r = 0, for every r
+                reps.append(np.full(p // 4 + 1, spec.semi_major_m))
+            else:
+                xy = _shape_xy(spec)[: p // 4 + 1]
+                reps.append(np.hypot(xy[:, 0], xy[:, 1]))
             maps.append(offset + _quadrant_map(p))
         else:
             reps.append(radii)
@@ -335,8 +341,10 @@ class _ShapeTerms:
     eccentricity, sensor count) and take r = 0..P/4 of the shape at rotation
     0, whose mirrors P/2 - r, P/2 + r and P - r sit at pi - theta_r,
     pi + theta_r and -theta_r; ring g of the group is the shape turned by its
-    alpha_g.  Any other ring is a group of its own and its own fold: r = p,
-    theta_r = phi_p, alpha = 0, B = 0.
+    alpha_g.  A folded circle (eccentricity 0) has one weight column and its
+    sensors at theta_p = 2 pi p / P, so its fold is a DFT over all P sensors
+    and it needs no phase tables.  Any other ring is a group of its own and
+    its own fold: r = p, theta_r = phi_p, alpha = 0, B = 0.
     """
 
     def __init__(self, channel: ChannelMatrix, bank: FilterBank, rings: Sequence[int]):
@@ -346,46 +354,79 @@ class _ShapeTerms:
         p, _, self.points = self.data[0].shape
         self.orders = np.arange(bank.mode_half + 1)
         self.folded = bank.folded
+        columns = bank.ring_sensor_map[self.rings[0]]
+        alphas, self.circle = [0.0], False
         if self.folded:
             specs = [channel.array.ring_spec(ring) for ring in self.rings]
+            alphas = [math.radians(spec.rotation_deg) for spec in specs]
+            self.circle = specs[0].eccentricity == 0.0
+        self.rot = [np.exp(1j * self.orders * alpha)[:, None, None] / p for alpha in alphas]
+        ring_points = self.points * len(self.rings)
+        if self.circle:
+            # build_bank gives every representative of a circle one column
+            self.columns = slice(int(columns[0]), int(columns[0]) + 1)
+            # one sample of a ring's FFT and of all rings' sums, diffs and
+            # (even, odd) products, counted twice: at the single count the
+            # larger chunks raised a fig4a sweep's max RSS by 4 MB
+            self.sample_bytes = 32 * ring_points * (p + 4 * self.orders.size)
+            return
+        if self.folded:
             r = np.arange(p // 4 + 1)
             xy = _shape_xy(specs[0])
             theta = np.arctan2(xy[:, 1], xy[:, 0])
-            alphas = [math.radians(spec.rotation_deg) for spec in specs]
             self.orbits = np.stack([r, p // 2 + r, p - r, p // 2 - r]) % p
         else:
-            r, theta, alphas = np.arange(p), channel.array.ring_azimuths(self.rings[0]), [0.0]
+            r, theta = np.arange(p), channel.array.ring_azimuths(self.rings[0])
         # per parity q the fold keeps (two folded, one not), rows m = q (mod
         # parities) of cos/sin(m theta_r), complex so weight products cast nothing
         parities = 2 if self.folded else 1
         angle = np.outer(self.orders, theta[r])
         self.phases = [(np.cos(angle[q::parities]).astype(complex),
                         np.sin(angle[q::parities]).astype(complex)) for q in range(parities)]
-        columns = bank.ring_sensor_map[self.rings[0]][r]
+        columns = columns[r]
         if np.array_equal(columns, columns[0] + np.arange(columns.size)):
             # an unshared ring's columns are one block: take a view, not a copy
             columns = slice(int(columns[0]), int(columns[0]) + columns.size)
         self.columns = columns
-        self.rot = [np.exp(1j * self.orders * alpha)[:, None, None] / p for alpha in alphas]
         # one sample's (even, odd) products of all rings and, folded, their sums
         # and diffs (an unfolded ring's are channel views)
-        self.sample_bytes = 32 * self.points * len(self.rings) * (
+        self.sample_bytes = 32 * ring_points * (
             self.orders.size + (2 * r.size if self.folded else 0))
 
     def fold(self, k0: int, k1: int) -> tuple:
-        """(sums, diffs) of samples k0..k1-1, each (k1 - k0, G B, R, parity),
-        ring g's B points at g B .. (g + 1) B - 1.
+        """(sums, diffs) of samples k0..k1-1, ring g's B points at g B .. (g + 1) B - 1.
 
-        With A = H_r +- H_{P/2+r} and B = H_{P-r} +- H_{P/2-r} (sign = parity
-        of m), sums = A + B and diffs = A - B; the r = 0 and r = P/4 orbits,
-        which list each sensor twice, enter at weight 1/2.  Each ring gathers
-        its orbits' sensor rows, (4, R, k1 - k0, B), and writes through
-        transposed views; an unfolded ring's sums and diffs are channel views.
+        Phase-table folds are (k1 - k0, G B, R, parity): with A = H_r +-
+        H_{P/2+r} and B = H_{P-r} +- H_{P/2-r} (sign = parity of m), sums =
+        A + B and diffs = A - B; the r = 0 and r = P/4 orbits, which list each
+        sensor twice, enter at weight 1/2.  Each ring gathers its orbits'
+        sensor rows, (4, R, k1 - k0, B), and writes through transposed views;
+        an unfolded ring's sums and diffs are channel views.
+
+        A circle's are (k1 - k0, mode_half + 1, G B): from one FFT per ring,
+        d[q] = sum_p H_p e^{-j 2 pi q p / P}, the mode sums V+(m) = d[-m mod P]
+        and V-(m) = d[m mod P] give sums = (V+ + V-)/2 and diffs = (V+ - V-)/2,
+        read through slices of d in blocks of P modes.
         """
         if not self.folded:
             data = self.data[0][:, k0:k1].transpose(1, 2, 0)
             return data[..., None], data[..., None]
         b = self.points
+        if self.circle:
+            p, size = self.data[0].shape[0], self.orders.size
+            shape = (k1 - k0, size, len(self.rings) * b)
+            sums, diffs = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+            for g, data in enumerate(self.data):
+                d = np.fft.fft(data[:, k0:k1], axis=0)
+                d *= 0.5
+                s, t = (x[..., g * b:(g + 1) * b].transpose(1, 0, 2) for x in (sums, diffs))
+                for m in range(0, size, p):  # modes m + i, 0 <= i < n: V-(m + i) = d[i]
+                    n = min(p, size - m)  # and V+(m + i) = d[P - i], or d[0] at i = 0
+                    np.add(d[0], d[0], out=s[m])
+                    t[m] = 0.0
+                    np.add(d[p - 1:p - n:-1], d[1:n], out=s[m + 1:m + n])
+                    np.subtract(d[p - 1:p - n:-1], d[1:n], out=t[m + 1:m + n])
+            return sums, diffs
         shape = (k1 - k0, len(self.rings) * b, self.orbits.shape[1], 2)
         sums, diffs = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
         for g, data in enumerate(self.data):
@@ -405,11 +446,17 @@ class _ShapeTerms:
         """One sample's (even, odd) mode sums, each (mode_half + 1, G B), in
         `out` when given: one gather for all the group's rings, then per parity
         q one pair of weight-phase products over the rows m = q (mod parities)
-        and one matrix-vector product per ring and point with parity q's column."""
+        and one matrix-vector product per ring and point with parity q's column.
+        A circle's are its one weight column times its sums and diffs."""
         w = w_bank[:, self.columns]
         if out is None:
-            out = np.empty((2, self.orders.size, sums.shape[0]), dtype=complex)
+            points = sums.shape[-1] if self.circle else sums.shape[0]
+            out = np.empty((2, self.orders.size, points), dtype=complex)
         even, odd = out
+        if self.circle:
+            np.multiply(w, sums, out=even)
+            np.multiply(w, diffs, out=odd)
+            return even, odd
         n = len(self.phases)
         for q, (cos_q, sin_q) in enumerate(self.phases):
             even[q::n] = ((w[q::n] * cos_q) @ sums[..., q:q + 1])[..., 0].T
@@ -426,14 +473,15 @@ def _expand(channel: ChannelMatrix, bank: FilterBank, rings: Sequence[int]) -> M
     radii and one fold per shape per chunk), then frequency by frequency
     (one weight evaluation, with its floor check, per sample), then shape by
     shape (a gather of the shape's columns, then per parity two weight-phase
-    products and two matmuls, written into the chunk's products).  After a
-    chunk's samples, each ring adds its rotated products into the output
-    once per chunk:
+    products and two matmuls, or on a circle its column times its FFT sums
+    and diffs, written into the chunk's products).  After a chunk's samples,
+    each ring adds its rotated products into the output once per chunk:
 
     H_{+-m} = e^{+-jm alpha}/P sum_r W_{m,r} [cos(m theta_r) sums_r +- j sin(m theta_r) diffs_r],
 
     theta_r the azimuths of the ring's shape at rotation 0 and alpha its
-    rotation (see _ShapeTerms).  A trailing point axis on the channel,
+    rotation (see _ShapeTerms); on a circle, H_{+-m} = e^{+-jm alpha}/P W_m
+    V+-(m).  A trailing point axis on the channel,
     values[p, k, b], yields mode values[i, k, b].  The matmuls stack the
     shape's rings and their points, which numpy runs as one matrix-vector
     product per parity, ring and point with the shapes of a single-point

@@ -274,8 +274,8 @@ def _resolve_processing(proc_cfg: dict, array: SensorArray, grid: FrequencyGrid,
         # fixed angular window: keeps artifact readings comparable across
         # runs whose auto-selected mode counts (and thus cell sizes) differ
         exclusion_deg = _parse(float, proc.exclusion_deg, "processing.exclusion_deg")
-        if not math.isfinite(exclusion_deg):
-            raise DomainError(f"exclusion_deg must be finite, got {exclusion_deg}")
+        if not (math.isfinite(exclusion_deg) and exclusion_deg >= 0.0):
+            raise DomainError(f"exclusion_deg must be finite and >= 0, got {exclusion_deg}")
         cell_deg = 360.0 / (2 * mh + 1)
         excl = (max(1, round(exclusion_deg / cell_deg)), excl[1])
     return (replace(proc, modes=2 * mh + 1, reduction=reduction, exclusion_cells=excl),

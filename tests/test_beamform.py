@@ -243,8 +243,9 @@ class TestBank:
         grid = small_grid(samples=2)
         arr = make_array(sensors=720)
         red = beamform.build_bank(arr, grid, mode_half=8, reduction="symmetric")
-        # exact-arithmetic radii are all equal; floating hypot leaves a few ulps
-        assert red.radii.size <= 4
+        # every representative takes the semi-major axis, not its hypot radius
+        assert red.radii.tolist() == [arr.ring_spec(0).semi_major_m]
+        assert (red.ring_sensor_map[0] == 0).all()
 
     def test_average_design(self):
         grid = small_grid(samples=3)
@@ -456,6 +457,11 @@ class TestFoldedExpansion:
         pytest.param(0.5, 200.0, 32, 7, "symmetric", "robust", 0.0, id="ellipse-rot200"),
         # |W| reaches ~2e5 at m = 24 here: the phase regime dominates
         pytest.param(0.0, 0.0, 64, 24, "symmetric", "robust", 0.0, id="circle"),
+        pytest.param(0.0, 37.0, 36, 6, "symmetric", "robust", 0.0, id="circle-rot37"),
+        # modes past P/2 read FFT bins on both sides of P/2, past P a second block
+        pytest.param(0.0, 0.0, 16, 12, "symmetric", "robust", 0.0, id="circle-wrapped-bins"),
+        pytest.param(0.0, 20.0, 8, 10, "symmetric", "robust", 0.0, id="circle-modes-past-p"),
+        pytest.param(0.0, 0.0, 32, 7, "symmetric", "plain", 0.0, id="circle-plain"),
         # the r = 0 and r = P/4 orbits have two members each
         pytest.param(0.6, 0.0, 4, 1, "symmetric", "robust", 0.0, id="p4"),
         pytest.param(0.6, 10.0, 8, 3, "symmetric", "robust", 0.0, id="p8"),
@@ -510,6 +516,7 @@ class TestBatchedExpansion:
     @pytest.mark.parametrize("ecc,alpha,sensors,reduction,design,sigma", [
         pytest.param(0.7, 37.0, 36, "symmetric", "robust", 0.0, id="folded-ellipse"),
         pytest.param(0.0, 0.0, 64, "symmetric", "robust", 0.0, id="circle"),
+        pytest.param(0.0, 37.0, 36, "symmetric", "robust", 0.0, id="circle-rot37"),
         pytest.param(0.5, 0.0, 30, "none", "robust", 1e-3, id="perturbed-unreduced"),
         pytest.param(0.5, 0.0, 24, "none", "average", 0.0, id="average"),
     ])
@@ -710,12 +717,15 @@ class TestSharedBank:
         jtable = beamform.FilterBank.jtable
         monkeypatch.setattr(beamform.FilterBank, "jtable",
                             lambda self, k0, k1: spans.append(k1 - k0) or jtable(self, k0, k1))
-        # bytes per sample: the table column plus each folded ring's sums and
-        # diffs and its (even, odd) mode products
+        # bytes per sample: the table column plus each folded ellipse's sums and
+        # diffs and its (even, odd) mode products; the circle's FFT, sums, diffs
+        # and products, counted twice
         points = 2 if batch else 1
         per_sample = (8 * (bank.mode_half + 2) * bank.radii.size
                       + sum(64 * points * (spec.sensors // 4 + 1)
                             + 32 * (bank.mode_half + 1) * points
+                            if spec.eccentricity else
+                            32 * points * (spec.sensors + 4 * (bank.mode_half + 1))
                             for spec in self.rotated_copies_and_circle()))
         for width in (1, 2, 3):
             spans.clear()

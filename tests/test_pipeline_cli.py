@@ -482,6 +482,7 @@ class TestCli:
         lambda cfg: cfg["processing"].update(snr_db=1e30),
         lambda cfg: cfg["processing"].update(snr_db=-1e4),
         lambda cfg: cfg["processing"].update(exclusion_deg=math.nan),
+        lambda cfg: cfg["processing"].update(exclusion_deg=-5),
         lambda cfg: cfg["array"][0].update(sigma_m=math.nan),
         lambda cfg: cfg.update(seed=-1),
         # finite values whose synthesis overflows: one line, no numpy warnings
@@ -490,7 +491,8 @@ class TestCli:
                      cfg["processing"].update(snr_db=10.0)),
         lambda cfg: (cfg["scene"][0].update(distance_m=1e300),
                      cfg["processing"].update(model="spherical")),
-    ], ids=["snr-db-overflows", "snr-db-underflows", "exclusion-deg-nan", "sigma-nan",
+    ], ids=["snr-db-overflows", "snr-db-underflows", "exclusion-deg-nan",
+            "exclusion-deg-negative", "sigma-nan",
             "seed-negative", "delay-overflows-phase", "amplitude-overflows-noise-power",
             "distance-overflows-spherical-path"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -766,8 +768,8 @@ def test_digest_check_names_differing_lines_and_skips_other_hosts():
     code, verdict = script.check(text, ["# host numpy 9.8", "# host simd A B"], [])
     assert code == 0
     assert verdict.startswith("not comparable: '# host numpy 9.8' here")
-    # the committed file carries the host facts and the 30 digest lines
+    # the committed file carries the host facts and the 34 digest lines
     committed = path.with_suffix(".txt").read_text().splitlines()
     assert [line.split()[2] for line in committed if line.startswith("# host ")] == [
         "numpy", "blas", "simd"]
-    assert len([line for line in committed if not line.startswith("#")]) == 30
+    assert len([line for line in committed if not line.startswith("#")]) == 34
