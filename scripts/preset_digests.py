@@ -3,9 +3,9 @@
 
 Runs fig3, fig12, fig13 and fig7-cea into a temporary directory and prints
 one line per artifact: spectrum.csv, peaks.txt, heatmap.pgm and the manifest
-without its runtime_s.  Then it exports fig13's geometry and channel,
-`ingest`s them with fig13's processing section, and prints the same four
-digests for that run.  Then comes the digest of a small noisy sweep's
+without its runtime_s and stages (wall times).  Then it exports fig13's
+geometry and channel, `ingest`s them with fig13's processing section, and
+prints the same four digests for that run.  Then comes the digest of a small noisy sweep's
 sweep.csv without its runtime_s column (fig3's ring, e in {0.0, 0.7} x three
 azimuths, snr_db 10), which reaches the batched-sweep and noise paths.  Then
 come the four digests of a fig12 run whose processing section sets every key
@@ -55,7 +55,7 @@ def digests(out: Path) -> list:
     pairs = [(name, hashlib.sha256((out / name).read_bytes()).hexdigest())
              for name in ARTIFACTS]
     manifest = json.loads((out / "manifest.json").read_text())
-    del manifest["resolved"]["runtime_s"]
+    del manifest["resolved"]["runtime_s"], manifest["resolved"]["stages"]
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     pairs.append(("manifest-without-runtime", hashlib.sha256(text.encode()).hexdigest()))
     return pairs

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import functools
 import math
+import time
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -74,6 +75,14 @@ DENOMINATOR_FLOOR = 1e-12
 threshold handed to mode_limit, typically 1e-6)."""
 
 _JPOW = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
+
+
+def _lap(stages: dict, stage: str, since: float) -> float:
+    """Add the wall time since `since` (time.perf_counter) to stages[stage];
+    return the time now.  The run's stage record (pipeline) uses it too."""
+    now = time.perf_counter()
+    stages[stage] = stages.get(stage, 0.0) + (now - since)
+    return now
 
 
 def _jpow(m) -> np.ndarray:
@@ -465,7 +474,8 @@ class _ShapeTerms:
         return even, odd
 
 
-def _expand(channel: ChannelMatrix, bank: FilterBank, rings: Sequence[int]) -> ModeMatrix:
+def _expand(channel: ChannelMatrix, bank: FilterBank, rings: Sequence[int],
+            stages=None) -> ModeMatrix:
     """The expansion kernel: the mean of the listed rings' mode matrices.
 
     The band runs in chunks of at most TABLE_CHUNK_BYTES of Bessel table,
@@ -489,11 +499,17 @@ def _expand(channel: ChannelMatrix, bank: FilterBank, rings: Sequence[int]) -> M
     as measured with OpenBLAS, the same bits at 1, 2 and 4 threads).
     Rings add into the output in list order and the sum is divided by their
     count once, as concentric_expand does.
+
+    With a `stages` dict, the wall time (time.perf_counter seconds) of each
+    part is added to its entry: "folds" (the shapes' phase tables and every
+    chunk's fold), "tables" (the Bessel tables), "weights" and "products"
+    (the weight-phase products, matmuls and ring sums).
     """
     if bank.array is not channel.array and bank.array != channel.array:
         raise ValidationError("bank and channel refer to different arrays")
     if bank.grid != channel.grid:
         raise ValidationError("bank and channel grids differ")
+    stages, clock = {} if stages is None else stages, time.perf_counter()
     mh, samples = bank.mode_half, channel.grid.samples
     out = np.zeros((2 * mh + 1,) + channel.values.shape[1:], dtype=complex)
     total = out.reshape(out.shape[:2] + (-1,))  # (modes, K, B) view
@@ -512,13 +528,17 @@ def _expand(channel: ChannelMatrix, bank: FilterBank, rings: Sequence[int]) -> M
         k1 = min(k0 + step, samples)
         # folding first keeps its temporaries out of the table's lifetime
         folds = [t.fold(k0, k1) for t in terms]
+        clock = _lap(stages, "folds", clock)
         jtab = bank.jtable(k0, k1)
+        clock = _lap(stages, "tables", clock)
         parts = [np.empty((2, k1 - k0, mh + 1, t.points * len(t.rings)), dtype=complex)
                  for t in terms]  # per shape: (even, odd) products by sample
         for i, k in enumerate(range(k0, k1)):
             w_bank = bank.weights_from_jtable(jtab[:, i], k)
+            clock = _lap(stages, "weights", clock)
             for t, (sums, diffs), part in zip(terms, folds, parts):
                 t.products(w_bank, sums[i], diffs[i], part[:, i])
+            clock = _lap(stages, "products", clock)
         del folds, jtab  # the next chunk's table must not overlap this one
         for ring in rings:
             n, cols, rot, rot_neg = place[ring]
@@ -526,6 +546,7 @@ def _expand(channel: ChannelMatrix, bank: FilterBank, rings: Sequence[int]) -> M
             total[mh + 1:, k0:k1] += rot[1:] * (even[1:] + odd[1:])
             total[mh::-1, k0:k1] += rot_neg * (even - odd)
         del parts
+        clock = _lap(stages, "products", clock)
     out /= len(rings)
     return ModeMatrix(values=out, mode_half=mh, grid=channel.grid)
 
@@ -557,7 +578,7 @@ def concentric_expand(ring_modes: Sequence[ModeMatrix]) -> ModeMatrix:
                       grid=first.grid)
 
 
-def expand_array(channel: ChannelMatrix, bank: FilterBank) -> ModeMatrix:
+def expand_array(channel: ChannelMatrix, bank: FilterBank, stages=None) -> ModeMatrix:
     """Full expansion: every ring, then the concentric average, in one pass
-    over the band (see _expand)."""
-    return _expand(channel, bank, range(channel.array.ring_count))
+    over the band (see _expand, which also reads `stages`)."""
+    return _expand(channel, bank, range(channel.array.ring_count), stages)

@@ -7,6 +7,11 @@ top.  The joint-spectrum transform uses the matching opposite kernel signs.
 Frequency grids are half-open: K samples at f_k = f_start + k * B / K, so the
 sample step is exactly B/K, the delay resolution of a K-point transform is
 exactly 1/B, and the maximum observable delay is (K-1)/B.
+
+Synthesis uses that progression: with k = 16 t + s, a response
+e^{j 2 pi f_k u} is e^{j 2 pi f_16t u} e^{j 2 pi s B/K u}, so superpose
+takes one complex exp per sensor for each of the ceil(K/16) coarse
+frequencies and the 16 fine offsets, and one complex product per entry.
 """
 
 from __future__ import annotations
@@ -154,9 +159,19 @@ def superpose(scene: Sequence[IncidentWave], array: SensorArray,
         d_p = sqrt(d^2 + r_p^2 - 2 d r_p sin(theta) cos(phi - phi_p))
         H[p, k] = (d / d_p) H_center(f_k) exp(+j 2 pi f_k (d - d_p) / c)
 
-    One pass fills the (P, K) output ring by ring: each wave's block of the
-    ring is formed and added into the ring's rows, so no temporary spans
-    the whole array.
+    Both are e^{j 2 pi f_k u_p} times a gain, u_p = tau + path_p / c the
+    sensor's flight time.  The grid is an arithmetic progression, so with
+    k = 16 t + s and delta = B / K, f_k = (f_0 + 16 t delta) + s delta splits
+    each entry into a coarse factor times a fine one, as two-level twiddle
+    tables do: per ring and wave, a coarse table over the ceil(K / 16)
+    frequencies f_16t (grid.frequencies[::16], bit for bit) holds the
+    geometric phase, the gain and H_center there, a fine table over the 16
+    offsets s delta holds e^{j 2 pi s delta u_p}, and entry (p, k) is one
+    complex product of the two.  Every phase is its own exp, never a power
+    of a step, so the error does not grow with k.  The products go straight
+    into the ring's rows through a (P, K // 16, 16) view and one tail slice:
+    the first wave assigns, later waves add, and no temporary spans the
+    whole array.
     """
     if not scene:
         raise ConfigError("scene must contain at least one wave")
@@ -169,15 +184,19 @@ def superpose(scene: Sequence[IncidentWave], array: SensorArray,
             if wave.distance_m <= array.max_radius_m:
                 raise DomainError(f"source distance {wave.distance_m} m must exceed "
                                   f"the array radius {array.max_radius_m} m")
-    freqs = grid.frequencies
+    body = grid.samples // 16  # whole blocks of 16 samples; the rest is the tail
+    coarse_f = grid.frequencies[::16]
+    fine_f = grid.step_hz * np.arange(16)
     terms = [(math.sin(math.radians(w.elevation_deg)), math.radians(w.azimuth_deg),
-              wave_response_center(w, grid)) for w in scene]
+              wave_response_center(w, grid)[::16]) for w in scene]
     values = np.empty((array.total_sensors, grid.samples), dtype=complex)
     start = 0
     for ring in range(array.ring_count):
         r, phip = array.ring_radii(ring), array.ring_azimuths(ring)
         rows = values[start: start + r.size]
         start += r.size
+        blocks = rows[:, :16 * body].reshape(r.size, body, 16)  # a view of the rows
+        tail = rows[:, 16 * body:]
         for i, (wave, (sin_theta, phi, h0)) in enumerate(zip(scene, terms)):
             if model == "planewave":
                 path = r * sin_theta * np.cos(phi - phip)
@@ -185,16 +204,19 @@ def superpose(scene: Sequence[IncidentWave], array: SensorArray,
                 d = wave.distance_m
                 d_p = np.sqrt(d * d + r * r - 2.0 * d * r * sin_theta * np.cos(phi - phip))
                 path = d - d_p
-            block = 2j * np.pi * np.outer(path, freqs)
-            block /= SPEED_OF_LIGHT
-            np.exp(block, out=block)
+            coarse = np.exp(2j * np.pi * np.outer(path, coarse_f) / SPEED_OF_LIGHT)
             if model == "spherical":
-                np.multiply((d / d_p)[:, None], block, out=block)
-            block *= h0
+                coarse *= (d / d_p)[:, None]
+            coarse *= h0
+            fine = np.exp(2j * np.pi * np.outer(wave.delay_s + path / SPEED_OF_LIGHT, fine_f))
             if i == 0:
-                rows[...] = block
+                np.multiply(coarse[:, :body, None], fine[:, None], out=blocks)
+                np.multiply(coarse[:, body:], fine[:, :tail.shape[1]], out=tail)
             else:
-                rows += block
+                for lo in range(0, r.size, 64):  # 64 sensors at a time: a small temporary
+                    part = slice(lo, lo + 64)
+                    blocks[part] += coarse[part, :body, None] * fine[part, None]
+                tail += coarse[:, body:] * fine[:, :tail.shape[1]]
     return ChannelMatrix(array=array, grid=grid, values=values)
 
 

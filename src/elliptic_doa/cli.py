@@ -16,14 +16,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 from . import __version__
 from .channel import ingest_channel
+from .config import load_config
 from .errors import ConfigError, NumericError, ValidationError
 from .geometry import SensorArray, nyquist_audit
 from .pipeline import (
-    load_config,
     resolve,
     resolve_ingested,
     run_channel,
@@ -115,14 +116,17 @@ def _cmd_sweep(args) -> int:
             raise ConfigError("sweep must be an object with a list of axes")
         sweep["axes"].append({"path": path, "values": parsed})
     out = _out_dir(args, cfg.get("name", "sweep"))
+    stages = {}
     rows = list(sweep_rows(cfg, allow_undersampled=args.allow_undersampled,
-                           force_modes=args.force_modes))
+                           force_modes=args.force_modes, stages=stages))
+    t0 = time.perf_counter()
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "sweep.csv"
     n = write_sweep_csv(rows, csv_path)
+    stages["write"] = time.perf_counter() - t0
     (out / "sweep_config.json").write_text(
         json.dumps({"kind": "elliptic-doa-sweep", "version": __version__,
-                    "config": cfg}, indent=2, sort_keys=True) + "\n")
+                    "config": cfg, "stages": stages}, indent=2, sort_keys=True) + "\n")
     print(f"wrote {csv_path} ({n} rows)")
     return 0
 

@@ -19,7 +19,14 @@ the section and the key.  Resolution pins "auto" fields (mode counts via
 the stability limit, sigma via the band-center wavelength, per-ring seeds)
 and validates spatial sampling.  A resolved config is itself a valid
 scenario; re-running one reproduces every numeric output bit for bit,
-which is what the run manifest records.
+which is what the run manifest records.  Reading a document from disk and
+assigning into it by a dotted path (load_config, set_path) live in config.
+
+Each step adds its wall time (time.perf_counter seconds) to a stage entry:
+"resolve" (less its "mode_limit" search), "synthesis", "bank", "folds",
+"tables", "weights", "products" (see beamform._expand), "fft" (the joint
+spectrum), "peaks" and "write".  A run manifest records them under
+resolved.stages, a sweep record (sweep_config.json) its totals under stages.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ from .beamform import (
     DESIGNS,
     REDUCTIONS,
     ModeMatrix,
+    _lap,
     build_bank,
     expand_array,
     mode_limit,
@@ -52,6 +60,7 @@ from .channel import (
     add_awgn,
     superpose,
 )
+from .config import load_config, set_path  # load_config stays importable from here
 from .constants import SPEED_OF_LIGHT
 from .errors import ConfigError, DomainError, ValidationError
 from .geometry import EllipseSpec, SensorArray, build_concentric, nyquist_audit
@@ -93,55 +102,6 @@ class Processing:
         return self.modes // 2
 
 
-def load_config(path) -> dict:
-    """A scenario, or the config a run manifest or sweep record embeds."""
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config parse error at line {exc.lineno}, "
-                          f"column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be an object")
-    if cfg.get("kind") in ("elliptic-doa-manifest", "elliptic-doa-sweep"):
-        cfg = cfg.get("config")
-        if not isinstance(cfg, dict):
-            raise ConfigError("manifest carries no embedded config")
-    return cfg
-
-
-def set_path(cfg: dict, path: str, value) -> None:
-    """Assign into a nested config structure.
-
-    Dot-separated path; integer tokens index lists and '*' fans out over a
-    whole list ("array.*.eccentricity" retunes every ring).
-    """
-    tokens = path.split(".")
-
-    def descend(node, toks):
-        head, rest = toks[0], toks[1:]
-        if head == "*":
-            if not isinstance(node, list):
-                raise ConfigError(f"'*' needs a list at {path!r}")
-            if not rest:
-                raise ConfigError(f"cannot assign to '*' directly in {path!r}")
-            for item in node:
-                descend(item, rest)
-            return
-        try:
-            key = int(head) if isinstance(node, list) else head
-            if rest:
-                descend(node[key], rest)
-            else:
-                node[key] = value
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad sweep path {path!r}: {exc}") from exc
-
-    descend(cfg, tokens)
-
-
 @dataclass
 class ResolvedScenario:
     """A fully concrete run: every auto field pinned, geometry realized."""
@@ -155,6 +115,7 @@ class ResolvedScenario:
     seed: int
     mode_limit_value: int
     nyquist: object
+    stages: dict  # "resolve" and "mode_limit"
 
 
 MAX_ARRAY_BYTES = 1 << 30
@@ -215,16 +176,19 @@ def _read(record, section: str, value):
 
 
 def _resolve_processing(proc_cfg: dict, array: SensorArray, grid: FrequencyGrid,
-                        allow_undersampled: bool, force_modes: bool) -> tuple:
+                        allow_undersampled: bool, force_modes: bool, stages: dict) -> tuple:
     """Pin every processing knob against a realized array and grid:
-    (Processing, stability limit M_h, Nyquist report)."""
+    (Processing, stability limit M_h, Nyquist report); the search for the
+    limit is timed into stages["mode_limit"]."""
     proc = _read(Processing, "processing", {} if proc_cfg is None else proc_cfg)
     for key, names in (("model", MODELS), ("design", DESIGNS),
                        ("reduction", ("auto", *REDUCTIONS))):
         if getattr(proc, key) not in names:
             raise ConfigError(f"unknown {key} {getattr(proc, key)!r}")
 
+    t0 = time.perf_counter()
     limit = mode_limit(array, grid, proc.mode_threshold, design=proc.design)
+    _lap(stages, "mode_limit", t0)
     if proc.modes == "auto":
         mh = limit
     else:
@@ -285,6 +249,7 @@ def _resolve_processing(proc_cfg: dict, array: SensorArray, grid: FrequencyGrid,
 def resolve(cfg: dict, allow_undersampled: bool = False,
             force_modes: bool = False) -> ResolvedScenario:
     """Validate a raw scenario and pin every derived quantity."""
+    t0, stages = time.perf_counter(), {}
     cfg = copy.deepcopy(cfg)
     _check_keys("scenario", cfg, ("name", "seed", "allow_undersampled", "array", "grid", "scene",
                                   "processing", "sweep"), required=("array", "grid", "scene"))
@@ -333,7 +298,7 @@ def resolve(cfg: dict, allow_undersampled: bool = False,
 
     proc, limit, audit = _resolve_processing(cfg.get("processing", {}), array, grid,
                                              allow_undersampled=allow_undersampled,
-                                             force_modes=force_modes)
+                                             force_modes=force_modes, stages=stages)
     if proc.model == "spherical" and any(w.distance_m is None for w in scene):
         raise ValidationError("spherical model requires distance_m on every wave")
 
@@ -349,26 +314,32 @@ def resolve(cfg: dict, allow_undersampled: bool = False,
         resolved_cfg["allow_undersampled"] = True
     if "sweep" in cfg:
         resolved_cfg["sweep"] = cfg["sweep"]
+    stages["resolve"] = time.perf_counter() - t0 - stages["mode_limit"]
     return ResolvedScenario(name=name, config=resolved_cfg, array=array, grid=grid,
                             scene=scene, processing=proc, seed=seed,
-                            mode_limit_value=limit, nyquist=audit)
+                            mode_limit_value=limit, nyquist=audit, stages=stages)
 
 
 def resolve_ingested(array: SensorArray, grid: FrequencyGrid, proc_cfg: dict,
                      name: str = "ingest", allow_undersampled: bool = False,
                      force_modes: bool = False) -> ResolvedScenario:
     """Resolve processing for an externally measured channel (no scene)."""
+    t0, stages = time.perf_counter(), {}
     proc, limit, audit = _resolve_processing(proc_cfg, array, grid,
                                              allow_undersampled=allow_undersampled,
-                                             force_modes=force_modes)
+                                             force_modes=force_modes, stages=stages)
     resolved_cfg = {"name": name, "grid": asdict(grid), "processing": asdict(proc)}
+    stages["resolve"] = time.perf_counter() - t0 - stages["mode_limit"]
     return ResolvedScenario(name=name, config=resolved_cfg, array=array, grid=grid,
                             scene=[], processing=proc, seed=0,
-                            mode_limit_value=limit, nyquist=audit)
+                            mode_limit_value=limit, nyquist=audit, stages=stages)
 
 
 @dataclass
 class RunResult:
+    """One run's outputs.  `stages` holds the run's stage times, which sum
+    to about runtime_s; write_outputs adds "write"."""
+
     scenario: ResolvedScenario
     channel: ChannelMatrix
     spectrum: JointSpectrum
@@ -376,6 +347,7 @@ class RunResult:
     runtime_s: float
     bank_unique_evals: int
     bank_dense_weights: int
+    stages: dict
 
     def manifest(self) -> dict:
         sc = self.scenario
@@ -395,28 +367,38 @@ class RunResult:
                 "bank_unique_evals": self.bank_unique_evals,
                 "bank_dense_weights": self.bank_dense_weights,
                 "runtime_s": self.runtime_s,
+                "stages": {**sc.stages, **self.stages},
             },
         }
 
 
-def run_channel(scenario: ResolvedScenario, ch: ChannelMatrix) -> RunResult:
-    """Beamform + transform + peak extraction for an existing channel."""
+def run_channel(scenario: ResolvedScenario, ch: ChannelMatrix, stages=None) -> RunResult:
+    """Beamform + transform + peak extraction for an existing channel; the
+    result's stages are `stages` (what came before) plus this run's."""
     t0 = time.perf_counter()
+    stages = dict(stages or {})
     proc = scenario.processing
     bank = build_bank(ch.array, ch.grid, design=proc.design,
                       mode_half=proc.mode_half, reduction=proc.reduction)
-    spec = joint_spectrum(expand_array(ch, bank), pad_az=proc.pad_az, pad_delay=proc.pad_delay)
-    return RunResult(scenario=scenario, channel=ch, spectrum=spec,
-                     report=find_peaks(spec, exclusion_cells=proc.exclusion_cells),
+    _lap(stages, "bank", t0)
+    modes = expand_array(ch, bank, stages=stages)
+    t = time.perf_counter()
+    spec = joint_spectrum(modes, pad_az=proc.pad_az, pad_delay=proc.pad_delay)
+    del modes  # freed before the peak search, which would otherwise raise the max RSS
+    t = _lap(stages, "fft", t)
+    report = find_peaks(spec, exclusion_cells=proc.exclusion_cells)
+    _lap(stages, "peaks", t)
+    return RunResult(scenario=scenario, channel=ch, spectrum=spec, report=report,
                      runtime_s=time.perf_counter() - t0,
                      bank_unique_evals=bank.unique_eval_count,
-                     bank_dense_weights=bank.dense_weight_count)
+                     bank_dense_weights=bank.dense_weight_count, stages=stages)
 
 
 def run_scenario(scenario: ResolvedScenario) -> RunResult:
     """Full pipeline: synthesize, add noise, beamform, transform, report."""
     t0 = time.perf_counter()
-    result = run_channel(scenario, _synthesize(scenario))
+    ch = _synthesize(scenario)
+    result = run_channel(scenario, ch, {"synthesis": time.perf_counter() - t0})
     result.runtime_s = time.perf_counter() - t0
     return result
 
@@ -431,14 +413,18 @@ def _synthesize(scenario: ResolvedScenario) -> ChannelMatrix:
 
 
 def write_outputs(result: RunResult, out_dir) -> list:
-    """Write manifest, peak report, spectrum CSV and heatmap; return paths."""
+    """Write manifest, peak report, spectrum CSV and heatmap; return paths.
+
+    The manifest goes last, so its "write" stage times the other three."""
+    t0 = time.perf_counter()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / name for name in ("manifest.json", "peaks.txt", "spectrum.csv", "heatmap.pgm")]
-    paths[0].write_text(json.dumps(result.manifest(), indent=2, sort_keys=True) + "\n")
     paths[1].write_text(result.report.to_text() + "\n")
     result.spectrum.export_csv(paths[2])
     result.spectrum.export_pgm(paths[3])
+    result.stages["write"] = time.perf_counter() - t0
+    paths[0].write_text(json.dumps(result.manifest(), indent=2, sort_keys=True) + "\n")
     return paths
 
 
@@ -455,7 +441,7 @@ def _bank_key(scenario: ResolvedScenario) -> tuple:
 
 
 def sweep_rows(cfg: dict, allow_undersampled: bool = False,
-               force_modes: bool = False):
+               force_modes: bool = False, stages=None):
     """Run the scenario once per sweep grid point (cartesian, row-major).
 
     Yields dict rows in row-major order: the axis values, the peak report
@@ -475,7 +461,10 @@ def sweep_rows(cfg: dict, allow_undersampled: bool = False,
     alone, bit for bit; runtime_s is the batch's wall time divided by its
     point count.  Determinism comes from per-point seeds in the config, so
     evaluation order carries no state.
+
+    A `stages` dict receives the sweep's stage totals over all points.
     """
+    stages = {} if stages is None else stages
     sweep = cfg.get("sweep")
     if not isinstance(sweep, dict) or not isinstance(sweep.get("axes"), (list, tuple)) \
             or not sweep["axes"]:
@@ -515,6 +504,8 @@ def sweep_rows(cfg: dict, allow_undersampled: bool = False,
             set_path(point, path, value)
         scenario = resolve(point, allow_undersampled=allow_undersampled,
                            force_modes=force_modes)
+        for stage, seconds in scenario.stages.items():
+            stages[stage] = stages.get(stage, 0.0) + seconds
         key = _bank_key(scenario)
         # equal keys realize equal arrays: keep one per group
         scenario.array = arrays.setdefault(key, scenario.array)
@@ -525,8 +516,10 @@ def sweep_rows(cfg: dict, allow_undersampled: bool = False,
     for members in groups.values():
         first = points[members[0]][1]
         shared = first.processing  # the bank's keys; pads and windows stay per point
+        t = time.perf_counter()
         bank = build_bank(first.array, first.grid, design=shared.design,
                           mode_half=shared.mode_half, reduction=shared.reduction)
+        _lap(stages, "bank", t)
         point_bytes = 16 * first.array.total_sensors * first.grid.samples
         size = max(1, SWEEP_BATCH_BYTES // point_bytes)
         for lo in range(0, len(members), size):
@@ -536,17 +529,21 @@ def sweep_rows(cfg: dict, allow_undersampled: bool = False,
                               dtype=complex)
             for b, i in enumerate(batch):
                 values[..., b] = _synthesize(points[i][1]).values
+            _lap(stages, "synthesis", t0)
             modes = expand_array(ChannelMatrix(array=first.array, grid=first.grid,
-                                               values=values), bank)
+                                               values=values), bank, stages=stages)
             for b, i in enumerate(batch):
                 assignment, scenario = points[i]
                 proc, wave = scenario.processing, scenario.scene[0]
+                t = time.perf_counter()
                 spec = joint_spectrum(ModeMatrix(values=modes.values[..., b],
                                                  mode_half=modes.mode_half, grid=modes.grid),
                                       pad_az=proc.pad_az, pad_delay=proc.pad_delay)
+                t = _lap(stages, "fft", t)
                 anchored = find_peaks(spec, expected=(wave.azimuth_deg, wave.delay_s),
                                       exclusion_cells=proc.exclusion_cells)
                 peak = spec.peak()
+                _lap(stages, "peaks", t)
                 rows[i] = {path: value for path, value in assignment}
                 rows[i].update({
                     "phi_deg": anchored.main.phi_deg,

@@ -144,6 +144,33 @@ def brute_spherical_entry(wave_amp, wave_delay, wave_az_deg, wave_el_deg,
     return (dist_m / d_p) * h0 * cmath.exp(2j * math.pi * f_hz * (dist_m - d_p) / C)
 
 
+def longdouble_channel(scene, array, grid, model):
+    """(P, K) channel of a scene in np.longdouble, from the realized sensor
+    radii and azimuths: every wave's phase 2 pi f_k (tau + path_p / c), with
+    f_k = f_start + k B / K, taken in one piece and summed wave by wave."""
+    ld = np.longdouble
+    pi = np.arccos(ld(-1.0))
+    freqs = ld(grid.f_start_hz) + np.arange(grid.samples, dtype=ld) * (
+        ld(grid.bandwidth_hz) / grid.samples)
+    rows = []
+    for ring in range(array.ring_count):
+        r = array.ring_radii(ring).astype(ld)
+        phi_p = array.ring_azimuths(ring).astype(ld)
+        acc = np.zeros((r.size, freqs.size), dtype=np.clongdouble)
+        for w in scene:
+            theta, phi = ld(w.elevation_deg) * pi / 180, ld(w.azimuth_deg) * pi / 180
+            if model == "planewave":
+                path, gain = r * np.sin(theta) * np.cos(phi - phi_p), np.ones_like(r)
+            else:
+                d = ld(w.distance_m)
+                d_p = np.sqrt(d * d + r * r - 2 * d * r * np.sin(theta) * np.cos(phi - phi_p))
+                path, gain = d - d_p, d / d_p
+            arg = 2 * pi * np.outer(ld(w.delay_s) + path / ld(C), freqs)
+            acc += (ld(w.amplitude) * gain)[:, None] * (np.cos(arg) + 1j * np.sin(arg))
+        rows.append(acc)
+    return np.concatenate(rows)
+
+
 def bank_weights_at(bank, k):
     """(mode_half + 1, U) weights over the bank's radii at sample k; rows are m = 0..M_h."""
     return bank.weights_from_jtable(bank.jtable(k, k + 1)[:, 0], k)

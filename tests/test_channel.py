@@ -188,6 +188,28 @@ def test_superpose_matches_brute_force_on_two_rings(model):
             assert abs(ch.values[p, k] - sum(parts)) <= 1e-12 * sum(map(abs, parts))
 
 
+@pytest.mark.parametrize("model", channel.MODELS)
+@pytest.mark.parametrize("waves", [1, 2])
+@pytest.mark.parametrize("samples", [2, 15, 16, 17, 100, 200])
+def test_superpose_matches_longdouble_reference(model, waves, samples):
+    # K = 2 and 15 fill no block of 16 samples (a tail only), 16 and 200
+    # leave no tail, and 72 sensors span two of the 64-sensor slices a later
+    # wave adds through; the bound is below the error that one exp per entry
+    # reached on these same cases (2.687e-12 of max |H|)
+    arr = geometry.build_concentric([
+        geometry.EllipseSpec(semi_major_m=0.5, eccentricity=0.8, sensors=72, rotation_deg=30.0),
+        geometry.EllipseSpec(semi_major_m=0.3, eccentricity=0.0, sensors=20),
+    ])
+    scene = [channel.IncidentWave(azimuth_deg=25.0, delay_s=31e-9, elevation_deg=70.0,
+                                  amplitude=1.3, distance_m=2.5),
+             channel.IncidentWave(azimuth_deg=250.0, delay_s=47e-9, amplitude=0.6,
+                                  distance_m=14.0)][:waves]
+    grid = channel.FrequencyGrid(f_start_hz=58e9, bandwidth_hz=4e9, samples=samples)
+    ch = channel.superpose(scene, arr, grid, model=model)
+    ref = oracles.longdouble_channel(scene, arr, grid, model)
+    assert np.abs(ch.values - ref).max() <= 2.65e-12 * np.abs(ref).max()
+
+
 def test_superpose_allocates_no_per_wave_array():
     scenario = pipeline.resolve(get_preset("fig7-cea"))  # nine rings, 6480 sensors
     scene = scenario.scene + [channel.IncidentWave(azimuth_deg=200.0, delay_s=35e-9)]

@@ -179,6 +179,9 @@ class TestSetPath:
             pipeline.set_path(cfg, "b.*", 1)
 
 
+RUN_STAGES = ("synthesis", "bank", "folds", "tables", "weights", "products", "fft", "peaks")
+
+
 class TestRun:
     def test_run_and_manifest_replay(self, tmp_path):
         sc = pipeline.resolve(small_scenario())
@@ -188,6 +191,8 @@ class TestRun:
         manifest = json.loads((out1 / "manifest.json").read_text())
         assert manifest["kind"] == "elliptic-doa-manifest"
         assert manifest["resolved"]["modes_total"] == 61  # odd request kept as-is
+        assert set(manifest["resolved"]["stages"]) == {"resolve", "mode_limit", *RUN_STAGES,
+                                                       "write"}
 
         replay_cfg = pipeline.load_config(out1 / "manifest.json")
         sc2 = pipeline.resolve(replay_cfg)
@@ -196,6 +201,12 @@ class TestRun:
         pipeline.write_outputs(result2, out2)
         for fname in ("peaks.txt", "spectrum.csv", "heatmap.pgm"):
             assert (out1 / fname).read_bytes() == (out2 / fname).read_bytes(), fname
+
+    @pytest.mark.parametrize("preset", ["fig3", "fig7-cea"])
+    def test_stages_sum_to_runtime(self, preset):
+        result = pipeline.run_scenario(pipeline.resolve(presets.get_preset(preset)))
+        assert set(result.stages) == set(RUN_STAGES)
+        assert sum(result.stages.values()) == pytest.approx(result.runtime_s, rel=0.05)
 
     def test_awgn_is_seeded_through_config(self):
         cfg = small_scenario(snr_db=5.0)
@@ -233,9 +244,9 @@ class TestRun:
         batches = []
         expand = pipeline.expand_array
 
-        def counting_expand(ch, bank):
+        def counting_expand(ch, bank, **kwargs):
             batches.append(ch.values.shape[2])
-            return expand(ch, bank)
+            return expand(ch, bank, **kwargs)
 
         monkeypatch.setattr(pipeline, "expand_array", counting_expand)
         rows = list(pipeline.sweep_rows(cfg))
@@ -343,6 +354,8 @@ class TestCli:
         assert rc == 0
         lines = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
         assert len(lines) == 3
+        record = json.loads((tmp_path / "sw" / "sweep_config.json").read_text())
+        assert set(record["stages"]) == {"resolve", "mode_limit", *RUN_STAGES, "write"}
         assert lines[0].startswith("scene.0.azimuth_deg,")
 
     def test_sweep_record_reruns_to_the_same_rows(self, tmp_path):
