@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .channel import ingest_channel
-from .config import load_config
+from .config import add_axis, as_object, load_config, write_record
 from .errors import ConfigError, NumericError, ValidationError
 from .geometry import SensorArray, nyquist_audit
 from .pipeline import (
@@ -36,40 +36,39 @@ from .pipeline import (
 from .presets import PRESETS, get_preset
 
 
-def _add_common(p: argparse.ArgumentParser, need_scenario: bool = True) -> None:
-    if need_scenario:
+def _add_flags(p: argparse.ArgumentParser, scenario: bool = True, run: bool = True) -> None:
+    """The flags a verb reads: a scenario and its seed, and what running one takes."""
+    if scenario:
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--config", help="scenario JSON path (or a run manifest or sweep record)")
         src.add_argument("--preset", help="name of a shipped preset")
-    p.add_argument("--out-dir", default=None, help="output directory "
-                   "(default: runs/<scenario name>)")
-    p.add_argument("--seed", type=int, default=None, help="override the master seed")
-    p.add_argument("--allow-undersampled", action="store_true",
-                   help="run even if spatial sampling fails the half-wavelength check")
-    p.add_argument("--force-modes", action="store_true",
-                   help="run even if the requested mode count exceeds the stability limit")
-    p.add_argument("--pad-az", type=int, default=None, help="azimuth zero-pad factor")
-    p.add_argument("--pad-delay", type=int, default=None, help="delay zero-pad factor")
+        p.add_argument("--seed", type=int, default=None, help="override the master seed")
+    if run:
+        p.add_argument("--out-dir", default=None, help="output directory "
+                       "(default: runs/<scenario name>)")
+        p.add_argument("--allow-undersampled", action="store_true",
+                       help="run even if spatial sampling fails the half-wavelength check")
+        p.add_argument("--force-modes", action="store_true",
+                       help="run even if the requested mode count exceeds the stability limit")
+        p.add_argument("--pad-az", type=int, default=None, help="azimuth zero-pad factor")
+        p.add_argument("--pad-delay", type=int, default=None, help="delay zero-pad factor")
 
 
 def _load_scenario(args) -> dict:
     cfg = get_preset(args.preset) if args.preset else load_config(args.config)
     if args.seed is not None:
         cfg["seed"] = int(args.seed)
-    cfg["processing"] = _with_pad_flags(cfg.get("processing"), args)
     return cfg
 
 
-def _with_pad_flags(proc, args) -> dict:
-    """A config's processing section with the --pad-* overrides applied."""
-    proc = {} if proc is None else proc
-    if not isinstance(proc, dict):
-        raise ConfigError("processing must be an object")
-    if args.pad_az is not None:
-        proc["pad_az"] = args.pad_az
-    if args.pad_delay is not None:
-        proc["pad_delay"] = args.pad_delay
-    return proc
+def _with_pad_flags(cfg: dict, args) -> dict:
+    """cfg with the --pad-* overrides applied to its processing section."""
+    proc = cfg.get("processing")
+    cfg["processing"] = proc = as_object("processing", {} if proc is None else proc)
+    for key in ("pad_az", "pad_delay"):
+        if getattr(args, key) is not None:
+            proc[key] = getattr(args, key)
+    return cfg
 
 
 def _out_dir(args, name: str) -> Path:
@@ -92,7 +91,7 @@ def _write_run(result, out: Path, summary: str) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg = _load_scenario(args)
+    cfg = _with_pad_flags(_load_scenario(args), args)
     scenario = resolve(cfg, allow_undersampled=args.allow_undersampled,
                        force_modes=args.force_modes)
     out = _out_dir(args, scenario.name)
@@ -102,7 +101,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load_scenario(args)
+    cfg = _with_pad_flags(_load_scenario(args), args)
     for spec in args.axis or []:
         if "=" not in spec:
             raise ConfigError(f"--axis wants PATH=v1,v2,...: got {spec!r}")
@@ -111,10 +110,7 @@ def _cmd_sweep(args) -> int:
             parsed = [json.loads(v) for v in values.split(",")]
         except json.JSONDecodeError as exc:
             raise ConfigError(f"--axis values must be JSON scalars: {spec!r} ({exc.msg})") from exc
-        sweep = cfg.setdefault("sweep", {})
-        if not isinstance(sweep, dict) or not isinstance(sweep.setdefault("axes", []), list):
-            raise ConfigError("sweep must be an object with a list of axes")
-        sweep["axes"].append({"path": path, "values": parsed})
+        add_axis(cfg, path, parsed)
     out = _out_dir(args, cfg.get("name", "sweep"))
     stages = {}
     rows = list(sweep_rows(cfg, allow_undersampled=args.allow_undersampled,
@@ -124,16 +120,13 @@ def _cmd_sweep(args) -> int:
     csv_path = out / "sweep.csv"
     n = write_sweep_csv(rows, csv_path)
     stages["write"] = time.perf_counter() - t0
-    (out / "sweep_config.json").write_text(
-        json.dumps({"kind": "elliptic-doa-sweep", "version": __version__,
-                    "config": cfg, "stages": stages}, indent=2, sort_keys=True) + "\n")
+    write_record(out / "sweep_config.json", "sweep", cfg, stages=stages)
     print(f"wrote {csv_path} ({n} rows)")
     return 0
 
 
 def _cmd_audit(args) -> int:
-    cfg = _load_scenario(args)
-    scenario = resolve(cfg, allow_undersampled=True, force_modes=True)
+    scenario = resolve(_load_scenario(args), allow_undersampled=True, force_modes=True)
     f_max = scenario.grid.f_max_hz if args.f_max is None else args.f_max
     report = nyquist_audit(scenario.array, f_max)
     print(report.to_text())
@@ -146,9 +139,8 @@ def _cmd_audit(args) -> int:
 def _cmd_ingest(args) -> int:
     array = SensorArray.from_csv(args.geometry)
     ch = ingest_channel(args.channel, array)
-    proc = _with_pad_flags(load_config(args.config).get("processing")
-                           if args.config else None, args)
-    scenario = resolve_ingested(array, ch.grid, proc, name=args.name,
+    cfg = _with_pad_flags(load_config(args.config) if args.config else {}, args)
+    scenario = resolve_ingested(array, ch.grid, cfg["processing"], name=args.name,
                                 allow_undersampled=args.allow_undersampled,
                                 force_modes=args.force_modes)
     out = _out_dir(args, scenario.name)
@@ -171,17 +163,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="verb", required=True)
 
     run_p = sub.add_parser("run", help="run one scenario")
-    _add_common(run_p)
+    _add_flags(run_p)
     run_p.set_defaults(fn=_cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="run a scenario sweep")
-    _add_common(sweep_p)
+    _add_flags(sweep_p)
     sweep_p.add_argument("--axis", action="append",
                          help="extra axis PATH=v1,v2,... (JSON scalars)")
     sweep_p.set_defaults(fn=_cmd_sweep)
 
     audit_p = sub.add_parser("audit", help="geometry / spatial sampling audit")
-    _add_common(audit_p)
+    _add_flags(audit_p, run=False)
     audit_p.add_argument("--f-max", type=float, default=None,
                          help="audit frequency (default: top of the grid)")
     audit_p.add_argument("--export-geometry", default=None,
@@ -189,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit_p.set_defaults(fn=_cmd_audit)
 
     ingest_p = sub.add_parser("ingest", help="process a measured channel")
-    _add_common(ingest_p, need_scenario=False)
+    _add_flags(ingest_p, scenario=False)
     ingest_p.add_argument("--geometry", required=True, help="sensor CSV (ring,p,x_m,y_m)")
     ingest_p.add_argument("--channel", required=True, help="channel CSV (p,f_hz,re,im)")
     ingest_p.add_argument("--config", default=None,

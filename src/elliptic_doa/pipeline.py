@@ -1,26 +1,11 @@
-"""Scenario-driven runner: config resolution, pipeline execution, sweeps.
+"""Scenario resolution, execution and sweeps.
 
-A scenario is a JSON document (kept diffable on disk) with sections:
-
-    name        run label (string)
-    seed        master seed; rings and the noise injector derive their
-                streams from it unless given their own
-    array       list of rings: the fields of geometry.EllipseSpec, with
-                sigma_m or sigma_wavelengths, seed null or absent = master
-    grid        the fields of channel.FrequencyGrid
-    scene       list of waves: the fields of channel.IncidentWave
-    processing  the fields of Processing, each optional
-    sweep       optional: {"axes": [{"path": ..., "values": [...]}, ...]}
-
-Every section rejects unknown keys; grid, rings, waves and processing are
-read into their records, and a missing field or a value that does not
-convert (an int field takes integral values only) is a ConfigError naming
-the section and the key.  Resolution pins "auto" fields (mode counts via
-the stability limit, sigma via the band-center wavelength, per-ring seeds)
-and validates spatial sampling.  A resolved config is itself a valid
-scenario; re-running one reproduces every numeric output bit for bit,
-which is what the run manifest records.  Reading a document from disk and
-assigning into it by a dotted path (load_config, set_path) live in config.
+config reads the scenario document into records.  Resolution pins what
+needs the physics ("auto" mode counts and reduction, sigma in wavelengths,
+per-ring seeds, the spatial-sampling gate, the size bounds) for built and
+ingested arrays alike.  A resolved config is itself a valid scenario;
+re-running one reproduces every numeric output bit for bit, which is what
+the run manifest records.
 
 Each step adds its wall time (time.perf_counter seconds) to a stage entry:
 "resolve" (less its "mode_limit" search), "synthesis", "bank", "folds",
@@ -36,13 +21,13 @@ import itertools
 import json
 import math
 import time
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from . import __version__
+from . import config
 from .beamform import (
     DESIGNS,
     REDUCTIONS,
@@ -125,74 +110,30 @@ bytes; P bounds the bank's columns) that resolve admits, checked before any
 is allocated."""
 
 
-def _parse(kind, value, what: str):
-    """kind(value), a failed conversion being a ConfigError naming the field."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:  # float() of a huge int overflows
-        raise ConfigError(f"bad {what}: {exc}") from exc
-
-
-def _integral(value) -> int:
-    """int(value) that raises on a fraction, infinity or NaN: 720.0 is 720."""
-    if isinstance(value, int):
-        return int(value)
-    number = float(value)
-    if not number.is_integer():
-        raise ValueError(f"{value!r} is not an integer")
-    return int(number)
-
-
-def _object(section: str, value) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{section} must be an object")
-    return dict(value)
-
-
-def _check_keys(section: str, value: dict, known, required=()) -> None:
-    unknown = set(value) - set(known)
-    if unknown:
-        raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
-    for key in required:
-        if key not in value:
-            raise ConfigError(f"{section} is missing required key {key!r}")
-
-
-def _read(record, section: str, value):
-    """A record from a config object: float, int (integral only) and
-    Optional[float] fields convert their values, other fields take them as
-    given, and the record's __post_init__ checks domains.  The records'
-    modules postpone annotations, so a field's type is its source text."""
-    value = _object(section, value)
-    declared = {f.name: f.type for f in fields(record)}
-    _check_keys(section, value, declared,
-                [f.name for f in fields(record) if f.default is MISSING])
-    convert = {"float": float, "int": _integral,
-               "Optional[float]": lambda v: None if v is None else float(v)}
-    for name, given in value.items():
-        if declared[name] in convert:
-            value[name] = _parse(convert[declared[name]], given, f"{section}.{name}")
-    return record(**value)
-
-
-def _resolve_processing(proc_cfg: dict, array: SensorArray, grid: FrequencyGrid,
-                        allow_undersampled: bool, force_modes: bool, stages: dict) -> tuple:
-    """Pin every processing knob against a realized array and grid:
-    (Processing, stability limit M_h, Nyquist report); the search for the
-    limit is timed into stages["mode_limit"]."""
-    proc = _read(Processing, "processing", {} if proc_cfg is None else proc_cfg)
+def _resolved(t0: float, resolved_cfg: dict, array: SensorArray, grid: FrequencyGrid,
+              scene: list, proc_cfg, allow_undersampled: bool,
+              force_modes: bool) -> ResolvedScenario:
+    """Resolution's tail for a built array (with its scene) and an ingested
+    one (no scene): pin processing against the realized array, grid and
+    scene, and add the grid and processing to `resolved_cfg`."""
+    stages = {}
+    proc = config.read_record(Processing, "processing", {} if proc_cfg is None else proc_cfg)
     for key, names in (("model", MODELS), ("design", DESIGNS),
                        ("reduction", ("auto", *REDUCTIONS))):
         if getattr(proc, key) not in names:
             raise ConfigError(f"unknown {key} {getattr(proc, key)!r}")
+    if not scene and proc.snr_db is not None:
+        raise ConfigError("processing.snr_db must be null on ingest: a measured channel "
+                          f"gets no added noise, got {proc.snr_db!r}")
 
-    t0 = time.perf_counter()
+    t = time.perf_counter()
     limit = mode_limit(array, grid, proc.mode_threshold, design=proc.design)
-    _lap(stages, "mode_limit", t0)
+    _lap(stages, "mode_limit", t)
     if proc.modes == "auto":
         mh = limit
     else:
-        total = _parse(_integral, proc.modes, "processing.modes ('auto' or an integer)")
+        total = config.parse(config.integral, proc.modes,
+                             "processing.modes ('auto' or an integer)")
         if total < 1:
             raise ConfigError("modes must be positive")
         mh = total // 2  # symmetric range: requested total rounds up to odd
@@ -230,33 +171,41 @@ def _resolve_processing(proc_cfg: dict, array: SensorArray, grid: FrequencyGrid,
                               f"bank's Bessel table would exceed "
                               f"MAX_ARRAY_BYTES = {MAX_ARRAY_BYTES}")
     cells = proc.exclusion_cells  # a string would split into digits: "12" is not (1, 2)
-    excl = _parse(lambda c: tuple(map(_integral, c)),
-                  cells if isinstance(cells, (list, tuple)) else (), "processing.exclusion_cells")
+    excl = config.parse(lambda c: tuple(map(config.integral, c)),
+                        cells if isinstance(cells, (list, tuple)) else (),
+                        "processing.exclusion_cells")
     if len(excl) != 2 or any(v < 0 for v in excl):
         raise ConfigError("exclusion_cells must be two non-negative integers")
     if proc.exclusion_deg is not None:
         # fixed angular window: keeps artifact readings comparable across
         # runs whose auto-selected mode counts (and thus cell sizes) differ
-        exclusion_deg = _parse(float, proc.exclusion_deg, "processing.exclusion_deg")
+        exclusion_deg = config.parse(float, proc.exclusion_deg, "processing.exclusion_deg")
         if not (math.isfinite(exclusion_deg) and exclusion_deg >= 0.0):
             raise DomainError(f"exclusion_deg must be finite and >= 0, got {exclusion_deg}")
         cell_deg = 360.0 / (2 * mh + 1)
         excl = (max(1, round(exclusion_deg / cell_deg)), excl[1])
-    return (replace(proc, modes=2 * mh + 1, reduction=reduction, exclusion_cells=excl),
-            limit, audit)
+    proc = replace(proc, modes=2 * mh + 1, reduction=reduction, exclusion_cells=excl)
+    if proc.model == "spherical" and any(w.distance_m is None for w in scene):
+        raise ValidationError("spherical model requires distance_m on every wave")
+    resolved_cfg.update(grid=asdict(grid), processing=asdict(proc))
+    stages["resolve"] = time.perf_counter() - t0 - stages["mode_limit"]
+    return ResolvedScenario(name=resolved_cfg["name"], config=resolved_cfg, array=array, grid=grid,
+                            scene=scene, processing=proc, seed=resolved_cfg.get("seed", 0),
+                            mode_limit_value=limit, nyquist=audit, stages=stages)
 
 
 def resolve(cfg: dict, allow_undersampled: bool = False,
             force_modes: bool = False) -> ResolvedScenario:
     """Validate a raw scenario and pin every derived quantity."""
-    t0, stages = time.perf_counter(), {}
+    t0 = time.perf_counter()
     cfg = copy.deepcopy(cfg)
-    _check_keys("scenario", cfg, ("name", "seed", "allow_undersampled", "array", "grid", "scene",
-                                  "processing", "sweep"), required=("array", "grid", "scene"))
+    config.check_keys("scenario", cfg, ("name", "seed", "allow_undersampled", "array", "grid",
+                                        "scene", "processing", "sweep"),
+                      required=("array", "grid", "scene"))
     name = cfg.get("name", "scenario")
     if not isinstance(name, str):
         raise ConfigError(f"name must be a string, got {name!r}")
-    seed = _parse(_integral, cfg.get("seed", 0), "seed")
+    seed = config.parse(config.integral, cfg.get("seed", 0), "seed")
     if seed < 0:
         raise DomainError(f"seed must be unsigned, got {seed}")
     # heavily perturbed layouts cannot pass a strict consecutive-spacing
@@ -266,7 +215,7 @@ def resolve(cfg: dict, allow_undersampled: bool = False,
         raise ConfigError(f"allow_undersampled must be true or false, got {opt_out!r}")
     allow_undersampled = allow_undersampled or opt_out
 
-    grid = _read(FrequencyGrid, "grid", cfg["grid"])
+    grid = config.read_record(FrequencyGrid, "grid", cfg["grid"])
 
     rings_cfg = cfg["array"]
     if not isinstance(rings_cfg, list) or not rings_cfg:
@@ -275,16 +224,16 @@ def resolve(cfg: dict, allow_undersampled: bool = False,
     specs = []
     for i, ring in enumerate(rings_cfg):
         section = f"array[{i}]"
-        ring = _object(section, ring)
+        ring = config.as_object(section, ring)
         sigma_wavelengths = ring.pop("sigma_wavelengths", None)
         if sigma_wavelengths is not None:
             if ring.get("sigma_m"):
                 raise ConfigError(f"{section}: give sigma_m or sigma_wavelengths, not both")
-            ring["sigma_m"] = lam_center * _parse(float, sigma_wavelengths,
-                                                  f"{section}.sigma_wavelengths")
+            ring["sigma_m"] = lam_center * config.parse(float, sigma_wavelengths,
+                                                        f"{section}.sigma_wavelengths")
         if ring.get("seed") is None:
             ring["seed"] = seed
-        specs.append(_read(EllipseSpec, section, ring))
+        specs.append(config.read_record(EllipseSpec, section, ring))
         rings_cfg[i] = asdict(specs[-1])
     if 16 * sum(spec.sensors for spec in specs) * grid.samples > MAX_ARRAY_BYTES:
         raise ValidationError("array[*].sensors x grid.samples: the channel would "
@@ -294,45 +243,25 @@ def resolve(cfg: dict, allow_undersampled: bool = False,
     scene_cfg = cfg["scene"]
     if not isinstance(scene_cfg, list) or not scene_cfg:
         raise ConfigError("scene must be a non-empty list of waves")
-    scene = [_read(IncidentWave, f"scene[{i}]", wave) for i, wave in enumerate(scene_cfg)]
+    scene = [config.read_record(IncidentWave, f"scene[{i}]", wave)
+             for i, wave in enumerate(scene_cfg)]
 
-    proc, limit, audit = _resolve_processing(cfg.get("processing", {}), array, grid,
-                                             allow_undersampled=allow_undersampled,
-                                             force_modes=force_modes, stages=stages)
-    if proc.model == "spherical" and any(w.distance_m is None for w in scene):
-        raise ValidationError("spherical model requires distance_m on every wave")
-
-    resolved_cfg = {
-        "name": name,
-        "seed": seed,
-        "array": rings_cfg,
-        "grid": asdict(grid),
-        "scene": [asdict(w) for w in scene],
-        "processing": asdict(proc),
-    }
+    resolved_cfg = {"name": name, "seed": seed, "array": rings_cfg,
+                    "scene": [asdict(w) for w in scene]}
     if allow_undersampled:
         resolved_cfg["allow_undersampled"] = True
     if "sweep" in cfg:
         resolved_cfg["sweep"] = cfg["sweep"]
-    stages["resolve"] = time.perf_counter() - t0 - stages["mode_limit"]
-    return ResolvedScenario(name=name, config=resolved_cfg, array=array, grid=grid,
-                            scene=scene, processing=proc, seed=seed,
-                            mode_limit_value=limit, nyquist=audit, stages=stages)
+    return _resolved(t0, resolved_cfg, array, grid, scene, cfg.get("processing", {}),
+                     allow_undersampled, force_modes)
 
 
 def resolve_ingested(array: SensorArray, grid: FrequencyGrid, proc_cfg: dict,
                      name: str = "ingest", allow_undersampled: bool = False,
                      force_modes: bool = False) -> ResolvedScenario:
     """Resolve processing for an externally measured channel (no scene)."""
-    t0, stages = time.perf_counter(), {}
-    proc, limit, audit = _resolve_processing(proc_cfg, array, grid,
-                                             allow_undersampled=allow_undersampled,
-                                             force_modes=force_modes, stages=stages)
-    resolved_cfg = {"name": name, "grid": asdict(grid), "processing": asdict(proc)}
-    stages["resolve"] = time.perf_counter() - t0 - stages["mode_limit"]
-    return ResolvedScenario(name=name, config=resolved_cfg, array=array, grid=grid,
-                            scene=[], processing=proc, seed=0,
-                            mode_limit_value=limit, nyquist=audit, stages=stages)
+    return _resolved(time.perf_counter(), {"name": name}, array, grid, [], proc_cfg,
+                     allow_undersampled, force_modes)
 
 
 @dataclass
@@ -348,28 +277,6 @@ class RunResult:
     bank_unique_evals: int
     bank_dense_weights: int
     stages: dict
-
-    def manifest(self) -> dict:
-        sc = self.scenario
-        return {
-            "kind": "elliptic-doa-manifest",
-            "version": __version__,
-            "config": sc.config,
-            "resolved": {
-                "mode_half": sc.processing.mode_half,
-                "modes_total": sc.processing.modes,
-                "mode_limit": sc.mode_limit_value,
-                "reduction": sc.processing.reduction,
-                "ring_seeds": [getattr(sc.array.ring_spec(i), "seed", None)
-                               for i in range(sc.array.ring_count)],
-                "nyquist_max_spacing_m": sc.nyquist.max_spacing_m,
-                "nyquist_pass": sc.nyquist.passed,
-                "bank_unique_evals": self.bank_unique_evals,
-                "bank_dense_weights": self.bank_dense_weights,
-                "runtime_s": self.runtime_s,
-                "stages": {**sc.stages, **self.stages},
-            },
-        }
 
 
 def run_channel(scenario: ResolvedScenario, ch: ChannelMatrix, stages=None) -> RunResult:
@@ -424,7 +331,21 @@ def write_outputs(result: RunResult, out_dir) -> list:
     result.spectrum.export_csv(paths[2])
     result.spectrum.export_pgm(paths[3])
     result.stages["write"] = time.perf_counter() - t0
-    paths[0].write_text(json.dumps(result.manifest(), indent=2, sort_keys=True) + "\n")
+    sc = result.scenario
+    config.write_record(paths[0], "manifest", sc.config, resolved={
+        "mode_half": sc.processing.mode_half,
+        "modes_total": sc.processing.modes,
+        "mode_limit": sc.mode_limit_value,
+        "reduction": sc.processing.reduction,
+        "ring_seeds": [getattr(sc.array.ring_spec(i), "seed", None)
+                       for i in range(sc.array.ring_count)],
+        "nyquist_max_spacing_m": sc.nyquist.max_spacing_m,
+        "nyquist_pass": sc.nyquist.passed,
+        "bank_unique_evals": result.bank_unique_evals,
+        "bank_dense_weights": result.bank_dense_weights,
+        "runtime_s": result.runtime_s,
+        "stages": {**sc.stages, **result.stages},
+    })
     return paths
 
 
@@ -465,36 +386,7 @@ def sweep_rows(cfg: dict, allow_undersampled: bool = False,
     A `stages` dict receives the sweep's stage totals over all points.
     """
     stages = {} if stages is None else stages
-    sweep = cfg.get("sweep")
-    if not isinstance(sweep, dict) or not isinstance(sweep.get("axes"), (list, tuple)) \
-            or not sweep["axes"]:
-        raise ConfigError("sweep requires a 'sweep' section with a list of axes")
-    _check_keys("sweep", sweep, ("axes",))
-    axes = []
-    for i, ax in enumerate(sweep["axes"]):
-        # an axis is one path with scalar values, or several paths advancing
-        # in lockstep ("paths" + rows of values), e.g. eccentricity paired
-        # with its mode count
-        if not isinstance(ax, dict) or not isinstance(ax.get("values", []), (list, tuple)):
-            raise ConfigError("each sweep axis must be an object with a list of values")
-        _check_keys(f"sweep.axes[{i}]", ax, ("path", "paths", "values"))
-        if ("path" in ax) == ("paths" in ax):
-            raise ConfigError(f"sweep.axes[{i}] needs a path or paths, not both or neither")
-        if "paths" in ax:
-            paths = ax["paths"]
-            values = ax.get("values", [])
-            if not isinstance(paths, (list, tuple)) or not values or any(
-                    not isinstance(v, (list, tuple)) or len(v) != len(paths) for v in values):
-                raise ConfigError("zipped sweep axis needs one value per path")
-        else:
-            paths = [ax["path"]]
-            values = [[v] for v in ax.get("values", [])]
-            if not values:
-                raise ConfigError("sweep axis needs non-empty values")
-        if not all(isinstance(path, str) for path in paths):
-            raise ConfigError(f"sweep paths must be strings, got {paths!r}")
-        axes.append([list(zip(paths, row_vals)) for row_vals in values])
-
+    axes = config.sweep_axes(cfg.get("sweep"))
     points, groups, arrays = [], {}, {}
     for combo in itertools.product(*axes):
         assignment = [pair for part in combo for pair in part]

@@ -43,15 +43,15 @@ _RESCALE_THRESHOLD = 2.0**830
 _RESCALE_FACTOR = 2.0**-600  # exact power of two: rescaling is rounding-free
 
 
-def _start_order(m_top: int, x: float) -> int:
-    """First recurrence order for Miller's algorithm.
+def _start_orders(m_max: int, x):
+    """First recurrence order for Miller's algorithm, per argument in x.
 
     Starting max(m, x) plus ~13.5 * (x/2)^(1/3) places the seed deep enough
     past the turning point that the truncation contamination (the minimal
     solution admixture J_N/Y_N) stays below ~1e-26 for the whole range.
     """
-    pad = max(22, math.ceil(13.5 * (x / 2.0) ** (1.0 / 3.0))) if x > 0 else 22
-    return max(m_top, math.ceil(x)) + pad
+    pad = np.maximum(22, np.ceil(13.5 * np.cbrt(x / 2.0))).astype(np.int64)
+    return np.maximum(m_max, np.ceil(x).astype(np.int64)) + pad
 
 
 def _series_j(m: int, x: float) -> float:
@@ -91,7 +91,7 @@ def _miller_scalar(m: int, x: float) -> float:
     per-step overhead costs 15-25x this loop (m = 300, x = 4999.9 on a
     2-core Xeon host: ~10 ms here against 180-250 ms).
     """
-    nstart = _start_order(m, x)
+    nstart = int(_start_orders(m, np.float64(x)))
     jh, jl = 0.0, 0.0
     jph, jpl = 0.0, 0.0
     sh, sl = 0.0, 0.0
@@ -168,11 +168,6 @@ def bessel_j_prime(m: int, x: float) -> float:
     if m == 0:
         return -bessel_j(1, x)
     return 0.5 * (bessel_j(m - 1, x) - bessel_j(m + 1, x))
-
-
-def _start_orders(m_max: int, x: np.ndarray):
-    pad = np.maximum(22, np.ceil(13.5 * np.cbrt(x / 2.0))).astype(np.int64)
-    return np.maximum(m_max, np.ceil(x).astype(np.int64)) + pad
 
 
 def _miller_table(m_max: int, x: np.ndarray, compensated: bool) -> np.ndarray:

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import itertools
 import json
@@ -152,16 +153,18 @@ class TestResolve:
             assert again.processing == sc.processing
 
     def test_ingested_and_built_arrays_resolve_equal_processing(self, tmp_path):
+        """Equal processing, but for noise: ingest adds none, so it refuses an snr_db."""
         proc = {"design": "plain", "modes": 41, "reduction": "none", "pad_delay": 3,
-                "exclusion_deg": 5.0, "snr_db": 30.0}
+                "exclusion_deg": 5.0}
         sc = pipeline.resolve(small_scenario(**proc))
         sc.array.to_csv(tmp_path / "geo.csv")
-        ingested = pipeline.resolve_ingested(
-            geometry.SensorArray.from_csv(tmp_path / "geo.csv"), sc.grid,
-            sc.config["processing"])
+        array = geometry.SensorArray.from_csv(tmp_path / "geo.csv")
+        ingested = pipeline.resolve_ingested(array, sc.grid, sc.config["processing"])
         assert ingested.processing == sc.processing
         assert ingested.mode_limit_value == sc.mode_limit_value
         assert ingested.config["processing"] == sc.config["processing"]
+        with pytest.raises(ConfigError, match=r"processing\.snr_db"):
+            pipeline.resolve_ingested(array, sc.grid, {**sc.config["processing"], "snr_db": 30.0})
 
 
 class TestSetPath:
@@ -231,6 +234,17 @@ class TestRun:
         for row in rows:
             want = row["scene.0.azimuth_deg"] % 360.0
             assert abs(row["phi_deg"] - want) < 4.0
+
+    def test_path_axis_reads_as_a_one_path_paths_axis(self):
+        cfg = small_scenario()
+        rows = []
+        for axis in ({"path": "scene.0.azimuth_deg", "values": [0.0, 45.0]},
+                     {"paths": ["scene.0.azimuth_deg"], "values": [[0.0], [45.0]]}):
+            cfg["sweep"] = {"axes": [axis]}
+            rows.append([{key: value for key, value in row.items() if key != "runtime_s"}
+                         for row in pipeline.sweep_rows(cfg)])
+        assert len(rows[0]) == 2
+        assert rows[0] == rows[1]
 
     def test_sweep_batches_equal_single_runs(self, monkeypatch):
         cfg = small_scenario(snr_db=10.0)
@@ -414,6 +428,23 @@ class TestCli:
         out = capsys.readouterr().out
         assert "sensors=256" in out
 
+    def test_each_verb_registers_only_the_flags_it_reads(self):
+        verbs = next(action for action in cli.build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)).choices
+        options = {verb: sorted(flag for action in parser._actions
+                                for flag in action.option_strings)
+                   for verb, parser in verbs.items()}
+        scenario = ["--config", "--preset", "--seed"]
+        running = ["--allow-undersampled", "--force-modes", "--out-dir", "--pad-az", "--pad-delay"]
+        assert options == {
+            "run": sorted(["-h", "--help", *scenario, *running]),
+            "sweep": sorted(["-h", "--help", *scenario, *running, "--axis"]),
+            "audit": sorted(["-h", "--help", *scenario, "--f-max", "--export-geometry"]),
+            "ingest": sorted(["-h", "--help", *running, "--geometry", "--channel", "--config",
+                              "--name"]),
+            "presets": ["--help", "-h"],
+        }
+
     def test_seed_flag_changes_noise(self, tmp_path):
         cfg = small_scenario(snr_db=3.0)
         cfg_path = tmp_path / "cfg.json"
@@ -469,10 +500,13 @@ class TestCli:
               ({"axes": [{"path": "seed", "values": [1]}], "axis": []}, "'axis'"),
               ({"axes": [{"path": "seed", "values": [1], "vales": [2]}]}, "'vales'"),
               ({"axes": [{"path": "seed", "paths": ["seed"], "values": [[1]]}]},
-               "sweep.axes[0]"))),
+               "sweep.axes[0]"),
+              ({"axes": [{"path": "seed", "values": []}]}, "sweep.axes[0]"))),
         # a boolean field takes JSON true/false only: "false" is not falsy
         *((["run"], lambda cfg, v=v: cfg.update(allow_undersampled=v), "allow_undersampled")
           for v in ("false", "no", 0, 1, None)),
+        # ingest adds no noise to a measured channel
+        (["ingest"], lambda cfg: cfg["processing"].update(snr_db=20.0), "processing.snr_db"),
     ], ids=["axis-value-not-json", "axis-path-not-index", "processing-not-object",
             "processing-not-object-with-pad-flag", "exclusion-cells-not-list",
             "seed-auto", "seed-list", "seed-dict", "seed-nan", "sensors-infinite",
@@ -484,9 +518,10 @@ class TestCli:
             "exclusion-cells-fraction", "modes-fraction", "top-level-procesing",
             "grid-sampels", "ring-eccentricty", "scene-elevation", "grid-samples-missing",
             "grid-missing", "sweep-unknown-key", "sweep-axis-unknown-key",
-            "sweep-axis-path-and-paths", "allow-undersampled-text-false",
-            "allow-undersampled-text-no", "allow-undersampled-zero", "allow-undersampled-one",
-            "allow-undersampled-null"])
+            "sweep-axis-path-and-paths", "sweep-axis-values-empty",
+            "allow-undersampled-text-false", "allow-undersampled-text-no",
+            "allow-undersampled-zero", "allow-undersampled-one", "allow-undersampled-null",
+            "ingest-snr-db"])
     def test_malformed_input_exits_1_with_one_line(self, tmp_path, capsys, extra, edit, named):
         err = self.assert_one_line_exit(tmp_path, capsys, extra, edit, 1, "config error: ")
         assert named in err
@@ -519,6 +554,13 @@ class TestCli:
             edit(cfg)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
+        if extra[0] == "ingest":  # the small scenario's array and noiseless channel
+            sc = pipeline.resolve(small_scenario())
+            sc.array.to_csv(tmp_path / "geo.csv")
+            channel.export_channel(channel.superpose(sc.scene, sc.array, sc.grid),
+                                   tmp_path / "chan.csv")
+            extra = [*extra, "--geometry", str(tmp_path / "geo.csv"),
+                     "--channel", str(tmp_path / "chan.csv")]
         rc = cli.main([extra[0], "--config", str(cfg_path),
                        "--out-dir", str(tmp_path / "o"), *extra[1:]])
         err = capsys.readouterr().err
@@ -745,16 +787,25 @@ def test_public_names_resolve():
     assert missing == []
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _script(relpath: str):
+    """A script of the repository, loaded as a module."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(Path(relpath).stem, ROOT / relpath)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_tracer_sites_resolve():
     """Every call site the benchmark tracer wraps still exists, so a rename
     or removal in the program fails here and not only in `perfbench`."""
     import importlib
-    import importlib.util
 
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)  # imports no program code
+    tracer = _script("perfbench/tracer.py")  # imports no program code
     assert tracer.SITES
     for module_name, attr, _span in tracer.SITES:
         owner = importlib.import_module(module_name)
@@ -763,13 +814,33 @@ def test_tracer_sites_resolve():
         assert callable(owner), (module_name, attr)
 
 
-def test_digest_check_names_differing_lines_and_skips_other_hosts():
-    import importlib.util
+def test_tracer_opens_every_wrapped_span(tmp_path):
+    """A run and a two-point sweep open every span the benchmark tracer
+    wraps but the two expansion entry points, which the program no longer
+    calls.  A call that leaves the namespace where the tracer wraps it
+    would drop its span, and its metric would read 0 without an error."""
+    tracer = _script("perfbench/tracer.py")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    opened = {}
+    for verb, argv in (("run", ["--preset", "fig3"]),
+                       ("sweep", ["--preset", "fig3", "--axis", "scene.0.azimuth_deg=0,30"])):
+        trace = tmp_path / f"{verb}.json"
+        subprocess.run([sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(trace), verb,
+                        *argv, "--out-dir", str(tmp_path / verb)],
+                       env=env, check=True, capture_output=True)
+        opened[verb] = {span[0] for span in json.loads(trace.read_text())["spans"]}
+    unused = {"beamform.phase_mode_expand", "beamform.concentric_expand"}
+    assert opened["run"] | opened["sweep"] == {
+        tracer.ROOT, *(span for _, _, span in tracer.SITES)} - unused
+    assert opened["run"] - opened["sweep"] == {
+        "pipeline.run_scenario", "pipeline.write_outputs",
+        "spectrum.export_csv", "spectrum.export_pgm"}
+    assert opened["sweep"] - opened["run"] == {"pipeline.sweep_rows", "pipeline.write_sweep_csv"}
 
-    path = Path(__file__).resolve().parents[1] / "scripts" / "preset_digests.py"
-    spec = importlib.util.spec_from_file_location("preset_digests", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+
+def test_digest_check_names_differing_lines_and_skips_other_hosts():
+    script = _script("scripts/preset_digests.py")
     facts = ["# host numpy 9.9", "# host simd A B"]
     text = "\n".join(["# expected digests", *facts, "a spectrum.csv 01", "b peaks.txt 02"]) + "\n"
     assert script.check(text, facts, ["a spectrum.csv 01", "b peaks.txt 02"]) == (
@@ -782,7 +853,7 @@ def test_digest_check_names_differing_lines_and_skips_other_hosts():
     assert code == 0
     assert verdict.startswith("not comparable: '# host numpy 9.8' here")
     # the committed file carries the host facts and the 34 digest lines
-    committed = path.with_suffix(".txt").read_text().splitlines()
+    committed = (ROOT / "scripts" / "preset_digests.txt").read_text().splitlines()
     assert [line.split()[2] for line in committed if line.startswith("# host ")] == [
         "numpy", "blas", "simd"]
     assert len([line for line in committed if not line.startswith("#")]) == 34
