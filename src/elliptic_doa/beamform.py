@@ -451,16 +451,13 @@ class _ShapeTerms:
         return sums, diffs
 
     def products(self, w_bank: np.ndarray, sums: np.ndarray, diffs: np.ndarray,
-                 out=None) -> tuple:
+                 out: np.ndarray) -> tuple:
         """One sample's (even, odd) mode sums, each (mode_half + 1, G B), in
-        `out` when given: one gather for all the group's rings, then per parity
+        `out`: one gather for all the group's rings, then per parity
         q one pair of weight-phase products over the rows m = q (mod parities)
         and one matrix-vector product per ring and point with parity q's column.
         A circle's are its one weight column times its sums and diffs."""
         w = w_bank[:, self.columns]
-        if out is None:
-            points = sums.shape[-1] if self.circle else sums.shape[0]
-            out = np.empty((2, self.orders.size, points), dtype=complex)
         even, odd = out
         if self.circle:
             np.multiply(w, sums, out=even)

@@ -98,14 +98,6 @@ class FrequencyGrid:
     def f_center_hz(self) -> float:
         return self.f_start_hz + 0.5 * self.bandwidth_hz
 
-    @property
-    def delay_resolution_s(self) -> float:
-        return 1.0 / self.bandwidth_hz
-
-    @property
-    def max_delay_s(self) -> float:
-        return (self.samples - 1) / self.bandwidth_hz
-
 
 @dataclass
 class ChannelMatrix:

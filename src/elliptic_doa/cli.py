@@ -21,7 +21,8 @@ from pathlib import Path
 
 from . import __version__
 from .channel import ingest_channel
-from .config import add_axis, as_object, load_config, write_record
+from .config import (SCENARIO_KEYS, add_axis, as_object, check_keys, load_config, name_of,
+                     write_record)
 from .errors import ConfigError, NumericError, ValidationError
 from .geometry import SensorArray, nyquist_audit
 from .pipeline import (
@@ -111,10 +112,11 @@ def _cmd_sweep(args) -> int:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"--axis values must be JSON scalars: {spec!r} ({exc.msg})") from exc
         add_axis(cfg, path, parsed)
-    out = _out_dir(args, cfg.get("name", "sweep"))
+    if args.allow_undersampled:  # recorded, so the sweep record re-runs
+        cfg["allow_undersampled"] = True
+    out = _out_dir(args, name_of(cfg, "sweep"))
     stages = {}
-    rows = list(sweep_rows(cfg, allow_undersampled=args.allow_undersampled,
-                           force_modes=args.force_modes, stages=stages))
+    rows = sweep_rows(cfg, force_modes=args.force_modes, stages=stages)
     t0 = time.perf_counter()
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "sweep.csv"
@@ -140,6 +142,7 @@ def _cmd_ingest(args) -> int:
     array = SensorArray.from_csv(args.geometry)
     ch = ingest_channel(args.channel, array)
     cfg = _with_pad_flags(load_config(args.config) if args.config else {}, args)
+    check_keys("scenario", cfg, SCENARIO_KEYS)  # of which ingest reads processing alone
     scenario = resolve_ingested(array, ch.grid, cfg["processing"], name=args.name,
                                 allow_undersampled=args.allow_undersampled,
                                 force_modes=args.force_modes)

@@ -28,6 +28,9 @@ from .errors import ConfigError
 
 # the records that embed a config: a run manifest and a sweep record
 _KINDS = {"manifest": "elliptic-doa-manifest", "sweep": "elliptic-doa-sweep"}
+# the top-level keys of a scenario
+SCENARIO_KEYS = ("name", "seed", "allow_undersampled", "array", "grid", "scene", "processing",
+                 "sweep")
 
 
 def load_config(path) -> dict:
@@ -80,6 +83,14 @@ def as_object(section: str, value) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{section} must be an object")
     return dict(value)
+
+
+def name_of(cfg: dict, default: str) -> str:
+    """The scenario's run label, `default` when it gives none."""
+    name = cfg.get("name", default)
+    if not isinstance(name, str):
+        raise ConfigError(f"name must be a string, got {name!r}")
+    return name
 
 
 def check_keys(section: str, value: dict, known, required=()) -> None:

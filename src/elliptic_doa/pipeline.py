@@ -45,7 +45,6 @@ from .channel import (
     add_awgn,
     superpose,
 )
-from .config import load_config, set_path  # load_config stays importable from here
 from .constants import SPEED_OF_LIGHT
 from .errors import ConfigError, DomainError, ValidationError
 from .geometry import EllipseSpec, SensorArray, build_concentric, nyquist_audit
@@ -199,12 +198,8 @@ def resolve(cfg: dict, allow_undersampled: bool = False,
     """Validate a raw scenario and pin every derived quantity."""
     t0 = time.perf_counter()
     cfg = copy.deepcopy(cfg)
-    config.check_keys("scenario", cfg, ("name", "seed", "allow_undersampled", "array", "grid",
-                                        "scene", "processing", "sweep"),
-                      required=("array", "grid", "scene"))
-    name = cfg.get("name", "scenario")
-    if not isinstance(name, str):
-        raise ConfigError(f"name must be a string, got {name!r}")
+    config.check_keys("scenario", cfg, config.SCENARIO_KEYS, required=("array", "grid", "scene"))
+    name = config.name_of(cfg, "scenario")
     seed = config.parse(config.integral, cfg.get("seed", 0), "seed")
     if seed < 0:
         raise DomainError(f"seed must be unsigned, got {seed}")
@@ -333,16 +328,11 @@ def write_outputs(result: RunResult, out_dir) -> list:
     result.stages["write"] = time.perf_counter() - t0
     sc = result.scenario
     config.write_record(paths[0], "manifest", sc.config, resolved={
-        "mode_half": sc.processing.mode_half,
         "modes_total": sc.processing.modes,
         "mode_limit": sc.mode_limit_value,
-        "reduction": sc.processing.reduction,
-        "ring_seeds": [getattr(sc.array.ring_spec(i), "seed", None)
-                       for i in range(sc.array.ring_count)],
         "nyquist_max_spacing_m": sc.nyquist.max_spacing_m,
         "nyquist_pass": sc.nyquist.passed,
         "bank_unique_evals": result.bank_unique_evals,
-        "bank_dense_weights": result.bank_dense_weights,
         "runtime_s": result.runtime_s,
         "stages": {**sc.stages, **result.stages},
     })
@@ -361,11 +351,10 @@ def _bank_key(scenario: ResolvedScenario) -> tuple:
             proc.design, proc.mode_half, proc.reduction)
 
 
-def sweep_rows(cfg: dict, allow_undersampled: bool = False,
-               force_modes: bool = False, stages=None):
+def sweep_rows(cfg: dict, force_modes: bool = False, stages=None) -> list:
     """Run the scenario once per sweep grid point (cartesian, row-major).
 
-    Yields dict rows in row-major order: the axis values, the peak report
+    Returns dict rows in row-major order: the axis values, the peak report
     anchored on the first wave (phi_deg, tau_s, delta_db), the global peak
     (JointSpectrum.peak), and the resolved mode count.
 
@@ -393,9 +382,8 @@ def sweep_rows(cfg: dict, allow_undersampled: bool = False,
         point = copy.deepcopy(cfg)
         point.pop("sweep", None)
         for path, value in assignment:
-            set_path(point, path, value)
-        scenario = resolve(point, allow_undersampled=allow_undersampled,
-                           force_modes=force_modes)
+            config.set_path(point, path, value)
+        scenario = resolve(point, force_modes=force_modes)
         for stage, seconds in scenario.stages.items():
             stages[stage] = stages.get(stage, 0.0) + seconds
         key = _bank_key(scenario)
@@ -448,12 +436,11 @@ def sweep_rows(cfg: dict, allow_undersampled: bool = False,
             runtime_s = (time.perf_counter() - t0) / len(batch)
             for i in batch:
                 rows[i]["runtime_s"] = runtime_s
-    yield from rows
+    return rows
 
 
-def write_sweep_csv(rows, path) -> int:
+def write_sweep_csv(rows: list, path) -> int:
     """Write sweep rows to CSV; returns the row count."""
-    rows = list(rows)
     if not rows:
         raise ConfigError("sweep produced no rows")
     cols = list(rows[0].keys())

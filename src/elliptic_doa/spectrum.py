@@ -69,11 +69,6 @@ class JointSpectrum:
     grid: FrequencyGrid
 
     @property
-    def azimuth_bins_deg(self) -> np.ndarray:
-        n = self.magnitudes.shape[0]
-        return np.arange(n) * 360.0 / n
-
-    @property
     def delay_bins_s(self) -> np.ndarray:
         n = self.magnitudes.shape[1]
         return np.arange(n) / (self.pad_delay * self.grid.bandwidth_hz)

@@ -28,7 +28,7 @@ def _report(num, ok, detail):
 
 
 def _sweep(cfg):
-    return list(pipeline.sweep_rows(cfg))
+    return pipeline.sweep_rows(cfg)
 
 
 def _by(rows, key):

@@ -584,7 +584,8 @@ class TestParityProducts:
             assert sums.shape == (grid.samples, len(rings) * points, r.size, 2 if bank.folded else 1)
             for k in range(grid.samples):
                 w_bank = oracles.bank_weights_at(bank, k)
-                got = terms.products(w_bank, sums[k], diffs[k])
+                got = terms.products(w_bank, sums[k], diffs[k], np.empty(
+                    (2, mode_half + 1, len(rings) * points), dtype=complex))
                 want = oracles.parity_select_products(
                     w_bank[:, bank.ring_sensor_map[rings[0]][r]], np.cos(angle), np.sin(angle),
                     sums[k], diffs[k])

@@ -32,8 +32,6 @@ def test_grid_sampling_conventions():
     assert g.step_hz == pytest.approx(20e6, rel=1e-15)
     assert g.frequencies[0] == 58e9
     assert g.frequencies[-1] == pytest.approx(62e9 - 20e6, rel=1e-15)
-    assert g.delay_resolution_s == pytest.approx(0.25e-9, rel=1e-15)
-    assert g.max_delay_s == pytest.approx(49.75e-9, rel=1e-15)
     with pytest.raises(DomainError):
         channel.FrequencyGrid(f_start_hz=-1.0, bandwidth_hz=1.0, samples=4)
     with pytest.raises(DomainError):
@@ -267,7 +265,6 @@ def test_channel_csv_roundtrip_and_inference(tmp_path):
     assert back.grid.samples == 200
     assert back.grid.bandwidth_hz == pytest.approx(4e9, rel=1e-9)
     assert back.grid.step_hz == pytest.approx(20e6, rel=1e-9)
-    assert back.grid.delay_resolution_s == pytest.approx(0.25e-9, rel=1e-9)
 
 
 def test_export_matches_per_cell_writer(tmp_path):

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elliptic_doa import channel, cli, geometry, pipeline, presets
+from elliptic_doa import channel, cli, config, geometry, pipeline, presets
 from elliptic_doa.errors import ConfigError, ValidationError
 
 import oracles
@@ -28,6 +28,13 @@ def small_scenario(**proc):
         "scene": [{"azimuth_deg": 45.0, "delay_s": 8e-9}],
         "processing": {"modes": 61, "pad_az": 2, **proc},
     }
+
+
+def sweep_csv_without_runtime(out):
+    """The rows of out/sweep.csv, each without its runtime_s column."""
+    rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()]
+    col = rows[0].index("runtime_s")
+    return [row[:col] + row[col + 1:] for row in rows]
 
 
 class TestResolve:
@@ -113,7 +120,7 @@ class TestResolve:
             for kind in ("elliptic-doa-manifest", "elliptic-doa-sweep"):
                 path = tmp_path / f"{name}-{kind}.json"
                 path.write_text(json.dumps({"kind": kind, "config": sc.config}))
-                again = pipeline.resolve(pipeline.load_config(path))
+                again = pipeline.resolve(config.load_config(path))
                 assert json.dumps(again.config, sort_keys=True) == text, (name, kind)
                 assert (again.grid, again.scene, again.processing, again.seed) == (
                     sc.grid, sc.scene, sc.processing, sc.seed), (name, kind)
@@ -170,16 +177,16 @@ class TestResolve:
 class TestSetPath:
     def test_paths(self):
         cfg = {"a": [{"x": 1}, {"x": 2}], "b": {"c": 3}}
-        pipeline.set_path(cfg, "b.c", 9)
+        config.set_path(cfg, "b.c", 9)
         assert cfg["b"]["c"] == 9
-        pipeline.set_path(cfg, "a.1.x", 7)
+        config.set_path(cfg, "a.1.x", 7)
         assert cfg["a"][1]["x"] == 7
-        pipeline.set_path(cfg, "a.*.x", 0)
+        config.set_path(cfg, "a.*.x", 0)
         assert [r["x"] for r in cfg["a"]] == [0, 0]
         with pytest.raises(ConfigError):
-            pipeline.set_path(cfg, "a.5.x", 1)
+            config.set_path(cfg, "a.5.x", 1)
         with pytest.raises(ConfigError):
-            pipeline.set_path(cfg, "b.*", 1)
+            config.set_path(cfg, "b.*", 1)
 
 
 RUN_STAGES = ("synthesis", "bank", "folds", "tables", "weights", "products", "fft", "peaks")
@@ -197,7 +204,7 @@ class TestRun:
         assert set(manifest["resolved"]["stages"]) == {"resolve", "mode_limit", *RUN_STAGES,
                                                        "write"}
 
-        replay_cfg = pipeline.load_config(out1 / "manifest.json")
+        replay_cfg = config.load_config(out1 / "manifest.json")
         sc2 = pipeline.resolve(replay_cfg)
         result2 = pipeline.run_scenario(sc2)
         out2 = tmp_path / "two"
@@ -226,7 +233,7 @@ class TestRun:
             {"path": "scene.0.azimuth_deg", "values": [0.0, 45.0]},
             {"path": "array.0.eccentricity", "values": [0.0, 0.5]},
         ]}
-        rows = list(pipeline.sweep_rows(cfg))
+        rows = pipeline.sweep_rows(cfg)
         assert len(rows) == 4
         assert rows[0]["scene.0.azimuth_deg"] == 0.0
         assert {"phi_deg", "tau_s", "delta_db", "modes_total"} <= set(rows[0])
@@ -263,7 +270,7 @@ class TestRun:
             return expand(ch, bank, **kwargs)
 
         monkeypatch.setattr(pipeline, "expand_array", counting_expand)
-        rows = list(pipeline.sweep_rows(cfg))
+        rows = pipeline.sweep_rows(cfg)
         monkeypatch.undo()
         assert batches == [2, 1, 2, 1]
         assert len(rows) == 6
@@ -299,7 +306,7 @@ class TestRun:
         expected.clear()
         cfg = small_scenario()
         cfg["sweep"] = {"axes": [{"path": "scene.0.azimuth_deg", "values": [0.0, 45.0, 100.0]}]}
-        assert len(list(pipeline.sweep_rows(cfg))) == 3
+        assert len(pipeline.sweep_rows(cfg)) == 3
         assert expected == [(0.0, 8e-9), (45.0, 8e-9), (100.0, 8e-9)]
 
     def test_sweep_resolves_every_point_before_computing(self, monkeypatch):
@@ -307,11 +314,11 @@ class TestRun:
         cfg["sweep"] = {"axes": [{"path": "processing.modes", "values": [61, 100001]}]}
         monkeypatch.setattr(pipeline, "build_bank", None)  # any compute would raise TypeError
         with pytest.raises(ValidationError, match="stability limit"):
-            list(pipeline.sweep_rows(cfg))
+            pipeline.sweep_rows(cfg)
 
     def test_sweep_requires_axes(self):
         with pytest.raises(ConfigError):
-            list(pipeline.sweep_rows(small_scenario()))
+            pipeline.sweep_rows(small_scenario())
 
     def test_padding_stability_on_reference_scenario(self):
         # once both axes are oversampled, more padding barely moves the
@@ -380,15 +387,58 @@ class TestCli:
                          "--out-dir", str(tmp_path / "a")]) == 0
         assert cli.main(["sweep", "--config", str(tmp_path / "a" / "sweep_config.json"),
                          "--out-dir", str(tmp_path / "b")]) == 0
-
-        def without_runtime(out):
-            rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()]
-            col = rows[0].index("runtime_s")
-            return [row[:col] + row[col + 1:] for row in rows]
-
-        rows = without_runtime(tmp_path / "a")
+        rows = sweep_csv_without_runtime(tmp_path / "a")
         assert len(rows) == 3
-        assert without_runtime(tmp_path / "b") == rows
+        assert sweep_csv_without_runtime(tmp_path / "b") == rows
+
+    def test_undersampled_sweep_record_reruns_without_the_flag(self, tmp_path):
+        """--allow-undersampled is written into the recorded document."""
+        cfg = small_scenario()
+        cfg["array"][0]["sensors"] = 16  # fails the spatial-sampling gate
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        axis = ["--axis", "scene.0.azimuth_deg=0,30"]
+        assert cli.main(["sweep", "--config", str(cfg_path), *axis,
+                         "--out-dir", str(tmp_path / "gated")]) == 2
+        assert cli.main(["sweep", "--config", str(cfg_path), *axis, "--allow-undersampled",
+                         "--out-dir", str(tmp_path / "a")]) == 0
+        record = tmp_path / "a" / "sweep_config.json"
+        assert json.loads(record.read_text())["config"]["allow_undersampled"] is True
+        assert cli.main(["sweep", "--config", str(record), "--out-dir", str(tmp_path / "b")]) == 0
+        rows = sweep_csv_without_runtime(tmp_path / "a")
+        assert len(rows) == 3
+        assert sweep_csv_without_runtime(tmp_path / "b") == rows
+
+    def test_sweep_non_string_name_exits_1_before_any_work(self, tmp_path, capsys, monkeypatch):
+        """Without --out-dir the name picks the output directory: it is
+        checked before the directory is named or any point resolves."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "sweep_rows", None)  # any point's work would raise TypeError
+        (tmp_path / "cfg.json").write_text(json.dumps({**small_scenario(), "name": 5}))
+        rc = cli.main(["sweep", "--config", "cfg.json", "--axis", "seed=1,2"])
+        assert rc == 1
+        assert capsys.readouterr().err == "config error: name must be a string, got 5\n"
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("document,argv,named", [
+        ([1], ["run", "--config", "cfg.json"], "config root must be an object"),
+        ({"kind": "elliptic-doa-manifest"}, ["run", "--config", "cfg.json"],
+         "manifest carries no embedded config"),
+        (small_scenario(), ["run", "--config", "missing.json"], "cannot read config"),
+        (small_scenario(), ["sweep", "--config", "cfg.json", "--axis", "seed"],
+         "--axis wants PATH=v1,v2,...: got 'seed'"),
+        (small_scenario(), ["run", "--preset", "nope"], "unknown preset 'nope'"),
+    ], ids=["root-array", "manifest-without-config", "config-missing", "axis-without-equals",
+            "preset-unknown"])
+    def test_unreadable_scenario_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch,
+                                                       document, argv, named):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(document))
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "runs").exists()
 
     def test_audit_verb(self, tmp_path, capsys):
         cfg = small_scenario()
@@ -507,6 +557,14 @@ class TestCli:
           for v in ("false", "no", 0, 1, None)),
         # ingest adds no noise to a measured channel
         (["ingest"], lambda cfg: cfg["processing"].update(snr_db=20.0), "processing.snr_db"),
+        (["ingest"], lambda cfg: cfg.update(procesing=cfg.pop("processing")), "'procesing'"),
+        (["run"], lambda cfg: cfg["processing"].update(modes=0), "modes must be positive"),
+        (["run"], lambda cfg: cfg["processing"].update(pad_az=0), "pad factors must be >= 1"),
+        (["run"], lambda cfg: cfg["array"][0].update(sigma_m=1e-4, sigma_wavelengths=0.1),
+         "array[0]: give sigma_m or sigma_wavelengths, not both"),
+        (["sweep"], lambda cfg: cfg.update(sweep={"axes": [5]}), "each sweep axis"),
+        (["sweep"], lambda cfg: cfg.update(sweep={"axes": [{"path": "array.*", "values": [1]}]}),
+         "cannot assign to '*' directly in 'array.*'"),
     ], ids=["axis-value-not-json", "axis-path-not-index", "processing-not-object",
             "processing-not-object-with-pad-flag", "exclusion-cells-not-list",
             "seed-auto", "seed-list", "seed-dict", "seed-nan", "sensors-infinite",
@@ -521,7 +579,8 @@ class TestCli:
             "sweep-axis-path-and-paths", "sweep-axis-values-empty",
             "allow-undersampled-text-false", "allow-undersampled-text-no",
             "allow-undersampled-zero", "allow-undersampled-one", "allow-undersampled-null",
-            "ingest-snr-db"])
+            "ingest-snr-db", "ingest-top-level-procesing", "modes-zero", "pad-az-zero",
+            "ring-both-sigmas", "sweep-axis-not-object", "sweep-path-ends-in-star"])
     def test_malformed_input_exits_1_with_one_line(self, tmp_path, capsys, extra, edit, named):
         err = self.assert_one_line_exit(tmp_path, capsys, extra, edit, 1, "config error: ")
         assert named in err
@@ -581,7 +640,7 @@ class TestCli:
     def test_oversized_request_exits_2_naming_the_field(self, tmp_path, capsys,
                                                         path, value, flags, field):
         err = self.assert_one_line_exit(tmp_path, capsys, ["run", *flags],
-                                        lambda cfg: pipeline.set_path(cfg, path, value),
+                                        lambda cfg: config.set_path(cfg, path, value),
                                         2, "validation error: ")
         assert field in err
         assert f"MAX_ARRAY_BYTES = {pipeline.MAX_ARRAY_BYTES}" in err
@@ -680,7 +739,7 @@ class TestCli:
     ], ids=["semi-major-1e9", "semi-major-1e30", "sigma-1e9", "f-start-1e16"])
     def test_huge_mode_argument_exits_2_naming_x_min(self, tmp_path, capsys, path, value):
         err = self.assert_one_line_exit(tmp_path, capsys, ["run", "--allow-undersampled"],
-                                        lambda cfg: pipeline.set_path(cfg, path, value),
+                                        lambda cfg: config.set_path(cfg, path, value),
                                         2, "validation error: ")
         assert "x_min" in err and "f_start_hz" in err and "smallest radius" in err
 
@@ -755,18 +814,13 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     def run_files(out):
         return [(out / name).read_bytes() for name in ("spectrum.csv", "peaks.txt")]
 
-    def sweep_rows(out):  # sweep.csv without its runtime_s column
-        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()]
-        col = rows[0].index("runtime_s")
-        return [row[:col] + row[col + 1:] for row in rows]
-
     src = str(Path(__file__).resolve().parents[1] / "src")
     differ = []
     for label, argv, read in (
             ("rings", ["run", "--config", str(cfg_path)], run_files),
             ("fig7-cea", ["run", "--preset", "fig7-cea"], run_files),
             ("fig3", ["run", "--preset", "fig3"], run_files),
-            ("fig4a-sweep", ["sweep", "--config", str(sweep_path)], sweep_rows)):
+            ("fig4a-sweep", ["sweep", "--config", str(sweep_path)], sweep_csv_without_runtime)):
         outputs = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(

@@ -31,7 +31,7 @@ def test_axes_and_bin_mapping():
     assert sp.magnitudes.shape == (21 * 4, 20 * 2)
     assert sp.azimuth_of_bin(21) == (21 * 360.0) / 84
     assert sp.delay_of_bin(3) == 3 / (2 * GRID.bandwidth_hz)
-    assert sp.azimuth_bins_deg[0] == 0.0
+    assert sp.azimuth_of_bin(0) == 0.0
     assert sp.delay_bins_s[-1] == pytest.approx((39) / (2 * 2e9), rel=1e-15)
 
 
