@@ -393,9 +393,14 @@ class _ShapeTerms:
         self.phases = [(np.cos(angle[q::parities]).astype(complex),
                         np.sin(angle[q::parities]).astype(complex)) for q in range(parities)]
         columns = columns[r]
-        if np.array_equal(columns, columns[0] + np.arange(columns.size)):
-            # an unshared ring's columns are one block: take a view, not a copy
-            columns = slice(int(columns[0]), int(columns[0]) + columns.size)
+        for step in (1, -1):
+            # an unshared ring's columns are one block, and a folded shape's
+            # one block in reverse (its radii fall from a to b): take a view,
+            # not a copy
+            if np.array_equal(columns, columns[0] + step * np.arange(columns.size)):
+                stop = int(columns[-1]) + step
+                columns = slice(int(columns[0]), stop if stop >= 0 else None, step)
+                break
         self.columns = columns
         # one sample's (even, odd) products of all rings and, folded, their sums
         # and diffs (an unfolded ring's are channel views)

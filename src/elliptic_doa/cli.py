@@ -112,11 +112,12 @@ def _cmd_sweep(args) -> int:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"--axis values must be JSON scalars: {spec!r} ({exc.msg})") from exc
         add_axis(cfg, path, parsed)
-    if args.allow_undersampled:  # recorded, so the sweep record re-runs
-        cfg["allow_undersampled"] = True
+    for gate in ("allow_undersampled", "force_modes"):  # recorded, so the sweep record re-runs
+        if getattr(args, gate):
+            cfg[gate] = True
     out = _out_dir(args, name_of(cfg, "sweep"))
     stages = {}
-    rows = sweep_rows(cfg, force_modes=args.force_modes, stages=stages)
+    rows = sweep_rows(cfg, stages=stages)
     t0 = time.perf_counter()
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "sweep.csv"

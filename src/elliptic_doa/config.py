@@ -7,6 +7,10 @@ A scenario is a JSON document (kept diffable on disk) with sections:
     name        run label (string)
     seed        master seed; rings and the noise injector derive their
                 streams from it unless given their own
+    allow_undersampled, force_modes
+                optional true or false: open the spatial-sampling gate or
+                the mode-count stability gate, as the run flags of those
+                names do
     array       list of rings: the fields of geometry.EllipseSpec, with
                 sigma_m or sigma_wavelengths, seed null or absent = master
     grid        the fields of channel.FrequencyGrid
@@ -29,8 +33,8 @@ from .errors import ConfigError
 # the records that embed a config: a run manifest and a sweep record
 _KINDS = {"manifest": "elliptic-doa-manifest", "sweep": "elliptic-doa-sweep"}
 # the top-level keys of a scenario
-SCENARIO_KEYS = ("name", "seed", "allow_undersampled", "array", "grid", "scene", "processing",
-                 "sweep")
+SCENARIO_KEYS = ("name", "seed", "allow_undersampled", "force_modes", "array", "grid", "scene",
+                 "processing", "sweep")
 
 
 def load_config(path) -> dict:

@@ -204,11 +204,15 @@ def resolve(cfg: dict, allow_undersampled: bool = False,
     if seed < 0:
         raise DomainError(f"seed must be unsigned, got {seed}")
     # heavily perturbed layouts cannot pass a strict consecutive-spacing
-    # audit; scenarios that rely on average sampling may opt out themselves
-    opt_out = cfg.get("allow_undersampled", False)
-    if not isinstance(opt_out, bool):
-        raise ConfigError(f"allow_undersampled must be true or false, got {opt_out!r}")
-    allow_undersampled = allow_undersampled or opt_out
+    # audit; scenarios that rely on average sampling may opt out themselves,
+    # and a forced mode count is recorded so that its manifest re-runs
+    opened = {}
+    for gate, flag in (("allow_undersampled", allow_undersampled), ("force_modes", force_modes)):
+        given = cfg.get(gate, False)
+        if not isinstance(given, bool):
+            raise ConfigError(f"{gate} must be true or false, got {given!r}")
+        if flag or given:
+            opened[gate] = True
 
     grid = config.read_record(FrequencyGrid, "grid", cfg["grid"])
 
@@ -242,13 +246,11 @@ def resolve(cfg: dict, allow_undersampled: bool = False,
              for i, wave in enumerate(scene_cfg)]
 
     resolved_cfg = {"name": name, "seed": seed, "array": rings_cfg,
-                    "scene": [asdict(w) for w in scene]}
-    if allow_undersampled:
-        resolved_cfg["allow_undersampled"] = True
+                    "scene": [asdict(w) for w in scene], **opened}
     if "sweep" in cfg:
         resolved_cfg["sweep"] = cfg["sweep"]
     return _resolved(t0, resolved_cfg, array, grid, scene, cfg.get("processing", {}),
-                     allow_undersampled, force_modes)
+                     "allow_undersampled" in opened, "force_modes" in opened)
 
 
 def resolve_ingested(array: SensorArray, grid: FrequencyGrid, proc_cfg: dict,
@@ -351,7 +353,7 @@ def _bank_key(scenario: ResolvedScenario) -> tuple:
             proc.design, proc.mode_half, proc.reduction)
 
 
-def sweep_rows(cfg: dict, force_modes: bool = False, stages=None) -> list:
+def sweep_rows(cfg: dict, stages=None) -> list:
     """Run the scenario once per sweep grid point (cartesian, row-major).
 
     Returns dict rows in row-major order: the axis values, the peak report
@@ -383,7 +385,7 @@ def sweep_rows(cfg: dict, force_modes: bool = False, stages=None) -> list:
         point.pop("sweep", None)
         for path, value in assignment:
             config.set_path(point, path, value)
-        scenario = resolve(point, force_modes=force_modes)
+        scenario = resolve(point)
         for stage, seconds in scenario.stages.items():
             stages[stage] = stages.get(stage, 0.0) + seconds
         key = _bank_key(scenario)

@@ -409,6 +409,44 @@ class TestCli:
         assert len(rows) == 3
         assert sweep_csv_without_runtime(tmp_path / "b") == rows
 
+    def forced_scenario(self, tmp_path):
+        """A 64-sensor, 0.05 m circle whose 101 modes pass its limit (46)."""
+        cfg = small_scenario(modes=101)
+        cfg["array"][0].update(semi_major_m=0.05, eccentricity=0.0, sensors=64)
+        cfg["grid"]["samples"] = 8
+        cfg["allow_undersampled"] = True
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return path
+
+    def test_forced_run_manifest_reruns_without_the_flag(self, tmp_path):
+        """--force-modes is written into the config the manifest embeds."""
+        cfg_path = self.forced_scenario(tmp_path)
+        assert cli.main(["run", "--config", str(cfg_path),
+                         "--out-dir", str(tmp_path / "gated")]) == 2
+        assert cli.main(["run", "--config", str(cfg_path), "--force-modes",
+                         "--out-dir", str(tmp_path / "a")]) == 0
+        manifest = tmp_path / "a" / "manifest.json"
+        assert json.loads(manifest.read_text())["config"]["force_modes"] is True
+        assert cli.main(["run", "--config", str(manifest), "--out-dir", str(tmp_path / "b")]) == 0
+        spectra = [(tmp_path / run / "spectrum.csv").read_bytes() for run in ("a", "b")]
+        assert spectra[0] == spectra[1]
+
+    def test_forced_sweep_record_reruns_without_the_flag(self, tmp_path):
+        """sweep --force-modes is written into the recorded document."""
+        cfg_path = self.forced_scenario(tmp_path)
+        axis = ["--axis", "scene.0.azimuth_deg=0,30"]
+        assert cli.main(["sweep", "--config", str(cfg_path), *axis,
+                         "--out-dir", str(tmp_path / "gated")]) == 2
+        assert cli.main(["sweep", "--config", str(cfg_path), *axis, "--force-modes",
+                         "--out-dir", str(tmp_path / "a")]) == 0
+        record = tmp_path / "a" / "sweep_config.json"
+        assert json.loads(record.read_text())["config"]["force_modes"] is True
+        assert cli.main(["sweep", "--config", str(record), "--out-dir", str(tmp_path / "b")]) == 0
+        rows = sweep_csv_without_runtime(tmp_path / "a")
+        assert len(rows) == 3
+        assert sweep_csv_without_runtime(tmp_path / "b") == rows
+
     def test_sweep_non_string_name_exits_1_before_any_work(self, tmp_path, capsys, monkeypatch):
         """Without --out-dir the name picks the output directory: it is
         checked before the directory is named or any point resolves."""
@@ -555,6 +593,8 @@ class TestCli:
         # a boolean field takes JSON true/false only: "false" is not falsy
         *((["run"], lambda cfg, v=v: cfg.update(allow_undersampled=v), "allow_undersampled")
           for v in ("false", "no", 0, 1, None)),
+        *((["run"], lambda cfg, v=v: cfg.update(force_modes=v), "force_modes")
+          for v in ("true", 1)),
         # ingest adds no noise to a measured channel
         (["ingest"], lambda cfg: cfg["processing"].update(snr_db=20.0), "processing.snr_db"),
         (["ingest"], lambda cfg: cfg.update(procesing=cfg.pop("processing")), "'procesing'"),
@@ -579,6 +619,7 @@ class TestCli:
             "sweep-axis-path-and-paths", "sweep-axis-values-empty",
             "allow-undersampled-text-false", "allow-undersampled-text-no",
             "allow-undersampled-zero", "allow-undersampled-one", "allow-undersampled-null",
+            "force-modes-text-true", "force-modes-one",
             "ingest-snr-db", "ingest-top-level-procesing", "modes-zero", "pad-az-zero",
             "ring-both-sigmas", "sweep-axis-not-object", "sweep-path-ends-in-star"])
     def test_malformed_input_exits_1_with_one_line(self, tmp_path, capsys, extra, edit, named):

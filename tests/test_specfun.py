@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from elliptic_doa import specfun
+from elliptic_doa import beamform, config, pipeline, presets, specfun
+from elliptic_doa.constants import SPEED_OF_LIGHT
 from elliptic_doa.errors import DomainError
 
 import oracles
@@ -104,6 +105,57 @@ def test_plain_table_builds_in_one_table_sized_buffer():
     assert peak <= 1.5 * tab.nbytes
 
 
+def plain_table_errors(m_max, x):
+    """The plain table's largest error against the double-double one, over
+    the envelope sqrt(2/(pi x)), and relative on the rows m > x whose
+    |J| > 1e-250 (the weights divide by these rows)."""
+    ref = specfun.bessel_j_table(m_max, x)
+    err = np.abs(specfun.bessel_j_table(m_max, x, compensated=False) - ref)
+    past = (np.arange(m_max + 1)[:, None] > x) & (np.abs(ref) > 1e-250)
+    return ((err / np.sqrt(2.0 / (np.pi * x))).max(),
+            (err[past] / np.abs(ref[past])).max(initial=0.0))
+
+
+@pytest.mark.parametrize("m_max", [0, 1, 24, 126, 301, 1000])
+def test_plain_table_against_double_double(m_max):
+    # Miller lanes below x = 25, Hankel and upward recurrence above, and the
+    # downward pass wherever x < m_max (every x here at m_max = 1000)
+    x = np.geomspace(1.0, 1e4, 300)
+    envelope_err, past_err = plain_table_errors(m_max, x)
+    assert envelope_err <= 1e-12
+    assert past_err <= 1e-12
+
+
+def bank_arguments(name, **paths):
+    """m_max and the (sample, radius) arguments of a preset's bank tables."""
+    cfg = presets.get_preset(name)
+    cfg.pop("sweep", None)
+    for path, value in paths.items():
+        config.set_path(cfg, path.replace("__", "."), value)
+    scenario = pipeline.resolve(cfg)
+    proc = scenario.processing
+    bank = beamform.build_bank(scenario.array, scenario.grid, design=proc.design,
+                               mode_half=proc.mode_half, reduction=proc.reduction)
+    x = (2.0 * np.pi / SPEED_OF_LIGHT) * np.outer(scenario.grid.frequencies, bank.radii)
+    return bank.mode_half + 1, x
+
+
+@pytest.mark.parametrize("name,paths", [
+    ("fig7-cea", {}),
+    ("fig4a", {"array__*__eccentricity": 0.0, "processing__modes": "auto"}),
+    ("fig4a", {"array__*__eccentricity": 0.7, "processing__modes": "auto"}),
+    ("fig8", {"array__*__sigma_wavelengths": 1.0, "seed": 2}),
+], ids=["fig7-cea", "fig4a-e0", "fig4a-e0.7", "fig8-sample"])
+def test_plain_table_on_bank_lanes_against_double_double(name, paths):
+    m_max, x = bank_arguments(name, **paths)
+    if name == "fig8":
+        x = x[:1]  # one sample: 6480 unreduced columns
+    for rows in np.array_split(x, -(-x.size // 8000)):
+        envelope_err, past_err = plain_table_errors(m_max, rows.ravel())
+        assert envelope_err <= 1e-12
+        assert past_err <= 1e-12
+
+
 @settings(max_examples=60, deadline=None)
 @given(m_max=st.integers(min_value=0, max_value=300),
        x=st.lists(st.one_of(st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
@@ -115,6 +167,23 @@ def test_plain_table_builds_in_one_table_sized_buffer():
 # passes 2**830 and is rescaled
 @example(m_max=300, x=[0.5, 2.0, 150.0, 0.0], mask=0b0110, compensated=False)
 @example(m_max=300, x=[0.5, 2.0, 150.0, 0.0], mask=0b1011, compensated=True)
+# the plain table's lane classes: x >= 25 recurs upward from Hankel's J_0 and
+# J_1, and below x = m_max a downward pass replaces the rows above floor(x),
+# over the one range of lanes that holds such x; at x = m_max + 2 and x = m_max
+# (and the doubles next to them) no row is left above floor(x) or one is
+@example(m_max=40, x=[42.0, math.nextafter(42.0, math.inf), 30.5, 100.0],
+         mask=0b1010, compensated=False)
+@example(m_max=40, x=[40.0, math.nextafter(40.0, 0.0), 30.5, 100.0],
+         mask=0b0101, compensated=False)
+@example(m_max=60, x=[25.0, math.nextafter(25.0, 0.0), 100.0, 40.0],
+         mask=0b1001, compensated=False)
+# the downward pass's range of lanes holds lanes of every other class
+@example(m_max=100, x=[30.0, 0.0, 500.0, 2.0, 30.5], mask=0b11010, compensated=False)
+# integral x: floor(x) = x, the row where the downward pass meets the upward one
+@example(m_max=80, x=[50.0, 33.0, 70.0, 120.0, 2.0], mask=0b10110, compensated=False)
+# m_max >> x, as a forced mode count asks: from J_600(25.5) ~ 1e-700 the
+# downward rows pass 2**830 and are rescaled
+@example(m_max=600, x=[25.5, 60.0, 0.5, 400.0, 150.0], mask=0b10011, compensated=False)
 def test_property_table_columns_ignore_other_arguments(m_max, x, mask, compensated):
     # filter banks share one table across rings and split it by frequency:
     # each column must depend on its own argument only, bit for bit
