@@ -23,9 +23,10 @@ hence stability limits, are identical either way.
 Weights for negative modes are not approximated: j^-m [J_-m + j J'_-m]
 equals j^m [J_m + j J'_m] by the parity identities, so W_{-m,p} == W_{m,p}
 exactly and only non-negative orders ever reach the Bessel kernel.  Quadrant
-reduction additionally maps each sensor to its first elliptic-quadrant
-mirror (same radius when placement noise is zero), cutting distinct radii to
-P/4 + 1 per ring, and the bank keeps one radius vector for all rings, so
+reduction additionally keeps only each ring's first-quadrant representatives
+r = 0..P/4: sensor p has the radius of r = min(p, |P/2 - p|, P - p) when
+placement noise is zero, so distinct radii fall to P/4 + 1 per ring (one on
+a circle), and the bank keeps one radius vector for all rings, so
 bitwise-equal radii of different rings are evaluated once.
 
 Rotation convention: a ring rotated by alpha is its shape (semi-major axis,
@@ -195,15 +196,15 @@ least one), so peak memory does not grow with samples x radii."""
 class FilterBank:
     """Frequency-dependent phase-mode weights for every ring of an array.
 
-    All rings share one radius vector, `radii`, and sensor p of ring i takes
-    its weights from column `ring_sensor_map[i][p]`.  Symmetric reduction
-    keeps each ring's quadrant representatives (sensors 0..P/4) and the
-    average design one radius per ring; bitwise-equal radii then share a
-    column, within a ring and across rings.  A folded ring (see `folded`)
-    takes its radii from its shape at rotation 0, so rotated copies of one
-    ellipse share all their columns, and every representative of a circle
-    takes its semi-major axis, so a folded circle has exactly one column.
-    Without reduction every sensor keeps a column of its own.  Weights are
+    All rings share one radius vector, `radii`, and `ring_columns[i]` lists
+    the columns of ring i's representatives, in representative order.  A
+    folded ring (see `folded`) has representatives r = 0..P/4, each standing
+    for its quadrant mirrors P/2 - r, P/2 + r and P - r, with radii from its
+    shape at rotation 0, so rotated copies of one ellipse share all their
+    columns; a folded circle has one representative, its semi-major axis,
+    and so does an average-design ring, at (a + b)/2.  Without reduction
+    every sensor is its own representative.  Bitwise-equal radii share a
+    column, within a ring and across rings.  Weights are
     evaluated per frequency sample over the columns, non-negative modes
     only; `unique_eval_count` reports how many (mode, column) filter
     evaluations per sample the representation implies, which is the
@@ -217,7 +218,7 @@ class FilterBank:
     mode_half: int
     reduction: str
     radii: np.ndarray
-    ring_sensor_map: list
+    ring_columns: list
 
     @property
     def mode_count(self) -> int:
@@ -253,30 +254,14 @@ class FilterBank:
         mags = np.abs(den)
         if mags.min() < DENOMINATOR_FLOOR:
             m_bad, u_bad = np.unravel_index(int(mags.argmin()), mags.shape)
-            ring = next(i for i, cols in enumerate(self.ring_sensor_map) if (cols == u_bad).any())
-            p_bad = int(np.flatnonzero(self.ring_sensor_map[ring] == u_bad)[0])
+            ring = next(i for i, cols in enumerate(self.ring_columns) if u_bad in cols)
+            p_bad = int(np.flatnonzero(self.ring_columns[ring] == u_bad)[0])
             raise InstabilityError(
                 f"filter denominator {mags.min():.3e} below floor {DENOMINATOR_FLOOR:.1e} at "
                 f"m={int(m_bad)}, p={p_bad} (ring {ring}), f={self.grid.frequencies[k]} Hz")
         num = 1.0 if self.design == "plain" else 2.0
         orders = np.arange(self.mode_half + 1)
         return np.divide(num * _jpow(-orders)[:, None], den, out=den)
-
-
-def _quadrant_map(sensor_count: int) -> np.ndarray:
-    """Map sensor index -> first-quadrant representative index (0..P/4).
-
-    Sensors at elliptic angles eta, pi - eta, pi + eta and 2 pi - eta share
-    the same radius, so indices p, P/2 - p, P/2 + p and P - p collapse.
-    """
-    q = sensor_count // 4
-    half = sensor_count // 2
-    p = np.arange(sensor_count)
-    rep = np.where(p <= q, p, 0)
-    rep = np.where((p > q) & (p <= half), half - p, rep)
-    rep = np.where((p > half) & (p <= 3 * q), p - half, rep)
-    rep = np.where(p > 3 * q, sensor_count - p, rep)
-    return rep
 
 
 def _shape_xy(spec: EllipseSpec) -> np.ndarray:
@@ -302,7 +287,7 @@ def build_bank(array: SensorArray, grid: FrequencyGrid, design: str = "robust",
         raise DomainError(f"unknown reduction {reduction!r}")
     if mode_half < 0:
         raise DomainError(f"mode_half must be >= 0, got {mode_half}")
-    reps, maps, offset = [], [], 0  # per ring: representative radii, sensor -> representative
+    reps = []  # per ring: its representatives' radii
     for ring in range(array.ring_count):
         spec = array.ring_spec(ring)
         radii = array.ring_radii(ring)
@@ -319,25 +304,21 @@ def build_bank(array: SensorArray, grid: FrequencyGrid, design: str = "robust",
                 raise ValidationError(
                     "average design needs ellipse parameters; ring has none (ingested?)")
             reps.append(np.array([0.5 * (spec.semi_major_m + spec.semi_minor_m)]))
-            maps.append(offset + np.zeros(p, dtype=np.intp))
         elif reduction == "symmetric":
-            if spec.eccentricity == 0.0:  # hypot's radius at r = 0, for every r
-                reps.append(np.full(p // 4 + 1, spec.semi_major_m))
+            if spec.eccentricity == 0.0:  # one representative: hypot's radius at r = 0
+                reps.append(np.array([spec.semi_major_m]))
             else:
                 xy = _shape_xy(spec)[: p // 4 + 1]
                 reps.append(np.hypot(xy[:, 0], xy[:, 1]))
-            maps.append(offset + _quadrant_map(p))
         else:
             reps.append(radii)
-            maps.append(offset + np.arange(p))
-        offset += reps[-1].size
     radii = np.concatenate(reps)
     column = np.arange(radii.size)
     if design == "average" or reduction == "symmetric":
         radii, column = np.unique(radii, return_inverse=True)
     return FilterBank(array=array, grid=grid, design=design, mode_half=mode_half,
                       reduction=reduction, radii=radii,
-                      ring_sensor_map=[column[m].astype(np.intp) for m in maps])
+                      ring_columns=np.split(column, np.cumsum([r.size for r in reps])[:-1]))
 
 
 class _ShapeTerms:
@@ -353,7 +334,8 @@ class _ShapeTerms:
     alpha_g.  A folded circle (eccentricity 0) has one weight column and its
     sensors at theta_p = 2 pi p / P, so its fold is a DFT over all P sensors
     and it needs no phase tables.  Any other ring is a group of its own and
-    its own fold: r = p, theta_r = phi_p, alpha = 0, B = 0.
+    its own fold: r = p, theta_r = phi_p, alpha = 0, B = 0; an average-design
+    ring's one weight column broadcasts over its sensors.
     """
 
     def __init__(self, channel: ChannelMatrix, bank: FilterBank, rings: Sequence[int]):
@@ -363,7 +345,16 @@ class _ShapeTerms:
         p, _, self.points = self.data[0].shape
         self.orders = np.arange(bank.mode_half + 1)
         self.folded = bank.folded
-        columns = bank.ring_sensor_map[self.rings[0]]
+        columns = bank.ring_columns[self.rings[0]]
+        for step in (1, -1):
+            # a circle's or an average ring's one column, an unshared ring's
+            # block and a folded shape's block in reverse (its radii fall
+            # from a to b) are each a slice: take a view, not a copy
+            if np.array_equal(columns, columns[0] + step * np.arange(columns.size)):
+                stop = int(columns[-1]) + step
+                columns = slice(int(columns[0]), stop if stop >= 0 else None, step)
+                break
+        self.columns = columns
         alphas, self.circle = [0.0], False
         if self.folded:
             specs = [channel.array.ring_spec(ring) for ring in self.rings]
@@ -372,8 +363,6 @@ class _ShapeTerms:
         self.rot = [np.exp(1j * self.orders * alpha)[:, None, None] / p for alpha in alphas]
         ring_points = self.points * len(self.rings)
         if self.circle:
-            # build_bank gives every representative of a circle one column
-            self.columns = slice(int(columns[0]), int(columns[0]) + 1)
             # one sample of a ring's FFT and of all rings' sums, diffs and
             # (even, odd) products, counted twice: at the single count the
             # larger chunks raised a fig4a sweep's max RSS by 4 MB
@@ -392,16 +381,6 @@ class _ShapeTerms:
         angle = np.outer(self.orders, theta[r])
         self.phases = [(np.cos(angle[q::parities]).astype(complex),
                         np.sin(angle[q::parities]).astype(complex)) for q in range(parities)]
-        columns = columns[r]
-        for step in (1, -1):
-            # an unshared ring's columns are one block, and a folded shape's
-            # one block in reverse (its radii fall from a to b): take a view,
-            # not a copy
-            if np.array_equal(columns, columns[0] + step * np.arange(columns.size)):
-                stop = int(columns[-1]) + step
-                columns = slice(int(columns[0]), stop if stop >= 0 else None, step)
-                break
-        self.columns = columns
         # one sample's (even, odd) products of all rings and, folded, their sums
         # and diffs (an unfolded ring's are channel views)
         self.sample_bytes = 32 * ring_points * (

@@ -82,19 +82,6 @@ def build_ellipse(spec: EllipseSpec, ring_index: int = 0) -> np.ndarray:
     return np.column_stack([x, y])
 
 
-def rotate_sensors(xy: np.ndarray, alpha_deg: float) -> np.ndarray:
-    """Rigid counterclockwise rotation of (P, 2) coordinates by alpha_deg
-    about the array center.
-
-    Radii are preserved (to rounding); matches building the ring with the
-    rotation folded into its parametrization.
-    """
-    alpha = math.radians(alpha_deg)
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    x, y = xy[:, 0], xy[:, 1]
-    return np.column_stack([x * ca - y * sa, x * sa + y * ca])
-
-
 @dataclass
 class SensorArray:
     """One or more concentric rings sharing the origin as their center.
@@ -165,6 +152,9 @@ class SensorArray:
         if not np.array_equal(rows["p"], np.arange(rows.size)):
             raise ValidationError("global sensor indices must cover 0..N-1 exactly")
         ring = rows["ring"]
+        if (np.diff(ring) < 0).any():
+            raise ValidationError("ring indices must not decrease along p: each ring's "
+                                  "sensors are one contiguous block of p")
         ids = np.unique(ring)
         if not np.array_equal(ids, np.arange(ids.size)):
             raise ValidationError("ring indices must cover 0..R-1 exactly")

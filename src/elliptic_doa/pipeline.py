@@ -17,6 +17,7 @@ resolved.stages, a sweep record (sweep_config.json) its totals under stages.
 from __future__ import annotations
 
 import copy
+import csv
 import itertools
 import json
 import math
@@ -267,7 +268,6 @@ class RunResult:
     to about runtime_s; write_outputs adds "write"."""
 
     scenario: ResolvedScenario
-    channel: ChannelMatrix
     spectrum: JointSpectrum
     report: PeakReport
     runtime_s: float
@@ -292,7 +292,7 @@ def run_channel(scenario: ResolvedScenario, ch: ChannelMatrix, stages=None) -> R
     t = _lap(stages, "fft", t)
     report = find_peaks(spec, exclusion_cells=proc.exclusion_cells)
     _lap(stages, "peaks", t)
-    return RunResult(scenario=scenario, channel=ch, spectrum=spec, report=report,
+    return RunResult(scenario=scenario, spectrum=spec, report=report,
                      runtime_s=time.perf_counter() - t0,
                      bank_unique_evals=bank.unique_eval_count,
                      bank_dense_weights=bank.dense_weight_count, stages=stages)
@@ -442,18 +442,14 @@ def sweep_rows(cfg: dict, stages=None) -> list:
 
 
 def write_sweep_csv(rows: list, path) -> int:
-    """Write sweep rows to CSV; returns the row count."""
+    """Write sweep rows to CSV, floats as %.17g and a cell holding a comma or
+    a quote quoted; returns the row count."""
     if not rows:
         raise ConfigError("sweep produced no rows")
     cols = list(rows[0].keys())
-
-    def fmt(v):
-        if isinstance(v, float):
-            return f"{v:.17g}"
-        return str(v)
-
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(row[c]) for c in cols) + "\n")
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(cols)
+        out.writerows([f"{v:.17g}" if isinstance(v, float) else str(v)
+                       for v in map(row.get, cols)] for row in rows)
     return len(rows)

@@ -176,9 +176,20 @@ def bank_weights_at(bank, k):
     return bank.weights_from_jtable(bank.jtable(k, k + 1)[:, 0], k)
 
 
+def sensor_columns(bank, ring):
+    """The bank column of each sensor p of one ring: its own representative's
+    when the ring lists P, the one column when it lists one, and else that of
+    its quadrant representative r = min(p, |P/2 - p|, P - p)."""
+    columns = bank.ring_columns[ring]
+    p = np.arange(len(bank.array.ring_xy(ring)))
+    if columns.size in (1, p.size):
+        return np.broadcast_to(columns, p.shape)
+    return columns[np.minimum.reduce([p, np.abs(p.size // 2 - p), p.size - p])]
+
+
 def bank_dense_weights(bank, ring, k):
     """Dense (2 mode_half + 1, P) weights of one ring; row i is mode m = i - mode_half."""
-    gather = bank_weights_at(bank, k)[:, bank.ring_sensor_map[ring]]
+    gather = bank_weights_at(bank, k)[:, sensor_columns(bank, ring)]
     abs_m = np.abs(np.arange(-bank.mode_half, bank.mode_half + 1))
     return gather[abs_m]
 
@@ -325,6 +336,17 @@ class BesselEval:
     def compute(cls, m, x):
         return cls(order=int(m), argument=float(x),
                    value=bessel_j(m, x), derivative=bessel_j_prime(m, x))
+
+
+def rotate_sensors(xy, alpha_deg):
+    """Rigid counterclockwise rotation of (P, 2) coordinates by alpha_deg
+    about the array center: the reference for building a ring with its
+    rotation folded into the parametrization.  Radii are preserved (to
+    rounding)."""
+    alpha = math.radians(alpha_deg)
+    ca, sa = math.cos(alpha), math.sin(alpha)
+    x, y = xy[:, 0], xy[:, 1]
+    return np.column_stack([x * ca - y * sa, x * sa + y * ca])
 
 
 def mirror_rotate_sensors(xy, alpha_deg):

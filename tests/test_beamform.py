@@ -232,7 +232,7 @@ class TestBank:
         red = beamform.build_bank(arr, grid, mode_half=6, reduction="symmetric")
         full = beamform.build_bank(arr, grid, mode_half=6, reduction="none")
         radii = arr.ring_radii(0)
-        rep = red.ring_sensor_map[0]
+        rep = oracles.sensor_columns(red, 0)
         w_red = oracles.bank_dense_weights(red, 0, 0)
         w_full = oracles.bank_dense_weights(full, 0, 0)
         shared = radii == red.radii[rep]
@@ -245,7 +245,29 @@ class TestBank:
         red = beamform.build_bank(arr, grid, mode_half=8, reduction="symmetric")
         # every representative takes the semi-major axis, not its hypot radius
         assert red.radii.tolist() == [arr.ring_spec(0).semi_major_m]
-        assert (red.ring_sensor_map[0] == 0).all()
+        assert red.ring_columns[0].tolist() == [0]
+
+    def test_ring_columns_list_representatives(self):
+        ellipse = geometry.EllipseSpec(semi_major_m=0.15, eccentricity=0.7, sensors=36)
+        copy = geometry.EllipseSpec(semi_major_m=0.15, eccentricity=0.7, rotation_deg=37.0,
+                                    sensors=36)
+        circle = geometry.EllipseSpec(semi_major_m=0.15, sensors=36)
+        arr = geometry.build_concentric([ellipse, copy, circle])
+        grid = small_grid(samples=2)
+        bank = beamform.build_bank(arr, grid, mode_half=4, reduction="symmetric")
+        cols = bank.ring_columns
+        assert [c.size for c in cols] == [36 // 4 + 1, 36 // 4 + 1, 1]
+        assert np.array_equal(cols[1], cols[0])
+        assert cols[2].tolist() == [cols[0][0]]
+        xy = geometry.build_ellipse(ellipse)[: 36 // 4 + 1]
+        for ring in (0, 1):
+            assert np.array_equal(bank.radii[cols[ring]], np.hypot(xy[:, 0], xy[:, 1]))
+        assert bank.radii[cols[2]].tolist() == [0.15]
+        full = beamform.build_bank(arr, grid, mode_half=4)
+        assert [c.tolist() for c in full.ring_columns] == [
+            list(range(36 * ring, 36 * (ring + 1))) for ring in range(3)]
+        average = beamform.build_bank(arr, grid, design="average", mode_half=4)
+        assert [c.size for c in average.ring_columns] == [1, 1, 1]
 
     def test_average_design(self):
         grid = small_grid(samples=3)
@@ -468,6 +490,7 @@ class TestFoldedExpansion:
         pytest.param(0.5, 0.0, 30, 6, "none", "robust", 1e-3, id="perturbed-unreduced"),
         pytest.param(0.5, 45.0, 24, 5, "symmetric", "plain", 0.0, id="plain"),
         pytest.param(0.5, 0.0, 24, 5, "none", "average", 0.0, id="average"),
+        pytest.param(0.5, 0.0, 24, 5, "symmetric", "average", 0.0, id="average-symmetric"),
     ])
     def test_matches_literal(self, ecc, alpha, sensors, mode_half, reduction, design, sigma):
         arr = make_array(a=0.15, ecc=ecc, sensors=sensors, alpha=alpha, sigma=sigma, seed=3)
@@ -519,6 +542,7 @@ class TestBatchedExpansion:
         pytest.param(0.0, 37.0, 36, "symmetric", "robust", 0.0, id="circle-rot37"),
         pytest.param(0.5, 0.0, 30, "none", "robust", 1e-3, id="perturbed-unreduced"),
         pytest.param(0.5, 0.0, 24, "none", "average", 0.0, id="average"),
+        pytest.param(0.5, 0.0, 24, "symmetric", "average", 0.0, id="average-symmetric"),
     ])
     def test_stack_equals_single_points(self, ecc, alpha, sensors, reduction, design, sigma):
         arr = make_array(a=0.15, ecc=ecc, sensors=sensors, alpha=alpha, sigma=sigma, seed=3)
@@ -587,7 +611,7 @@ class TestParityProducts:
                 got = terms.products(w_bank, sums[k], diffs[k], np.empty(
                     (2, mode_half + 1, len(rings) * points), dtype=complex))
                 want = oracles.parity_select_products(
-                    w_bank[:, bank.ring_sensor_map[rings[0]][r]], np.cos(angle), np.sin(angle),
+                    w_bank[:, bank.ring_columns[rings[0]]], np.cos(angle), np.sin(angle),
                     sums[k], diffs[k])
                 for fast, slow in zip(got, want):
                     assert fast.shape == (mode_half + 1, len(rings) * points)

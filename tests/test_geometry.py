@@ -70,24 +70,24 @@ def test_polar_descriptors_recomputed():
 
 
 def test_rotation_is_proper_and_matches_parametrization():
-    (r,) = geometry.rotate_sensors(np.array([[1.0, 0.0]]), 90.0)
+    (r,) = oracles.rotate_sensors(np.array([[1.0, 0.0]]), 90.0)
     assert tuple(r) == (pytest.approx(0.0, abs=1e-12), pytest.approx(1.0))
-    (r,) = geometry.rotate_sensors(np.array([[0.0, 1.0]]), 90.0)
+    (r,) = oracles.rotate_sensors(np.array([[0.0, 1.0]]), 90.0)
     assert tuple(r) == (pytest.approx(-1.0), pytest.approx(0.0, abs=1e-12))
 
     spec0 = geometry.EllipseSpec(semi_major_m=0.5, eccentricity=0.8, sensors=48)
     spec90 = geometry.EllipseSpec(semi_major_m=0.5, eccentricity=0.8,
                                   rotation_deg=90.0, sensors=48)
     built = geometry.build_ellipse(spec90)
-    rotated = geometry.rotate_sensors(geometry.build_ellipse(spec0), 90.0)
+    rotated = oracles.rotate_sensors(geometry.build_ellipse(spec0), 90.0)
     assert np.allclose(built, rotated, rtol=0.0, atol=1e-12)
 
 
 def test_rotation_identity_and_full_turn():
     xy = geometry.build_ellipse(circle(sensors=8))
-    same = geometry.rotate_sensors(xy, 0.0)
+    same = oracles.rotate_sensors(xy, 0.0)
     assert np.array_equal(same, xy)  # cos 0 = 1, sin 0 = 0 exactly
-    turned = geometry.rotate_sensors(xy, 360.0)
+    turned = oracles.rotate_sensors(xy, 360.0)
     assert np.allclose(turned, xy, rtol=0.0, atol=1e-12)
 
 
@@ -99,7 +99,7 @@ def test_mirror_rotate_is_improper():
     (r,) = oracles.mirror_rotate_sensors(up, 0.0)
     assert tuple(r) == (0.3, -0.4)
     # equivalent to reflect-across-x then rotate
-    (ref_then_rot,) = geometry.rotate_sensors(np.array([[0.3, -0.4]]), 33.0)
+    (ref_then_rot,) = oracles.rotate_sensors(np.array([[0.3, -0.4]]), 33.0)
     (direct,) = oracles.mirror_rotate_sensors(up, 33.0)
     assert direct[0] == pytest.approx(ref_then_rot[0], rel=1e-15)
     assert direct[1] == pytest.approx(ref_then_rot[1], rel=1e-15)
@@ -112,7 +112,7 @@ def test_mirror_rotate_is_improper():
 def test_property_rotations_preserve_radius_multiset(alpha, ecc, mirror):
     spec = geometry.EllipseSpec(semi_major_m=0.4, eccentricity=ecc, sensors=24)
     xy = geometry.build_ellipse(spec)
-    op = oracles.mirror_rotate_sensors if mirror else geometry.rotate_sensors
+    op = oracles.mirror_rotate_sensors if mirror else oracles.rotate_sensors
     before = np.sort(np.hypot(*xy.T))
     after = np.sort(np.hypot(*op(xy, alpha).T))
     assert np.allclose(before, after, rtol=1e-12, atol=0.0)

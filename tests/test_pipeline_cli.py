@@ -1,5 +1,6 @@
 import argparse
 import copy
+import csv
 import itertools
 import json
 import math
@@ -222,10 +223,10 @@ class TestRun:
         cfg = small_scenario(snr_db=5.0)
         a = pipeline.run_scenario(pipeline.resolve(cfg))
         b = pipeline.run_scenario(pipeline.resolve(cfg))
-        assert np.array_equal(a.channel.values, b.channel.values)
+        assert np.array_equal(a.spectrum.magnitudes, b.spectrum.magnitudes)
         cfg["seed"] = 4
         c = pipeline.run_scenario(pipeline.resolve(cfg))
-        assert not np.array_equal(a.channel.values, c.channel.values)
+        assert not np.array_equal(a.spectrum.magnitudes, c.spectrum.magnitudes)
 
     def test_sweep_rows(self):
         cfg = small_scenario()
@@ -379,6 +380,19 @@ class TestCli:
         assert set(record["stages"]) == {"resolve", "mode_limit", *RUN_STAGES, "write"}
         assert lines[0].startswith("scene.0.azimuth_deg,")
 
+    def test_sweep_csv_quotes_a_value_with_a_comma(self, tmp_path):
+        cfg = small_scenario()
+        cfg["sweep"] = {"axes": [{"path": "processing.exclusion_cells",
+                                  "values": [[4, 6], [5, 5]]}]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 0
+        with open(tmp_path / "sweep.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert len(rows) == 2
+        assert all(len(row) == len(header) for row in rows)
+        assert rows[0][header.index("processing.exclusion_cells")] == "[4, 6]"
+
     def test_sweep_record_reruns_to_the_same_rows(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(small_scenario(snr_db=10.0)))
@@ -515,6 +529,22 @@ class TestCli:
         assert (tmp_path / "out" / "peaks.txt").exists()
         out = capsys.readouterr().out
         assert "sensors=256" in out
+
+    def test_interleaved_ring_indices_exit_2_before_the_channel_is_read(self, tmp_path, capsys):
+        """Channel rows map to rings as contiguous blocks of p, so a geometry
+        whose ring index alternates along p would put data on the wrong rings."""
+        arr = geometry.build_concentric([geometry.EllipseSpec(semi_major_m=a, sensors=4)
+                                         for a in (0.1, 0.2)])
+        arr.to_csv(tmp_path / "geo.csv")
+        header, *lines = (tmp_path / "geo.csv").read_text().splitlines()
+        lines = [f"{p % 2}," + line.split(",", 1)[1] for p, line in enumerate(lines)]
+        (tmp_path / "geo.csv").write_text("\n".join([header, *lines]) + "\n")
+        rc = cli.main(["ingest", "--geometry", str(tmp_path / "geo.csv"), "--channel",
+                       str(tmp_path / "missing.csv"), "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "validation error: ring indices must not decrease along p: each ring's "
+            "sensors are one contiguous block of p\n")
 
     def test_each_verb_registers_only_the_flags_it_reads(self):
         verbs = next(action for action in cli.build_parser()._actions
