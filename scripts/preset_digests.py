@@ -33,6 +33,7 @@ numbers on purpose replaces its digest lines.
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -89,11 +90,15 @@ def sweep_argv(tmp: Path, preset: str, azimuths: list, snr_db=None) -> list:
 
 
 def sweep_digests(out: Path) -> list:
-    """sha256 of sweep.csv with its runtime_s column dropped."""
-    rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()]
+    """sha256 of sweep.csv with its runtime_s column dropped, the rows read
+    and written back as CSV, so that a quoted cell (an axis value with a
+    comma, such as "[4, 6]") stays one cell."""
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
     col = rows[0].index("runtime_s")
-    text = "".join(",".join(row[:col] + row[col + 1:]) + "\n" for row in rows)
-    return [("sweep-without-runtime", hashlib.sha256(text.encode()).hexdigest())]
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(row[:col] + row[col + 1:] for row in rows)
+    return [("sweep-without-runtime", hashlib.sha256(text.getvalue().encode()).hexdigest())]
 
 
 def processing_argv(tmp: Path) -> list:

@@ -72,11 +72,18 @@ def parse(kind, value, what: str):
         raise ConfigError(f"bad {what}: {exc}") from exc
 
 
+def real(value) -> float:
+    """float(value) that refuses a boolean: JSON's true is not the number 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def integral(value) -> int:
-    """int(value) that raises on a fraction, infinity or NaN: 720.0 is 720."""
-    if isinstance(value, int):
+    """int(value) that raises on a boolean, a fraction, infinity or NaN: 720.0 is 720."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return int(value)
-    number = float(value)
+    number = real(value)
     if not number.is_integer():
         raise ValueError(f"{value!r} is not an integer")
     return int(number)
@@ -108,16 +115,16 @@ def check_keys(section: str, value: dict, known, required=()) -> None:
 
 def read_record(record, section: str, value):
     """A record from a config object: float, int (integral only) and
-    Optional[float] fields convert their values, a failure naming the field,
-    other fields take them as given, and the record's __post_init__ checks
-    domains.  The records' modules postpone annotations, so a field's type
-    is its source text."""
+    Optional[float] fields convert their values, never a boolean, a failure
+    naming the field, other fields take them as given, and the record's
+    __post_init__ checks domains.  The records' modules postpone
+    annotations, so a field's type is its source text."""
     value = as_object(section, value)
     declared = {f.name: f.type for f in fields(record)}
     check_keys(section, value, declared,
                [f.name for f in fields(record) if f.default is MISSING])
-    convert = {"float": float, "int": integral,
-               "Optional[float]": lambda v: None if v is None else float(v)}
+    convert = {"float": real, "int": integral,
+               "Optional[float]": lambda v: None if v is None else real(v)}
     for name, given in value.items():
         if declared[name] in convert:
             value[name] = parse(convert[declared[name]], given, f"{section}.{name}")

@@ -179,7 +179,7 @@ def _resolved(t0: float, resolved_cfg: dict, array: SensorArray, grid: Frequency
     if proc.exclusion_deg is not None:
         # fixed angular window: keeps artifact readings comparable across
         # runs whose auto-selected mode counts (and thus cell sizes) differ
-        exclusion_deg = config.parse(float, proc.exclusion_deg, "processing.exclusion_deg")
+        exclusion_deg = config.parse(config.real, proc.exclusion_deg, "processing.exclusion_deg")
         if not (math.isfinite(exclusion_deg) and exclusion_deg >= 0.0):
             raise DomainError(f"exclusion_deg must be finite and >= 0, got {exclusion_deg}")
         cell_deg = 360.0 / (2 * mh + 1)
@@ -229,7 +229,7 @@ def resolve(cfg: dict, allow_undersampled: bool = False,
         if sigma_wavelengths is not None:
             if ring.get("sigma_m"):
                 raise ConfigError(f"{section}: give sigma_m or sigma_wavelengths, not both")
-            ring["sigma_m"] = lam_center * config.parse(float, sigma_wavelengths,
+            ring["sigma_m"] = lam_center * config.parse(config.real, sigma_wavelengths,
                                                         f"{section}.sigma_wavelengths")
         if ring.get("seed") is None:
             ring["seed"] = seed

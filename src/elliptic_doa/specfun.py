@@ -1,20 +1,17 @@
 """Bessel functions of the first kind, integer order, non-negative real argument.
 
 Implements J_m(x) and J'_m(x) for the argument range the phase-mode filter
-banks need (x up to ~1e4, |m| up to ~1e3, guarded to 1e6).  Two evaluation
-kernels share the same mathematics:
+banks need (x up to ~1e4, |m| up to ~1e3, guarded to 1e6) by two kernels:
 
-* an ascending power series for small arguments (x < 12 with m <= 40, and
-  any m for x < 1), and
-* a normalized downward (Miller) recurrence started above the turning point
-  otherwise.
+* the ascending power series for small arguments (x < 12 with m <= 40, and
+  any m for x < 1): one vectorized kernel over (order, argument) pairs,
+  which tables call for their x < 1 lanes and scalars read at one argument;
+* otherwise a normalized downward (Miller) recurrence started above the
+  turning point: a scalar loop for one value, a table kernel for many.
 
-Both kernels run in compensated (double-double) arithmetic by default, which
-keeps the *absolute* error near 1e-30 times the oscillation envelope.  The
-scalar entry points therefore hold a relative error below 1e-13 even for
-arguments that land next to a zero of J_m.  The recurrence runs as a scalar
-loop for single values and as one vectorized table kernel for many
-arguments.
+Both run in compensated (double-double) arithmetic by default, which keeps
+the *absolute* error near 1e-30 times the oscillation envelope, so the
+scalar entry points hold a relative error below 1e-13 even next to a zero.
 
 The program builds every table, the filter banks' and the mode-limit
 search's, with ``compensated=False``: plain float64, where each argument
@@ -22,19 +19,16 @@ takes one of three lane classes by its own x and the table's m_max:
 
 * x < 1: the series; 1 <= x < 25: plain Miller, as above;
 * x >= 25: J_0 and J_1 from Hankel's expansion, then the upward recurrence,
-  which is stable while m < x, to m_max;
-* 25 <= x < m_max: as x >= 25, with the rows above floor(x) from a short
-  downward recurrence scaled to meet the upward one at floor(x).
+  which is stable while m < x, to m_max; where x < m_max, the rows above
+  floor(x) from a short downward recurrence scaled to meet it at floor(x).
 
 Plain tables hold ~5e-14 of the envelope sqrt(2/(pi x)) on the program's
-banks and ~3e-13 at m_max = 1000, and rows m > x hold ~2e-13 relative error
-wherever |J| > 1e-250 (the weights divide by them).
+banks and ~3e-13 at m_max = 1000 (1e-12 is their bound), and rows m > x
+hold ~2e-13 relative error wherever |J| > 1e-250 (the weights divide by them).
 
 Negative orders are never evaluated directly: J_{-m} = (-1)^m J_m is applied
-structurally, so the parity identity holds bit-exactly.
-
-Conventions: derivatives always come from the exact three-term identity
-J'_m = (J_{m-1} - J_{m+1})/2 (with J_{-1} = -J_1), never from differencing.
+structurally, so the parity identity holds bit-exactly.  Derivatives always
+come from the exact identity J'_m = (J_{m-1} - J_{m+1})/2 (J_{-1} = -J_1).
 """
 from __future__ import annotations
 
@@ -50,6 +44,7 @@ ORDER_GUARD = 10**6
 _SERIES_X_CUT = 12.0
 _SERIES_M_CUT = 40
 _TINY_X_CUT = 1.0
+_SERIES_LANES = 32  # lanes per series pass: its work arrays stay a small part of a table
 _RESCALE_THRESHOLD = 2.0**830
 _RESCALE_FACTOR = 2.0**-600  # exact power of two: rescaling is rounding-free
 _HANKEL_X_CUT = 25.0
@@ -84,34 +79,43 @@ def _start_orders(m_max: int, x):
     return np.maximum(m_max, np.ceil(x).astype(np.int64)) + pad
 
 
-def _series_j(m: int, x: float) -> float:
-    """Ascending series in compensated arithmetic. Requires m >= 0, x >= 0."""
-    if x == 0.0:
-        return 1.0 if m == 0 else 0.0
+def _series_rows(m_max: int, x: np.ndarray) -> np.ndarray:
+    """J_0 .. J_{r-1} (rows) at arguments x (columns) by the ascending series
+    (DLMF 10.2.2) in compensated arithmetic.  Order m's prefix (x/2)^m / m!
+    is order m - 1's times one step.  A lane reads 0 from its first prefix
+    that underflows; r <= m_max + 1 ends where every lane has, and rows r ..
+    m_max are 0.  The series runs over all live (order, lane) pairs at once
+    and drops each as it converges, so no pair's bits depend on another's."""
     half = x / 2.0
-    # prefix (x/2)^m / m!, with an early exit once it underflows
-    ph, pl = 1.0, 0.0
-    for i in range(1, m + 1):
-        ph, pl = dd_mul_d(ph, pl, half)
-        qh = ph / i
+    prefix = [(np.ones_like(x), np.zeros_like(x))]
+    for i in range(1, m_max + 1):
+        h, l = dd_mul_d(*prefix[-1], half)
+        qh = h / i
+        if not qh.any():
+            break
         rh, rl = two_prod(qh, float(i))
-        ph, pl = qh, ((ph - rh) - rl + pl) / i
-        if ph == 0.0:
-            return 0.0
-    # x^2/4 as dd
-    x2h, x2l = two_prod(half, half)
-    th, tl = ph, pl
-    sh, sl = ph, pl
+        prefix.append((qh, np.where(qh == 0.0, 0.0, ((h - rh) - rl + l) / i)))  # 0 stays 0
+    ph, pl = np.stack(prefix, axis=1)
+    out = np.zeros_like(ph)
+    pairs = np.flatnonzero(ph)
+    m, lane = np.divmod(pairs, x.size)
+    th, tl = sh, sl = ph.flat[pairs], pl.flat[pairs]
+    x2h, x2l = (a[lane] for a in two_prod(half, half))
     for k in range(1, 400):
         th, tl = dd_mul(th, tl, x2h, x2l)
-        den = float(k * (m + k))
+        den = (k * (m + k)).astype(np.float64)
         qh = th / den
         rh, rl = two_prod(qh, den)
         th, tl = -qh, -(((th - rh) - rl + tl) / den)
         sh, sl = dd_add(sh, sl, th, tl)
-        if abs(th) <= 1e-34 * abs(sh) or th == 0.0:
-            return sh + sl
-    raise NumericError(f"series failed to converge for m={m}, x={x}")
+        done = (np.abs(th) <= 1e-34 * np.abs(sh)) | (th == 0.0)
+        if done.any():
+            out.flat[pairs[done]] = sh[done] + sl[done]
+            if done.all():
+                return out
+            pairs, m, th, tl, sh, sl, x2h, x2l = (
+                a[~done] for a in (pairs, m, th, tl, sh, sl, x2h, x2l))
+    raise NumericError(f"series failed to converge for m={m[0]}, x={x[pairs[0] % x.size]}")
 
 
 def _miller_scalar(m: int, x: float) -> float:
@@ -168,30 +172,23 @@ def _validate(m: int, x: float) -> None:
 
 
 def bessel_j(m: int, x: float) -> float:
-    """J_m(x) for integer m (|m| <= 1e6) and finite x >= 0.
-
-    Relative error <= 1e-12 against a high-precision reference whenever
-    |J_m(x)| > 1e-300; absolute error <= 1e-300 below that.
-    """
+    """J_m(x) for integer m (|m| <= 1e6) and finite x >= 0: relative error <= 1e-12
+    against a high-precision reference where |J_m(x)| > 1e-300, absolute below that."""
     _validate(m, x)
-    m = int(m)
-    x = float(x)
+    m, x = int(m), float(x)
     if m < 0:
         v = bessel_j(-m, x)
         return -v if m % 2 else v
     if x < _TINY_X_CUT or (x < _SERIES_X_CUT and m <= _SERIES_M_CUT):
-        return _series_j(m, x)
+        rows = _series_rows(m, np.array([x]))
+        return float(rows[m, 0]) if m < len(rows) else 0.0
     return _miller_scalar(m, x)
 
 
 def bessel_j_prime(m: int, x: float) -> float:
-    """J'_m(x) via the exact identity (J_{m-1} - J_{m+1}) / 2.
-
-    J'_0 reduces to -J_1 and is computed that way, bit-exactly.
-    """
+    """J'_m(x) by the exact identity (J_{m-1} - J_{m+1}) / 2; J'_0 is -J_1, bit-exactly."""
     _validate(m, x)
-    m = int(m)
-    x = float(x)
+    m, x = int(m), float(x)
     if m < 0:
         v = bessel_j_prime(-m, x)
         return -v if m % 2 else v
@@ -361,18 +358,14 @@ def _downward_rows(block: np.ndarray, x: np.ndarray, low: np.ndarray) -> None:
 def bessel_j_table(m_max: int, x, compensated: bool = True) -> np.ndarray:
     """J_m(x_i) for all m = 0..m_max over a vector of arguments.
 
-    Returns an array of shape (m_max + 1, len(x)).  One recurrence per
-    argument yields every order at once, which is how the filter banks
-    consume this.  By default that is the compensated Miller recurrence
-    (the series below x = 1).  With ``compensated=False`` the table is plain
-    float64 and each lane takes its class from its own x and m_max (see the
-    module docstring): Miller below x = 25, Hankel's J_0 and J_1 and the
-    upward recurrence above, and where 25 <= x < m_max a downward pass for
-    the rows above floor(x).  Errors then stay below 1e-12 of the
-    oscillation envelope sqrt(2/(pi x)) (~5e-14 on the program's banks), and
-    below 1e-12 relative on rows m > x where |J| > 1e-250: ample for filter
-    synthesis, not the strict scalar contract.  Either way a column depends
-    on its own argument only, bit for bit.
+    Returns an array of shape (m_max + 1, len(x)): one pass per argument
+    yields every order at once, which is how the filter banks consume this.
+    Lanes with x < 1 take the series kernel, over all (order, argument)
+    pairs of a block of lanes at once; the others the compensated Miller
+    recurrence or, with ``compensated=False``, the plain float64 lane classes
+    of the module docstring: ample for filter synthesis, not the strict
+    scalar contract.  Either way a column depends on its own argument only,
+    bit for bit.
     """
     if not isinstance(m_max, (int, np.integer)) or m_max < 0:
         raise DomainError(f"m_max must be a non-negative integer, got {m_max!r}")
@@ -395,11 +388,10 @@ def bessel_j_table(m_max: int, x, compensated: bool = True) -> np.ndarray:
     out = np.zeros((m_max + 1, x.size)) if compensated else _upward_table(m_max, x)
     if miller.any():
         out[:, miller] = _miller_table(m_max, x[miller], compensated)
-    for i in np.flatnonzero(tiny):
-        xi = float(x[i])
-        for m in range(m_max + 1):
-            out[m, i] = v = _series_j(m, xi)
-            if v == 0.0 and m > xi:
-                out[m + 1:, i] = 0.0  # orders only sink further below 1e-300
-                break
+    lanes = np.flatnonzero(tiny)
+    for first in range(0, lanes.size, _SERIES_LANES):
+        cols = lanes[first:first + _SERIES_LANES]
+        rows = _series_rows(m_max, x[cols])
+        out[:len(rows), cols] = rows
+        out[len(rows):, cols] = 0.0
     return out

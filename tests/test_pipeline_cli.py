@@ -1,6 +1,7 @@
 import argparse
 import copy
 import csv
+import hashlib
 import itertools
 import json
 import math
@@ -33,7 +34,8 @@ def small_scenario(**proc):
 
 def sweep_csv_without_runtime(out):
     """The rows of out/sweep.csv, each without its runtime_s column."""
-    rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()]
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
     col = rows[0].index("runtime_s")
     return [row[:col] + row[col + 1:] for row in rows]
 
@@ -656,6 +658,18 @@ class TestCli:
         err = self.assert_one_line_exit(tmp_path, capsys, extra, edit, 1, "config error: ")
         assert named in err
 
+    @pytest.mark.parametrize("path,value", [pytest.param(path, value, id=path) for path, value in (
+        ("seed", True), ("processing.modes", True), ("processing.exclusion_cells", [True, 5]),
+        ("scene.0.amplitude", True), ("array.0.semi_major_m", True), ("array.0.seed", False),
+        ("array.0.sigma_wavelengths", True), ("grid.samples", True),
+        ("processing.exclusion_deg", False), ("processing.snr_db", True))])
+    def test_boolean_for_a_number_exits_1_naming_the_field(self, tmp_path, capsys, path, value):
+        # JSON's true is not the number 1: a boolean passes for no numeric field
+        err = self.assert_one_line_exit(tmp_path, capsys, ["run"],
+                                        lambda cfg: config.set_path(cfg, path, value),
+                                        1, "config error: ")
+        assert f"bad {path.replace('.0', '[0]')}" in err
+
     @pytest.mark.parametrize("edit", [
         lambda cfg: cfg["processing"].update(snr_db=1e30),
         lambda cfg: cfg["processing"].update(snr_db=-1e4),
@@ -962,6 +976,15 @@ def test_tracer_opens_every_wrapped_span(tmp_path):
         "pipeline.run_scenario", "pipeline.write_outputs",
         "spectrum.export_csv", "spectrum.export_pgm"}
     assert opened["sweep"] - opened["run"] == {"pipeline.sweep_rows", "pipeline.write_sweep_csv"}
+
+
+def test_sweep_digest_drops_only_the_runtime_column(tmp_path):
+    # a quoted cell holds a comma, as sweep.csv writes an exclusion_cells value
+    (tmp_path / "sweep.csv").write_text('processing.exclusion_cells,runtime_s,phi_deg\n'
+                                        '"[4, 6]",0.25,12.5\n"[5, 5]",0.5,13\n')
+    kept = 'processing.exclusion_cells,phi_deg\n"[4, 6]",12.5\n"[5, 5]",13\n'
+    assert _script("scripts/preset_digests.py").sweep_digests(tmp_path) == [
+        ("sweep-without-runtime", hashlib.sha256(kept.encode()).hexdigest())]
 
 
 def test_digest_check_names_differing_lines_and_skips_other_hosts():

@@ -85,24 +85,30 @@ def test_table_agrees_with_scalar_and_reference():
     tab = specfun.bessel_j_table(60, xs)
     for i, x in enumerate(xs):
         for m in (0, 1, 2, 7, 40, 41, 60):
-            assert tab[m, i] == pytest.approx(specfun.bessel_j(m, float(x)),
-                                              rel=1e-13, abs=1e-300)
-    # uncompensated mode keeps envelope-relative accuracy
+            scalar = specfun.bessel_j(m, float(x))
+            if x < 1.0:  # one series kernel: a pair's bits do not depend on m_max
+                assert tab[m, i] == scalar
+            else:
+                assert tab[m, i] == pytest.approx(scalar, rel=1e-13, abs=1e-300)
+    # uncompensated mode keeps envelope-relative accuracy, and the same series
     fast = specfun.bessel_j_table(60, xs, compensated=False)
+    assert fast[:, xs < 1.0].tobytes() == tab[:, xs < 1.0].tobytes()
     env = np.abs(tab).max(axis=0)
     assert np.all(np.abs(fast - tab) <= 1e-12 * env + 1e-300)
 
 
 def test_plain_table_builds_in_one_table_sized_buffer():
-    # the recurrence fills the returned array and normalizes it in place
-    x = np.linspace(1.0, 300.0, 2000)
-    tracemalloc.start()
-    try:
-        tab = specfun.bessel_j_table(200, x, compensated=False)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * tab.nbytes
+    # the recurrence fills the returned array and normalizes it in place, and
+    # the series fills its lanes (all of them in the second case) by blocks
+    for m_max, x in ((200, np.linspace(1.0, 300.0, 2000)),
+                     (300, np.geomspace(1e-8, 1.0, 2000, endpoint=False))):
+        tracemalloc.start()
+        try:
+            tab = specfun.bessel_j_table(m_max, x, compensated=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * tab.nbytes, m_max
 
 
 def plain_table_errors(m_max, x):
@@ -184,6 +190,17 @@ def test_plain_table_on_bank_lanes_against_double_double(name, paths):
 # m_max >> x, as a forced mode count asks: from J_600(25.5) ~ 1e-700 the
 # downward rows pass 2**830 and are rescaled
 @example(m_max=600, x=[25.5, 60.0, 0.5, 400.0, 150.0], mask=0b10011, compensated=False)
+# series lanes at their edges beside Miller and upward lanes: the series drops
+# each (order, lane) pair as it converges, and each lane's prefix underflows
+# at its own order (at once for 5e-324, whose x/2 is 0)
+@example(m_max=300, x=[0.0, 2.0, 5e-324, 1e-300, 150.0, 0.999999], mask=0b101010,
+         compensated=False)
+@example(m_max=300, x=[0.0, 2.0, 5e-324, 1e-300, 150.0, 0.999999], mask=0b010101,
+         compensated=True)
+@example(m_max=0, x=[0.0, 2.0, 5e-324, 1e-300, 150.0, 0.999999], mask=0b100110,
+         compensated=False)
+@example(m_max=0, x=[0.0, 2.0, 5e-324, 1e-300, 150.0, 0.999999], mask=0b011001,
+         compensated=True)
 def test_property_table_columns_ignore_other_arguments(m_max, x, mask, compensated):
     # filter banks share one table across rings and split it by frequency:
     # each column must depend on its own argument only, bit for bit
