@@ -118,9 +118,10 @@ def mode_limit(array: SensorArray, grid: FrequencyGrid, threshold: float,
     design the smallest averaged ring radius (a + b)/2, the smallest
     argument such a bank ever evaluates; f_min is the lowest grid
     frequency.  Non-decreasing in both r_min and f_min.  The search reads
-    the bank's own plain float64 table at x_min (FilterBank.jtable).  An
-    x_min whose search would need Bessel orders past ORDER_GUARD is a
-    DomainError that names it, raised before any table is built.
+    the bank's own plain table at x_min (FilterBank.jtable), which below
+    x_min = 25 is the double-double Miller table.  An x_min whose search
+    would need Bessel orders past ORDER_GUARD is a DomainError that names
+    it, raised before any table is built.
     """
     if not (threshold > 0.0):
         raise DomainError(f"threshold must be positive, got {threshold}")

@@ -182,8 +182,8 @@ def _resolved(t0: float, resolved_cfg: dict, array: SensorArray, grid: Frequency
         exclusion_deg = config.parse(config.real, proc.exclusion_deg, "processing.exclusion_deg")
         if not (math.isfinite(exclusion_deg) and exclusion_deg >= 0.0):
             raise DomainError(f"exclusion_deg must be finite and >= 0, got {exclusion_deg}")
-        cell_deg = 360.0 / (2 * mh + 1)
-        excl = (max(1, round(exclusion_deg / cell_deg)), excl[1])
+        cell_deg = 360.0 / (2 * mh + 1)  # 360 deg already spans the azimuth axis
+        excl = (max(1, round(min(exclusion_deg, 360.0) / cell_deg)), excl[1])
     proc = replace(proc, modes=2 * mh + 1, reduction=reduction, exclusion_cells=excl)
     if proc.model == "spherical" and any(w.distance_m is None for w in scene):
         raise ValidationError("spherical model requires distance_m on every wave")

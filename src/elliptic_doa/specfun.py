@@ -9,18 +9,20 @@ banks need (x up to ~1e4, |m| up to ~1e3, guarded to 1e6) by two kernels:
 * otherwise a normalized downward (Miller) recurrence started above the
   turning point: a scalar loop for one value, a table kernel for many.
 
-Both run in compensated (double-double) arithmetic by default, which keeps
-the *absolute* error near 1e-30 times the oscillation envelope, so the
-scalar entry points hold a relative error below 1e-13 even next to a zero.
+Both run in compensated (double-double) arithmetic, which keeps the
+*absolute* error near 1e-30 times the oscillation envelope, so the scalar
+entry points hold a relative error below 1e-13 even next to a zero.
 
 The program builds every table, the filter banks' and the mode-limit
-search's, with ``compensated=False``: plain float64, where each argument
-takes one of three lane classes by its own x and the table's m_max:
+search's, with ``compensated=False``, where each argument takes one of
+three lane classes by its own x and the table's m_max:
 
-* x < 1: the series; 1 <= x < 25: plain Miller, as above;
-* x >= 25: J_0 and J_1 from Hankel's expansion, then the upward recurrence,
-  which is stable while m < x, to m_max; where x < m_max, the rows above
-  floor(x) from a short downward recurrence scaled to meet it at floor(x).
+* x < 1: the series; 1 <= x < 25: the Miller table, as above, so these
+  lanes equal a compensated table's bit for bit;
+* x >= 25, in plain float64: J_0 and J_1 from Hankel's expansion, then the
+  upward recurrence, which is stable while m < x, to m_max; where
+  x < m_max, the rows above floor(x) from a short downward recurrence
+  scaled to meet it at floor(x).
 
 Plain tables hold ~5e-14 of the envelope sqrt(2/(pi x)) on the program's
 banks and ~3e-13 at m_max = 1000 (1e-12 is their bound), and rows m > x
@@ -197,42 +199,19 @@ def bessel_j_prime(m: int, x: float) -> float:
     return 0.5 * (bessel_j(m - 1, x) - bessel_j(m + 1, x))
 
 
-def _miller_table(m_max: int, x: np.ndarray, compensated: bool) -> np.ndarray:
+def _miller_table(m_max: int, x: np.ndarray) -> np.ndarray:
     """Vectorized normalized Miller recurrence, m = 0..m_max, x_i >= ~1.
 
     Each lane carries J of the current and the previous order and the
-    normalization sum, as (hi, lo) double-double pairs when `compensated`
-    and as one float64 otherwise.  Only the step, the sum update and the
-    final normalization depend on the arithmetic.  Plain float64 (bulk
-    filter synthesis) random-walks to ~1e-14 of the oscillation envelope
-    and checks for overflow every fourth step, which the 2**830 threshold
-    leaves ample headroom for (growth per step is bounded by 2 n_top / min x);
-    double-double checks every step.
+    normalization sum as (hi, lo) double-double pairs, and lanes whose J
+    passes 2**830 are rescaled at that step.  The recurrence fills the
+    returned array, which is normalized in place one row at a time.
     """
     n = x.size
     nstart = _start_orders(m_max, x)
     n_top = int(nstart.max())
-    if compensated:
-        i2h, i2l = dd_div_dd(2.0, x)
-
-        def step(order, j, jp):
-            ch, cl = dd_mul_d(i2h, i2l, float(order))
-            th, tl = dd_mul(ch, cl, *j)
-            return dd_add(th, tl, -jp[0], -jp[1])
-
-        def accumulate(s, j, weight):
-            return dd_add(*s, weight * j[0], weight * j[1])
-    else:
-        inv_x = 1.0 / x
-
-        def step(order, j, jp):
-            return ((2.0 * order) * inv_x * j[0] - jp[0],)
-
-        def accumulate(s, j, weight):
-            return (s[0] + weight * j[0],)
-    words = 2 if compensated else 1
-    cadence = 1 if compensated else 4
-    j, jp, s = (tuple(np.zeros(n) for _ in range(words)) for _ in range(3))
+    i2h, i2l = dd_div_dd(2.0, x)
+    jh, jl, jph, jpl, sh, sl = (np.zeros(n) for _ in range(6))
     out = np.zeros((m_max + 1, n))
 
     has_seed = np.zeros(n_top + 1, dtype=bool)
@@ -241,27 +220,26 @@ def _miller_table(m_max: int, x: np.ndarray, compensated: bool) -> np.ndarray:
     for order in range(n_top, -1, -1):
         if has_seed[order]:
             seed = nstart == order
-            for arr in j + jp:
-                arr[seed] = 0.0
-            j[0][seed] = 1.0
+            jh[seed], jl[seed], jph[seed], jpl[seed] = 1.0, 0.0, 0.0, 0.0
         if order <= m_max:
-            out[order] = j[0]
+            out[order] = jh
         if order == 0:
-            s = accumulate(s, j, 1.0)
+            sh, sl = dd_add(sh, sl, jh, jl)
             break
         if order % 2 == 0:
-            s = accumulate(s, j, 2.0)
-        j, jp = step(order, j, jp), j
-        if order % cadence == 0 and np.abs(j[0]).max() > _RESCALE_THRESHOLD:
-            big = np.abs(j[0]) > _RESCALE_THRESHOLD
-            for arr in j + jp + s:
+            sh, sl = dd_add(sh, sl, 2.0 * jh, 2.0 * jl)
+        ch, cl = dd_mul_d(i2h, i2l, float(order))
+        th, tl = dd_mul(ch, cl, jh, jl)
+        jph, jpl, (jh, jl) = jh, jl, dd_add(th, tl, -jph, -jpl)
+        if np.abs(jh).max() > _RESCALE_THRESHOLD:
+            big = np.abs(jh) > _RESCALE_THRESHOLD
+            for arr in (jh, jl, jph, jpl, sh, sl):
                 arr[big] *= _RESCALE_FACTOR
             out[:, big] *= _RESCALE_FACTOR
 
-    if compensated:
-        rh, rl = dd_div(np.ones(n), np.zeros(n), *s)
-        return out * rh + out * rl
-    out /= s[0]
+    rh, rl = dd_div(np.ones(n), np.zeros(n), sh, sl)
+    for row in out:  # in place: no second table-sized buffer
+        row[:] = row * rh + row * rl
     return out
 
 
@@ -362,10 +340,11 @@ def bessel_j_table(m_max: int, x, compensated: bool = True) -> np.ndarray:
     yields every order at once, which is how the filter banks consume this.
     Lanes with x < 1 take the series kernel, over all (order, argument)
     pairs of a block of lanes at once; the others the compensated Miller
-    recurrence or, with ``compensated=False``, the plain float64 lane classes
-    of the module docstring: ample for filter synthesis, not the strict
-    scalar contract.  Either way a column depends on its own argument only,
-    bit for bit.
+    recurrence, except that with ``compensated=False`` lanes with x >= 25
+    take the plain float64 upward and downward recurrences of the module
+    docstring: ample for filter synthesis, not the strict scalar contract.
+    So the two tables differ only on lanes with x >= 25, and either way a
+    column depends on its own argument only, bit for bit.
     """
     if not isinstance(m_max, (int, np.integer)) or m_max < 0:
         raise DomainError(f"m_max must be a non-negative integer, got {m_max!r}")
@@ -384,10 +363,10 @@ def bessel_j_table(m_max: int, x, compensated: bool = True) -> np.ndarray:
     miller = ~tiny if compensated else ~tiny & (x < _HANKEL_X_CUT)
     if x.size and miller.all():
         # the recurrence's own array is the table: no second table-sized buffer
-        return _miller_table(m_max, x, compensated)
+        return _miller_table(m_max, x)
     out = np.zeros((m_max + 1, x.size)) if compensated else _upward_table(m_max, x)
     if miller.any():
-        out[:, miller] = _miller_table(m_max, x[miller], compensated)
+        out[:, miller] = _miller_table(m_max, x[miller])
     lanes = np.flatnonzero(tiny)
     for first in range(0, lanes.size, _SERIES_LANES):
         cols = lanes[first:first + _SERIES_LANES]

@@ -447,7 +447,7 @@ class TestExpansion:
 def literal_tolerance(want, arr, ch, bank):
     """Largest expected |fast - literal| entry, from three error regimes.
 
-    Bessel tables: the bank's plain-float64 tables sit ~1e-14 of the
+    Bessel tables: the bank's plain tables sit ~1e-14 of the
     envelope from the mpmath oracle, which the unfolded kernel always met
     as 1e-12 of the largest mode.  Phases: the literal sum rounds m phi_p,
     the kernel m theta_r, each by up to m PHASE_ROUNDING rad.  Mirrors: the

@@ -162,6 +162,20 @@ class TestResolve:
                       pipeline.resolve(json.loads(json.dumps(sc.config)))):
             assert again.processing == sc.processing
 
+    def test_exclusion_deg_past_the_azimuth_axis_resolves_as_360(self, tmp_path):
+        # fig3's cells are 0.72 deg wide: the largest double over one overflows
+        cfg = presets.get_preset("fig3")
+        cells = {}
+        for value in (360.0, 1e308, sys.float_info.max):
+            cfg["processing"]["exclusion_deg"] = value
+            cells[value] = pipeline.resolve(cfg).processing.exclusion_cells
+        assert cells[1e308] == cells[sys.float_info.max] == cells[360.0]
+        assert cells[360.0][0] == cfg["processing"]["modes"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["run", "--config", str(cfg_path),
+                         "--out-dir", str(tmp_path / "o")]) == 0
+
     def test_ingested_and_built_arrays_resolve_equal_processing(self, tmp_path):
         """Equal processing, but for noise: ingest adds none, so it refuses an snr_db."""
         proc = {"design": "plain", "modes": 41, "reduction": "none", "pad_delay": 3,
