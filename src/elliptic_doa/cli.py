@@ -21,8 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .channel import ingest_channel
-from .config import (SCENARIO_KEYS, add_axis, as_object, check_keys, load_config, name_of,
-                     write_record)
+from .config import add_axis, as_object, load_config, name_of, write_record
 from .errors import ConfigError, NumericError, ValidationError
 from .geometry import SensorArray, nyquist_audit
 from .pipeline import (
@@ -55,20 +54,24 @@ def _add_flags(p: argparse.ArgumentParser, scenario: bool = True, run: bool = Tr
         p.add_argument("--pad-delay", type=int, default=None, help="delay zero-pad factor")
 
 
-def _load_scenario(args) -> dict:
-    cfg = get_preset(args.preset) if args.preset else load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = int(args.seed)
-    return cfg
-
-
-def _with_pad_flags(cfg: dict, args) -> dict:
-    """cfg with the --pad-* overrides applied to its processing section."""
+def _scenario(args) -> dict:
+    """The document a verb runs, every flag it was given written in over the
+    document's key (the gates as top-level true), so its record re-runs
+    without them."""
+    flags = vars(args)
+    cfg = get_preset(args.preset) if flags.get("preset") else (
+        load_config(args.config) if args.config else {})
+    for key in ("seed", "name"):
+        if flags.get(key) is not None:
+            cfg[key] = flags[key]
+    for gate in ("allow_undersampled", "force_modes"):
+        if flags.get(gate):
+            cfg[gate] = True
     proc = cfg.get("processing")
     cfg["processing"] = proc = as_object("processing", {} if proc is None else proc)
     for key in ("pad_az", "pad_delay"):
-        if getattr(args, key) is not None:
-            proc[key] = getattr(args, key)
+        if flags.get(key) is not None:
+            proc[key] = flags[key]
     return cfg
 
 
@@ -81,9 +84,9 @@ def _out_dir(args, name: str) -> Path:
     return out
 
 
-def _write_run(result, out: Path, summary: str) -> int:
+def _write_run(result, out: Path, summary: str, inputs=None) -> int:
     """Write a run's artifacts; print the summary, the peak and the paths."""
-    paths = write_outputs(result, out)
+    paths = write_outputs(result, out, inputs)
     report = result.report
     print(f"{summary}\npeak: phi={report.main.phi_deg:.6g} deg "
           f"tau={report.main.tau_s * 1e9:.6g} ns delta={report.delta_db:.2f} dB")
@@ -92,17 +95,16 @@ def _write_run(result, out: Path, summary: str) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg = _with_pad_flags(_load_scenario(args), args)
-    scenario = resolve(cfg, allow_undersampled=args.allow_undersampled,
-                       force_modes=args.force_modes)
-    out = _out_dir(args, scenario.name)
+    scenario = resolve(_scenario(args))
+    name = scenario.config["name"]
+    out = _out_dir(args, name)
     result = run_scenario(scenario)
-    return _write_run(result, out, f"{scenario.name}: modes={scenario.processing.modes} "
+    return _write_run(result, out, f"{name}: modes={scenario.processing.modes} "
                       f"reduction={scenario.processing.reduction} runtime={result.runtime_s:.2f}s")
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _with_pad_flags(_load_scenario(args), args)
+    cfg = _scenario(args)
     for spec in args.axis or []:
         if "=" not in spec:
             raise ConfigError(f"--axis wants PATH=v1,v2,...: got {spec!r}")
@@ -112,9 +114,6 @@ def _cmd_sweep(args) -> int:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"--axis values must be JSON scalars: {spec!r} ({exc.msg})") from exc
         add_axis(cfg, path, parsed)
-    for gate in ("allow_undersampled", "force_modes"):  # recorded, so the sweep record re-runs
-        if getattr(args, gate):
-            cfg[gate] = True
     out = _out_dir(args, name_of(cfg, "sweep"))
     stages = {}
     rows = sweep_rows(cfg, stages=stages)
@@ -129,7 +128,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    scenario = resolve(_load_scenario(args), allow_undersampled=True, force_modes=True)
+    scenario = resolve({**_scenario(args), "allow_undersampled": True, "force_modes": True})
     f_max = scenario.grid.f_max_hz if args.f_max is None else args.f_max
     report = nyquist_audit(scenario.array, f_max)
     print(report.to_text())
@@ -142,15 +141,17 @@ def _cmd_audit(args) -> int:
 def _cmd_ingest(args) -> int:
     array = SensorArray.from_csv(args.geometry)
     ch = ingest_channel(args.channel, array)
-    cfg = _with_pad_flags(load_config(args.config) if args.config else {}, args)
-    check_keys("scenario", cfg, SCENARIO_KEYS)  # of which ingest reads processing alone
-    scenario = resolve_ingested(array, ch.grid, cfg["processing"], name=args.name,
-                                allow_undersampled=args.allow_undersampled,
-                                force_modes=args.force_modes)
-    out = _out_dir(args, scenario.name)
+    scenario = resolve_ingested(array, ch.grid, _scenario(args))
+    name = scenario.config["name"]
+    out = _out_dir(args, name)
     result = run_channel(scenario, ch)
-    return _write_run(result, out, f"{scenario.name}: sensors={array.total_sensors} "
-                      f"K={ch.grid.samples} modes={scenario.processing.modes}")
+    import hashlib  # here, not at the top: it loads libcrypto, 3.5 MB RSS in every verb
+    inputs = {}  # what the manifest cannot embed: the measured files, by size and digest
+    for role in ("geometry", "channel"):
+        data = Path(getattr(args, role)).read_bytes()
+        inputs[role] = {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+    return _write_run(result, out, f"{name}: sensors={array.total_sensors} "
+                      f"K={ch.grid.samples} modes={scenario.processing.modes}", inputs)
 
 
 def _cmd_presets(_args) -> int:
@@ -188,9 +189,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(ingest_p, scenario=False)
     ingest_p.add_argument("--geometry", required=True, help="sensor CSV (ring,p,x_m,y_m)")
     ingest_p.add_argument("--channel", required=True, help="channel CSV (p,f_hz,re,im)")
-    ingest_p.add_argument("--config", default=None,
-                          help="optional JSON with a processing section")
-    ingest_p.add_argument("--name", default="ingest", help="run label")
+    ingest_p.add_argument("--config", default=None, help="optional scenario JSON: "
+                          "its name, gates and processing section are read")
+    ingest_p.add_argument("--name", default=None, help="run label (default: the "
+                          "config's name, else ingest)")
     ingest_p.set_defaults(fn=_cmd_ingest)
 
     presets_p = sub.add_parser("presets", help="list shipped presets")

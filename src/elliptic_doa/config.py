@@ -9,8 +9,9 @@ A scenario is a JSON document (kept diffable on disk) with sections:
                 streams from it unless given their own
     allow_undersampled, force_modes
                 optional true or false: open the spatial-sampling gate or
-                the mode-count stability gate, as the run flags of those
-                names do
+                the mode-count stability gate; the flags of those names
+                write true here, and an open gate is recorded, so a record
+                re-runs without them
     array       list of rings: the fields of geometry.EllipseSpec, with
                 sigma_m or sigma_wavelengths, seed null or absent = master
     grid        the fields of channel.FrequencyGrid
@@ -40,10 +41,12 @@ SCENARIO_KEYS = ("name", "seed", "allow_undersampled", "force_modes", "array", "
 def load_config(path) -> dict:
     """A scenario, or the config a run manifest or sweep record embeds."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # JSON is UTF-8 (RFC 8259)
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error at line {exc.lineno}, "
                           f"column {exc.colno}: {exc.msg}") from exc

@@ -91,13 +91,11 @@ class Processing:
 class ResolvedScenario:
     """A fully concrete run: every auto field pinned, geometry realized."""
 
-    name: str
-    config: dict
+    config: dict  # the resolved document: the run's name, and a built array's seed
     array: SensorArray
     grid: FrequencyGrid
     scene: list
     processing: Processing
-    seed: int
     mode_limit_value: int
     nyquist: object
     stages: dict  # "resolve" and "mode_limit"
@@ -110,13 +108,23 @@ bytes; P bounds the bank's columns) that resolve admits, checked before any
 is allocated."""
 
 
-def _resolved(t0: float, resolved_cfg: dict, array: SensorArray, grid: FrequencyGrid,
-              scene: list, proc_cfg, allow_undersampled: bool,
-              force_modes: bool) -> ResolvedScenario:
+def _resolved(t0: float, cfg: dict, resolved_cfg: dict, array: SensorArray,
+              grid: FrequencyGrid, scene: list) -> ResolvedScenario:
     """Resolution's tail for a built array (with its scene) and an ingested
-    one (no scene): pin processing against the realized array, grid and
-    scene, and add the grid and processing to `resolved_cfg`."""
+    one (no scene): read the gates and processing of the document `cfg`,
+    pin processing against the realized array, grid and scene, and add the
+    open gates, the grid and processing to `resolved_cfg`."""
     stages = {}
+    # heavily perturbed layouts cannot pass a strict consecutive-spacing
+    # audit; scenarios that rely on average sampling may opt out themselves,
+    # and an open gate is recorded so that its manifest re-runs
+    for gate in ("allow_undersampled", "force_modes"):
+        given = cfg.get(gate, False)
+        if not isinstance(given, bool):
+            raise ConfigError(f"{gate} must be true or false, got {given!r}")
+        if given:
+            resolved_cfg[gate] = True
+    proc_cfg = cfg.get("processing")
     proc = config.read_record(Processing, "processing", {} if proc_cfg is None else proc_cfg)
     for key, names in (("model", MODELS), ("design", DESIGNS),
                        ("reduction", ("auto", *REDUCTIONS))):
@@ -137,7 +145,7 @@ def _resolved(t0: float, resolved_cfg: dict, array: SensorArray, grid: Frequency
         if total < 1:
             raise ConfigError("modes must be positive")
         mh = total // 2  # symmetric range: requested total rounds up to odd
-        if mh > limit and not force_modes:
+        if mh > limit and "force_modes" not in resolved_cfg:
             raise ValidationError(
                 f"requested modes {total} (half-range {mh}) exceed the stability "
                 f"limit {limit} at threshold {proc.mode_threshold}; "
@@ -151,7 +159,7 @@ def _resolved(t0: float, resolved_cfg: dict, array: SensorArray, grid: Frequency
         reduction = "symmetric" if (clean and proc.design != "average") else "none"
 
     audit = nyquist_audit(array, grid.f_max_hz)
-    if not audit.passed and not allow_undersampled:
+    if not audit.passed and "allow_undersampled" not in resolved_cfg:
         raise ValidationError(
             "spatial sampling fails the half-wavelength criterion "
             f"(max spacing {audit.max_spacing_m:.4g} m > {audit.limit_m:.4g} m); "
@@ -189,14 +197,14 @@ def _resolved(t0: float, resolved_cfg: dict, array: SensorArray, grid: Frequency
         raise ValidationError("spherical model requires distance_m on every wave")
     resolved_cfg.update(grid=asdict(grid), processing=asdict(proc))
     stages["resolve"] = time.perf_counter() - t0 - stages["mode_limit"]
-    return ResolvedScenario(name=resolved_cfg["name"], config=resolved_cfg, array=array, grid=grid,
-                            scene=scene, processing=proc, seed=resolved_cfg.get("seed", 0),
-                            mode_limit_value=limit, nyquist=audit, stages=stages)
+    return ResolvedScenario(config=resolved_cfg, array=array, grid=grid, scene=scene,
+                            processing=proc, mode_limit_value=limit, nyquist=audit,
+                            stages=stages)
 
 
-def resolve(cfg: dict, allow_undersampled: bool = False,
-            force_modes: bool = False) -> ResolvedScenario:
-    """Validate a raw scenario and pin every derived quantity."""
+def resolve(cfg: dict) -> ResolvedScenario:
+    """Validate a scenario document and pin every derived quantity; its
+    allow_undersampled and force_modes keys open the two gates."""
     t0 = time.perf_counter()
     cfg = copy.deepcopy(cfg)
     config.check_keys("scenario", cfg, config.SCENARIO_KEYS, required=("array", "grid", "scene"))
@@ -204,16 +212,6 @@ def resolve(cfg: dict, allow_undersampled: bool = False,
     seed = config.parse(config.integral, cfg.get("seed", 0), "seed")
     if seed < 0:
         raise DomainError(f"seed must be unsigned, got {seed}")
-    # heavily perturbed layouts cannot pass a strict consecutive-spacing
-    # audit; scenarios that rely on average sampling may opt out themselves,
-    # and a forced mode count is recorded so that its manifest re-runs
-    opened = {}
-    for gate, flag in (("allow_undersampled", allow_undersampled), ("force_modes", force_modes)):
-        given = cfg.get(gate, False)
-        if not isinstance(given, bool):
-            raise ConfigError(f"{gate} must be true or false, got {given!r}")
-        if flag or given:
-            opened[gate] = True
 
     grid = config.read_record(FrequencyGrid, "grid", cfg["grid"])
 
@@ -247,19 +245,19 @@ def resolve(cfg: dict, allow_undersampled: bool = False,
              for i, wave in enumerate(scene_cfg)]
 
     resolved_cfg = {"name": name, "seed": seed, "array": rings_cfg,
-                    "scene": [asdict(w) for w in scene], **opened}
+                    "scene": [asdict(w) for w in scene]}
     if "sweep" in cfg:
         resolved_cfg["sweep"] = cfg["sweep"]
-    return _resolved(t0, resolved_cfg, array, grid, scene, cfg.get("processing", {}),
-                     "allow_undersampled" in opened, "force_modes" in opened)
+    return _resolved(t0, cfg, resolved_cfg, array, grid, scene)
 
 
-def resolve_ingested(array: SensorArray, grid: FrequencyGrid, proc_cfg: dict,
-                     name: str = "ingest", allow_undersampled: bool = False,
-                     force_modes: bool = False) -> ResolvedScenario:
-    """Resolve processing for an externally measured channel (no scene)."""
-    return _resolved(time.perf_counter(), {"name": name}, array, grid, [], proc_cfg,
-                     allow_undersampled, force_modes)
+def resolve_ingested(array: SensorArray, grid: FrequencyGrid, cfg: dict) -> ResolvedScenario:
+    """Resolve a scenario document for an externally measured channel (no
+    scene).  Its top level is checked against a scenario's keys, of which
+    it reads name (default "ingest"), the two gates and processing."""
+    t0 = time.perf_counter()
+    config.check_keys("scenario", cfg, config.SCENARIO_KEYS)
+    return _resolved(t0, cfg, {"name": config.name_of(cfg, "ingest")}, array, grid, [])
 
 
 @dataclass
@@ -312,14 +310,15 @@ def _synthesize(scenario: ResolvedScenario) -> ChannelMatrix:
     proc = scenario.processing
     ch = superpose(scenario.scene, scenario.array, scenario.grid, model=proc.model)
     if proc.snr_db is not None:
-        ch = add_awgn(ch, proc.snr_db, seed=scenario.seed)
+        ch = add_awgn(ch, proc.snr_db, seed=scenario.config["seed"])
     return ch
 
 
-def write_outputs(result: RunResult, out_dir) -> list:
+def write_outputs(result: RunResult, out_dir, inputs=None) -> list:
     """Write manifest, peak report, spectrum CSV and heatmap; return paths.
 
-    The manifest goes last, so its "write" stage times the other three."""
+    The manifest goes last, so its "write" stage times the other three;
+    `inputs` (an ingest's files by bytes and sha256) goes to resolved.inputs."""
     t0 = time.perf_counter()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -337,6 +336,7 @@ def write_outputs(result: RunResult, out_dir) -> list:
         "bank_unique_evals": result.bank_unique_evals,
         "runtime_s": result.runtime_s,
         "stages": {**sc.stages, **result.stages},
+        **({} if inputs is None else {"inputs": inputs}),
     })
     return paths
 

@@ -344,7 +344,7 @@ def test_criterion_12_measured_data_path(tmp_path):
     roundtrip = bool(np.array_equal(back.values, ch.values))
 
     ingested = pipeline.resolve_ingested(back_array, back.grid,
-                                         {"modes": 255}, name="fig13-ingest")
+                                         {"name": "fig13-ingest", "processing": {"modes": 255}})
     result = pipeline.run_channel(ingested, back)
     top2 = {(p.phi_deg, round(p.tau_s * 1e12)) for p in result.report.maxima[:2]}
     want = {(330.0, 4000), (300.0, 8000)}

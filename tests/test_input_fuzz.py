@@ -63,16 +63,6 @@ def mutated_configs(draw):
     return cfg
 
 
-@FUZZ
-@given(cfg=mutated_configs())
-def test_mutated_configs_exit_cleanly(cfg):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        argv = ["run", "--config", str(path), "--out-dir", str(Path(tmp) / "out")]
-        assert cli.main(argv) in (0, 1, 2, 3)
-
-
 def _ingest_inputs():
     arr = geometry.build_concentric([geometry.EllipseSpec(
         semi_major_m=0.05, eccentricity=0.3, sensors=64)])
@@ -86,6 +76,29 @@ def _ingest_inputs():
 
 
 GEOMETRY, CHANNEL = _ingest_inputs()
+
+
+@FUZZ
+@given(cfg=mutated_configs())
+def test_mutated_configs_exit_cleanly(cfg):
+    """The document as a run's scenario, then as an ingest's --config on the
+    fixed GEOMETRY and CHANNEL files."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path = tmp / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv = ["run", "--config", str(path), "--out-dir", str(tmp / "run")]
+        assert cli.main(argv) in (0, 1, 2, 3)
+        doc = copy.deepcopy(cfg)
+        proc = doc.get("processing")
+        if isinstance(proc, dict) and proc.get("snr_db") == CONFIG["processing"]["snr_db"]:
+            del proc["snr_db"]  # a measured channel takes no noise: ingest refuses CONFIG's
+        path.write_text(json.dumps(doc))
+        for name, lines in (("geometry", GEOMETRY), ("channel", CHANNEL)):
+            (tmp / f"{name}.csv").write_text("\n".join(lines) + "\n")
+        argv = ["ingest", "--geometry", str(tmp / "geometry.csv"), "--channel",
+                str(tmp / "channel.csv"), "--config", str(path), "--out-dir", str(tmp / "ingest")]
+        assert cli.main(argv) in (0, 1, 2, 3)
 
 
 @settings(FUZZ, max_examples=200)

@@ -66,7 +66,7 @@ class TestResolve:
         cfg = small_scenario(modes=5001)
         with pytest.raises(ValidationError):
             pipeline.resolve(cfg)
-        sc = pipeline.resolve(cfg, force_modes=True)
+        sc = pipeline.resolve({**cfg, "force_modes": True})
         assert sc.processing.mode_half == 2500
 
     def test_sigma_in_wavelengths(self):
@@ -94,7 +94,7 @@ class TestResolve:
         cfg["array"][0]["sensors"] = 16
         with pytest.raises(ValidationError):
             pipeline.resolve(cfg)
-        sc = pipeline.resolve(cfg, allow_undersampled=True)
+        sc = pipeline.resolve({**cfg, "allow_undersampled": True})
         assert not sc.nyquist.passed
 
     def test_spherical_needs_distance(self):
@@ -125,8 +125,8 @@ class TestResolve:
                 path.write_text(json.dumps({"kind": kind, "config": sc.config}))
                 again = pipeline.resolve(config.load_config(path))
                 assert json.dumps(again.config, sort_keys=True) == text, (name, kind)
-                assert (again.grid, again.scene, again.processing, again.seed) == (
-                    sc.grid, sc.scene, sc.processing, sc.seed), (name, kind)
+                assert (again.grid, again.scene, again.processing) == (
+                    sc.grid, sc.scene, sc.processing), (name, kind)
                 assert [again.array.ring_spec(i) for i in range(again.array.ring_count)] == [
                     sc.array.ring_spec(i) for i in range(sc.array.ring_count)], (name, kind)
 
@@ -138,7 +138,7 @@ class TestResolve:
         sc = pipeline.resolve(cfg)
         assert json.dumps(sc.config, sort_keys=True) == json.dumps(
             pipeline.resolve(small_scenario()).config, sort_keys=True)
-        assert type(sc.seed) is int and type(sc.grid.samples) is int
+        assert type(sc.config["seed"]) is int and type(sc.grid.samples) is int
 
     def test_every_processing_key_off_default_resolves_again(self):
         proc = {"model": "spherical", "design": "average", "modes": 41,
@@ -183,12 +183,14 @@ class TestResolve:
         sc = pipeline.resolve(small_scenario(**proc))
         sc.array.to_csv(tmp_path / "geo.csv")
         array = geometry.SensorArray.from_csv(tmp_path / "geo.csv")
-        ingested = pipeline.resolve_ingested(array, sc.grid, sc.config["processing"])
+        ingested = pipeline.resolve_ingested(array, sc.grid,
+                                             {"processing": sc.config["processing"]})
         assert ingested.processing == sc.processing
         assert ingested.mode_limit_value == sc.mode_limit_value
         assert ingested.config["processing"] == sc.config["processing"]
         with pytest.raises(ConfigError, match=r"processing\.snr_db"):
-            pipeline.resolve_ingested(array, sc.grid, {**sc.config["processing"], "snr_db": 30.0})
+            pipeline.resolve_ingested(array, sc.grid,
+                                      {"processing": {**sc.config["processing"], "snr_db": 30.0}})
 
 
 class TestSetPath:
@@ -462,6 +464,43 @@ class TestCli:
         spectra = [(tmp_path / run / "spectrum.csv").read_bytes() for run in ("a", "b")]
         assert spectra[0] == spectra[1]
 
+    def test_forced_named_ingest_manifest_reruns_without_the_flags(self, tmp_path):
+        """ingest writes --force-modes and --name into the config its manifest
+        embeds, whose "force_modes": true opens the gate on the re-run, and
+        records the files it read by size and SHA-256."""
+        cfg = json.loads(self.forced_scenario(tmp_path).read_text())
+        sc = pipeline.resolve({**cfg, "force_modes": True})
+        files = {"geometry": tmp_path / "geo.csv", "channel": tmp_path / "chan.csv"}
+        sc.array.to_csv(files["geometry"])
+        channel.export_channel(channel.superpose(sc.scene, sc.array, sc.grid), files["channel"])
+        doc = tmp_path / "ingest.json"
+        doc.write_text(json.dumps({"allow_undersampled": True, "processing": {"modes": 101}}))
+        ingest = ["ingest", "--geometry", str(files["geometry"]),
+                  "--channel", str(files["channel"]), "--config"]
+        assert cli.main([*ingest, str(doc), "--out-dir", str(tmp_path / "gated")]) == 2
+        assert cli.main([*ingest, str(doc), "--force-modes", "--name", "foo",
+                         "--out-dir", str(tmp_path / "a")]) == 0
+        manifest = tmp_path / "a" / "manifest.json"
+        assert cli.main([*ingest, str(manifest), "--out-dir", str(tmp_path / "b")]) == 0
+        for name in ("spectrum.csv", "peaks.txt", "heatmap.pgm"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        records = []
+        for run in ("a", "b"):
+            record = json.loads((tmp_path / run / "manifest.json").read_text())
+            del record["resolved"]["runtime_s"], record["resolved"]["stages"]
+            records.append(record)
+        assert records[0] == records[1]
+        assert records[0]["config"]["name"] == "foo"
+        assert records[0]["config"]["force_modes"] is True
+        assert records[0]["resolved"]["inputs"] == {
+            role: {"bytes": path.stat().st_size,
+                   "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+            for role, path in files.items()}
+        # a flag overwrites the document's key
+        assert cli.main([*ingest, str(manifest), "--name", "bar",
+                         "--out-dir", str(tmp_path / "c")]) == 0
+        assert json.loads((tmp_path / "c" / "manifest.json").read_text())["config"]["name"] == "bar"
+
     def test_forced_sweep_record_reruns_without_the_flag(self, tmp_path):
         """sweep --force-modes is written into the recorded document."""
         cfg_path = self.forced_scenario(tmp_path)
@@ -496,12 +535,15 @@ class TestCli:
         (small_scenario(), ["sweep", "--config", "cfg.json", "--axis", "seed"],
          "--axis wants PATH=v1,v2,...: got 'seed'"),
         (small_scenario(), ["run", "--preset", "nope"], "unknown preset 'nope'"),
+        (b'\xff\xfe{"name": "x"}', ["run", "--config", "cfg.json"], "config is not UTF-8"),
     ], ids=["root-array", "manifest-without-config", "config-missing", "axis-without-equals",
-            "preset-unknown"])
+            "preset-unknown", "config-not-utf-8"])
     def test_unreadable_scenario_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch,
                                                        document, argv, named):
+        """A document given as bytes is written as is."""
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "cfg.json").write_text(json.dumps(document))
+        (tmp_path / "cfg.json").write_bytes(
+            document if isinstance(document, bytes) else json.dumps(document).encode())
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and named in err
@@ -644,6 +686,8 @@ class TestCli:
         # ingest adds no noise to a measured channel
         (["ingest"], lambda cfg: cfg["processing"].update(snr_db=20.0), "processing.snr_db"),
         (["ingest"], lambda cfg: cfg.update(procesing=cfg.pop("processing")), "'procesing'"),
+        (["ingest"], lambda cfg: cfg.update(allow_undersampled="no"), "allow_undersampled"),
+        (["ingest"], lambda cfg: cfg.update(name=5), "name"),
         (["run"], lambda cfg: cfg["processing"].update(modes=0), "modes must be positive"),
         (["run"], lambda cfg: cfg["processing"].update(pad_az=0), "pad factors must be >= 1"),
         (["run"], lambda cfg: cfg["array"][0].update(sigma_m=1e-4, sigma_wavelengths=0.1),
@@ -666,7 +710,8 @@ class TestCli:
             "allow-undersampled-text-false", "allow-undersampled-text-no",
             "allow-undersampled-zero", "allow-undersampled-one", "allow-undersampled-null",
             "force-modes-text-true", "force-modes-one",
-            "ingest-snr-db", "ingest-top-level-procesing", "modes-zero", "pad-az-zero",
+            "ingest-snr-db", "ingest-top-level-procesing", "ingest-allow-undersampled-text-no",
+            "ingest-name-not-text", "modes-zero", "pad-az-zero",
             "ring-both-sigmas", "sweep-axis-not-object", "sweep-path-ends-in-star"])
     def test_malformed_input_exits_1_with_one_line(self, tmp_path, capsys, extra, edit, named):
         err = self.assert_one_line_exit(tmp_path, capsys, extra, edit, 1, "config error: ")
