@@ -11,6 +11,12 @@ in-plane waves and for demonstrating the null problem.  The "average" design
 replaces every radius of a ring by (a + b)/2, collapsing the ring's bank to
 one weight per mode.
 
+The bank evaluates W j^m = num (J - jJ') / (J^2 + J'^2) (num = 1 with no J'
+term in the plain design, 2 otherwise) in real arithmetic, into buffers made
+once per expansion, and checks J^2 + J'^2 against DENOMINATOR_FLOOR^2.  The
+exact factor j^-m (1, -j, -1 or j) lives in the phase tables of the
+expansion and in a folded circle's weight column (see _ShapeTerms).
+
 The sign of the jJ' term fixes the chirality of the residual reconstruction
 phase against the positive-exponent channel convention.  J + jJ' makes the
 gain phase for a low-elevation arrival advance like +x(1 - sin theta), so
@@ -75,8 +81,6 @@ DENOMINATOR_FLOOR = 1e-12
 """Hard runtime floor for filter denominators (distinct from the planning
 threshold handed to mode_limit, typically 1e-6)."""
 
-_JPOW = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
-
 
 def _lap(stages: dict, stage: str, since: float) -> float:
     """Add the wall time since `since` (time.perf_counter) to stages[stage];
@@ -84,27 +88,6 @@ def _lap(stages: dict, stage: str, since: float) -> float:
     now = time.perf_counter()
     stages[stage] = stages.get(stage, 0.0) + (now - since)
     return now
-
-
-def _jpow(m) -> np.ndarray:
-    """j**m for integer m (exact: cycles through {1, j, -1, -j})."""
-    return _JPOW[np.asarray(m) % 4]
-
-
-def _denominators(jtab: np.ndarray, design: str) -> np.ndarray:
-    """Filter denominators J (plain) or J + jJ' (robust) for orders 0..M_h.
-
-    jtab carries orders 0..M_h+1; the derivative rows come from the exact
-    identity, J'_0 = -J_1 included.
-    """
-    m_top = jtab.shape[0] - 2
-    den = jtab[: m_top + 1].astype(complex)
-    if design != "plain":
-        jp = den.imag
-        jp[0] = -jtab[1]
-        np.subtract(jtab[0:m_top], jtab[2: m_top + 2], out=jp[1:])
-        jp[1:] *= 0.5
-    return den
 
 
 def mode_limit(array: SensorArray, grid: FrequencyGrid, threshold: float,
@@ -148,9 +131,9 @@ def _mode_limit_at(x_min: float, threshold: float, design: str) -> int:
     """mode_limit's search at one argument; sweep points share it."""
     cap = int(math.ceil(x_min)) + 64
     while True:
-        jtab = bessel_j_table(cap + 1, np.array([x_min]), compensated=False)
-        mags = np.abs(_denominators(jtab, design))[:, 0]
-        failing = np.flatnonzero(mags < threshold)
+        j = bessel_j_table(cap + 1, [x_min], compensated=False)[:, 0]
+        jp = 0.0 if design == "plain" else np.append(-j[1], 0.5 * (j[:-2] - j[2:]))
+        failing = np.flatnonzero(np.abs(j[:-1] + 1j * jp) < threshold)
         if failing.size:
             first = int(failing[0])
             if first == 0:
@@ -249,20 +232,33 @@ class FilterBank:
         tab = bessel_j_table(self.mode_half + 1, x.ravel(), compensated=False)
         return tab.reshape(self.mode_half + 2, k1 - k0, self.radii.size)
 
-    def weights_from_jtable(self, jk: np.ndarray, k: int) -> np.ndarray:
-        """(mode_half + 1, U) weights at sample k from its (mode_half + 2, U) table slice."""
-        den = _denominators(jk, self.design)
-        mags = np.abs(den)
-        if mags.min() < DENOMINATOR_FLOOR:
-            m_bad, u_bad = np.unravel_index(int(mags.argmin()), mags.shape)
-            ring = next(i for i, cols in enumerate(self.ring_columns) if u_bad in cols)
-            p_bad = int(np.flatnonzero(self.ring_columns[ring] == u_bad)[0])
+    def weights_from_jtable(self, jk, k, out, den):
+        """W j^m at sample k from its (mode_half + 2, U) table slice: num (J -
+        jJ') / (J^2 + J'^2) by real arithmetic (J' = 0 in the plain design),
+        written into `out`, complex (mode_half + 1, U), with `den`, float
+        (mode_half + 2, U), as work space.  J^2 + J'^2 below
+        DENOMINATOR_FLOOR^2 is an InstabilityError naming m, p, ring and f."""
+        np.copyto(den, jk)  # one pass over the (strided) table slice
+        j, im = den[:-1], out.imag
+        if self.design == "plain":
+            im[:] = 0.0
+        else:  # -J'_m = (J_{m+1} - J_{m-1}) / 2, -J'_0 = J_1
+            np.subtract(den[2:], den[:-2], out=im[1:])
+            im[1:] *= 0.5
+            im[0] = den[1]
+        j *= j
+        j += np.multiply(im, im, out=out.real)
+        if j.min() < DENOMINATOR_FLOOR ** 2:
+            m_bad, u_bad = np.unravel_index(int(j.argmin()), j.shape)
+            ring, p_bad = next((i, list(cols).index(u_bad))
+                               for i, cols in enumerate(self.ring_columns) if u_bad in cols)
             raise InstabilityError(
-                f"filter denominator {mags.min():.3e} below floor {DENOMINATOR_FLOOR:.1e} at "
-                f"m={int(m_bad)}, p={p_bad} (ring {ring}), f={self.grid.frequencies[k]} Hz")
-        num = 1.0 if self.design == "plain" else 2.0
-        orders = np.arange(self.mode_half + 1)
-        return np.divide(num * _jpow(-orders)[:, None], den, out=den)
+                f"filter denominator {math.sqrt(j.min()):.3e} below floor {DENOMINATOR_FLOOR:.1e}"
+                f" at m={int(m_bad)}, p={p_bad} (ring {ring}), f={self.grid.frequencies[k]} Hz")
+        np.divide(1.0 if self.design == "plain" else 2.0, j, out=j)
+        np.multiply(jk[:-1], j, out=out.real)
+        im *= j
+        return out
 
 
 def _shape_xy(spec: EllipseSpec) -> np.ndarray:
@@ -324,9 +320,11 @@ def build_bank(array: SensorArray, grid: FrequencyGrid, design: str = "robust",
 
 class _ShapeTerms:
     """What the expansion needs of the rings of one shape: their shared
-    representatives r, phase tables cos/sin(m theta_r) and weight columns,
-    each ring's mode rotation e^{jm alpha}/P, and the stacked data fold of
-    any band chunk.
+    representatives r, phase tables j^-m cos/sin(m theta_r) and weight
+    columns, each ring's mode rotation e^{jm alpha}/P, and the stacked data
+    fold of any band chunk.  The bank's weights are W j^m (FilterBank.
+    weights_from_jtable), so the exact j^-m rides in the phase tables, or
+    on a folded circle, which has none, in its one weight column.
 
     Folded rings (FilterBank.folded) group by shape (semi-major axis,
     eccentricity, sensor count) and take r = 0..P/4 of the shape at rotation
@@ -345,6 +343,7 @@ class _ShapeTerms:
                      for v in map(channel.ring_rows, self.rings)]
         p, _, self.points = self.data[0].shape
         self.orders = np.arange(bank.mode_half + 1)
+        self.turn = (-1j) ** (self.orders % 4)[:, None]  # j^-m, exactly
         self.folded = bank.folded
         columns = bank.ring_columns[self.rings[0]]
         for step in (1, -1):
@@ -377,11 +376,12 @@ class _ShapeTerms:
         else:
             r, theta = np.arange(p), channel.array.ring_azimuths(self.rings[0])
         # per parity q the fold keeps (two folded, one not), rows m = q (mod
-        # parities) of cos/sin(m theta_r), complex so weight products cast nothing
+        # parities) of j^-m cos/sin(m theta_r)
         parities = 2 if self.folded else 1
         angle = np.outer(self.orders, theta[r])
-        self.phases = [(np.cos(angle[q::parities]).astype(complex),
-                        np.sin(angle[q::parities]).astype(complex)) for q in range(parities)]
+        self.phases = [(self.turn[q::parities] * np.cos(angle[q::parities]),
+                        self.turn[q::parities] * np.sin(angle[q::parities]))
+                       for q in range(parities)]
         # one sample's (even, odd) products of all rings and, folded, their sums
         # and diffs (an unfolded ring's are channel views)
         self.sample_bytes = 32 * ring_points * (
@@ -445,6 +445,7 @@ class _ShapeTerms:
         w = w_bank[:, self.columns]
         even, odd = out
         if self.circle:
+            w = w * self.turn
             np.multiply(w, sums, out=even)
             np.multiply(w, diffs, out=odd)
             return even, odd
@@ -463,7 +464,8 @@ def _expand(channel: ChannelMatrix, bank: FilterBank, rings: Sequence[int],
     The band runs in chunks of at most TABLE_CHUNK_BYTES of Bessel table,
     folded data and mode products (one bessel_j_table call over all bank
     radii and one fold per shape per chunk), then frequency by frequency
-    (one weight evaluation, with its floor check, per sample), then shape by
+    (one weight evaluation, with its floor check, per sample, written into
+    the same two buffers for every sample of the call), then shape by
     shape (a gather of the shape's columns, then per parity two weight-phase
     products and two matmuls, or on a circle its column times its FFT sums
     and diffs, written into the chunk's products).  After a chunk's samples,
@@ -502,10 +504,12 @@ def _expand(channel: ChannelMatrix, bank: FilterBank, rings: Sequence[int],
         groups.setdefault(key, []).append(ring)
     terms = [_ShapeTerms(channel, bank, members) for members in groups.values()]
     # each ring's group, and the columns of its points in the group's products
-    place = {ring: (n, slice(g * t.points, (g + 1) * t.points), t.rot[g], t.rot[g].conj())
+    place = {ring: (n, slice(g * t.points, (g + 1) * t.points), t.rot[g])
              for n, t in enumerate(terms) for g, ring in enumerate(t.rings)}
     sample_bytes = 8 * (mh + 2) * bank.radii.size + sum(t.sample_bytes for t in terms)
     step = max(1, TABLE_CHUNK_BYTES // sample_bytes)
+    den = np.empty((mh + 2, bank.radii.size))  # one sample's table rows, then work space
+    w_bank = np.empty(den[1:].shape, complex)  # W j^m of one sample
     for k0 in range(0, samples, step):
         k1 = min(k0 + step, samples)
         # folding first keeps its temporaries out of the table's lifetime
@@ -516,17 +520,17 @@ def _expand(channel: ChannelMatrix, bank: FilterBank, rings: Sequence[int],
         parts = [np.empty((2, k1 - k0, mh + 1, t.points * len(t.rings)), dtype=complex)
                  for t in terms]  # per shape: (even, odd) products by sample
         for i, k in enumerate(range(k0, k1)):
-            w_bank = bank.weights_from_jtable(jtab[:, i], k)
+            bank.weights_from_jtable(jtab[:, i], k, w_bank, den)
             clock = _lap(stages, "weights", clock)
             for t, (sums, diffs), part in zip(terms, folds, parts):
                 t.products(w_bank, sums[i], diffs[i], part[:, i])
             clock = _lap(stages, "products", clock)
         del folds, jtab  # the next chunk's table must not overlap this one
         for ring in rings:
-            n, cols, rot, rot_neg = place[ring]
+            n, cols, rot = place[ring]
             even, odd = parts[n][..., cols].transpose(0, 2, 1, 3)  # (mh + 1, k1 - k0, B)
             total[mh + 1:, k0:k1] += rot[1:] * (even[1:] + odd[1:])
-            total[mh::-1, k0:k1] += rot_neg * (even - odd)
+            total[mh::-1, k0:k1] += rot.conj() * (even - odd)
         del parts
         clock = _lap(stages, "products", clock)
     out /= len(rings)
@@ -553,9 +557,7 @@ def concentric_expand(ring_modes: Sequence[ModeMatrix]) -> ModeMatrix:
             raise ValidationError("mode ranges differ across rings")
         if mm.grid != first.grid:
             raise ValidationError("frequency grids differ across rings")
-    total = np.zeros_like(first.values)
-    for mm in ring_modes:
-        total = total + mm.values
+    total = sum(mm.values for mm in ring_modes)
     return ModeMatrix(values=total / len(ring_modes), mode_half=first.mode_half,
                       grid=first.grid)
 

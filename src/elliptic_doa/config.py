@@ -39,10 +39,16 @@ SCENARIO_KEYS = ("name", "seed", "allow_undersampled", "force_modes", "array", "
 
 
 def load_config(path) -> dict:
-    """A scenario, or the config a run manifest or sweep record embeds."""
+    """A scenario, or the config a run manifest or sweep record embeds, nested <= 32 deep."""
     try:
         with open(path, encoding="utf-8") as fh:  # JSON is UTF-8 (RFC 8259)
             cfg = json.load(fh)
+        level = [cfg]
+        for _ in range(32):  # level by level (a sweep record nests 8): readers and copies recurse
+            level = [item for node in level if isinstance(node, (dict, list))
+                     for item in (node.values() if isinstance(node, dict) else node)]
+        if any(isinstance(node, (dict, list)) for node in level):
+            raise RecursionError
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -50,6 +56,8 @@ def load_config(path) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error at line {exc.lineno}, "
                           f"column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:  # also the parser's own, on '[' x 200000
+        raise ConfigError("config nests more than 32 arrays and objects deep") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
     if cfg.get("kind") in _KINDS.values():

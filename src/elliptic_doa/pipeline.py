@@ -202,6 +202,35 @@ def _resolved(t0: float, cfg: dict, resolved_cfg: dict, array: SensorArray,
                             stages=stages)
 
 
+def _sections(cfg: dict, grid: Optional[FrequencyGrid] = None) -> tuple:
+    """The seed, grid, ring specs and waves of a scenario document, each read
+    when present (else 0, `grid`, none, none), and its sweep section checked."""
+    seed = config.parse(config.integral, cfg.get("seed", 0), "seed")
+    if seed < 0:
+        raise DomainError(f"seed must be unsigned, got {seed}")
+    grid = config.read_record(FrequencyGrid, "grid", cfg["grid"]) if "grid" in cfg else grid
+    for key, items in (("array", "ring specs"), ("scene", "waves")):
+        if key in cfg and (not isinstance(cfg[key], list) or not cfg[key]):
+            raise ConfigError(f"{key} must be a non-empty list of {items}")
+    specs = []
+    for i, ring in enumerate(cfg.get("array", [])):
+        section = f"array[{i}]"
+        ring = config.as_object(section, ring)
+        sigma_wavelengths = ring.pop("sigma_wavelengths", None)
+        if sigma_wavelengths is not None:
+            if ring.get("sigma_m"):
+                raise ConfigError(f"{section}: give sigma_m or sigma_wavelengths, not both")
+            ring["sigma_m"] = SPEED_OF_LIGHT / grid.f_center_hz * config.parse(
+                config.real, sigma_wavelengths, f"{section}.sigma_wavelengths")
+        if ring.get("seed") is None:
+            ring["seed"] = seed
+        specs.append(config.read_record(EllipseSpec, section, ring))
+    if "sweep" in cfg:
+        config.sweep_axes(cfg["sweep"])
+    return seed, grid, specs, [config.read_record(IncidentWave, f"scene[{i}]", wave)
+                               for i, wave in enumerate(cfg.get("scene", []))]
+
+
 def resolve(cfg: dict) -> ResolvedScenario:
     """Validate a scenario document and pin every derived quantity; its
     allow_undersampled and force_modes keys open the two gates."""
@@ -209,42 +238,12 @@ def resolve(cfg: dict) -> ResolvedScenario:
     cfg = copy.deepcopy(cfg)
     config.check_keys("scenario", cfg, config.SCENARIO_KEYS, required=("array", "grid", "scene"))
     name = config.name_of(cfg, "scenario")
-    seed = config.parse(config.integral, cfg.get("seed", 0), "seed")
-    if seed < 0:
-        raise DomainError(f"seed must be unsigned, got {seed}")
-
-    grid = config.read_record(FrequencyGrid, "grid", cfg["grid"])
-
-    rings_cfg = cfg["array"]
-    if not isinstance(rings_cfg, list) or not rings_cfg:
-        raise ConfigError("array must be a non-empty list of ring specs")
-    lam_center = SPEED_OF_LIGHT / grid.f_center_hz
-    specs = []
-    for i, ring in enumerate(rings_cfg):
-        section = f"array[{i}]"
-        ring = config.as_object(section, ring)
-        sigma_wavelengths = ring.pop("sigma_wavelengths", None)
-        if sigma_wavelengths is not None:
-            if ring.get("sigma_m"):
-                raise ConfigError(f"{section}: give sigma_m or sigma_wavelengths, not both")
-            ring["sigma_m"] = lam_center * config.parse(config.real, sigma_wavelengths,
-                                                        f"{section}.sigma_wavelengths")
-        if ring.get("seed") is None:
-            ring["seed"] = seed
-        specs.append(config.read_record(EllipseSpec, section, ring))
-        rings_cfg[i] = asdict(specs[-1])
+    seed, grid, specs, scene = _sections(cfg)
     if 16 * sum(spec.sensors for spec in specs) * grid.samples > MAX_ARRAY_BYTES:
         raise ValidationError("array[*].sensors x grid.samples: the channel would "
                               f"exceed MAX_ARRAY_BYTES = {MAX_ARRAY_BYTES}")
     array = build_concentric(specs)
-
-    scene_cfg = cfg["scene"]
-    if not isinstance(scene_cfg, list) or not scene_cfg:
-        raise ConfigError("scene must be a non-empty list of waves")
-    scene = [config.read_record(IncidentWave, f"scene[{i}]", wave)
-             for i, wave in enumerate(scene_cfg)]
-
-    resolved_cfg = {"name": name, "seed": seed, "array": rings_cfg,
+    resolved_cfg = {"name": name, "seed": seed, "array": [asdict(spec) for spec in specs],
                     "scene": [asdict(w) for w in scene]}
     if "sweep" in cfg:
         resolved_cfg["sweep"] = cfg["sweep"]
@@ -253,10 +252,11 @@ def resolve(cfg: dict) -> ResolvedScenario:
 
 def resolve_ingested(array: SensorArray, grid: FrequencyGrid, cfg: dict) -> ResolvedScenario:
     """Resolve a scenario document for an externally measured channel (no
-    scene).  Its top level is checked against a scenario's keys, of which
-    it reads name (default "ingest"), the two gates and processing."""
+    scene).  It uses name (default "ingest"), the two gates and processing,
+    and reads its other sections as resolve does, the grid defaulting to the channel's."""
     t0 = time.perf_counter()
     config.check_keys("scenario", cfg, config.SCENARIO_KEYS)
+    _sections(cfg, grid)
     return _resolved(t0, cfg, {"name": config.name_of(cfg, "ingest")}, array, grid, [])
 
 

@@ -21,8 +21,8 @@ three lane classes by its own x and the table's m_max:
   lanes equal a compensated table's bit for bit;
 * x >= 25, in plain float64: J_0 and J_1 from Hankel's expansion, then the
   upward recurrence, which is stable while m < x, to m_max; where
-  x < m_max, the rows above floor(x) from a short downward recurrence
-  scaled to meet it at floor(x).
+  x < m_max, the rows above floor(x) from a short downward recurrence over
+  just those lanes, scaled to meet it at floor(x).
 
 Plain tables hold ~5e-14 of the envelope sqrt(2/(pi x)) on the program's
 banks and ~3e-13 at m_max = 1000 (1e-12 is their bound), and rows m > x
@@ -128,15 +128,10 @@ def _miller_scalar(m: int, x: float) -> float:
     2-core Xeon host: ~10 ms here against 180-250 ms).
     """
     nstart = int(_start_orders(m, np.float64(x)))
-    jh, jl = 0.0, 0.0
-    jph, jpl = 0.0, 0.0
-    sh, sl = 0.0, 0.0
-    outh, outl = 0.0, 0.0
+    jh, jl = 1.0, 0.0  # the seed, at order nstart
+    jph = jpl = sh = sl = outh = outl = 0.0
     i2h, i2l = dd_div_dd(2.0, x)
     for order in range(nstart, -1, -1):
-        if order == nstart:
-            jh, jl = 1.0, 0.0
-            jph, jpl = 0.0, 0.0
         if order == m:
             outh, outl = jh, jl
         if order == 0:
@@ -150,14 +145,8 @@ def _miller_scalar(m: int, x: float) -> float:
         jph, jpl = jh, jl
         jh, jl = njh, njl
         if abs(jh) > _RESCALE_THRESHOLD:
-            jh *= _RESCALE_FACTOR
-            jl *= _RESCALE_FACTOR
-            jph *= _RESCALE_FACTOR
-            jpl *= _RESCALE_FACTOR
-            sh *= _RESCALE_FACTOR
-            sl *= _RESCALE_FACTOR
-            outh *= _RESCALE_FACTOR
-            outl *= _RESCALE_FACTOR
+            jh, jl, jph, jpl, sh, sl, outh, outl = (
+                v * _RESCALE_FACTOR for v in (jh, jl, jph, jpl, sh, sl, outh, outl))
     rh, rl = dd_div(outh, outl, sh, sl)
     return rh + rl
 
@@ -252,13 +241,13 @@ def _upward_table(m_max: int, x: np.ndarray) -> np.ndarray:
     dispatch of float64 cos/sin).  J_{m+1} = (2m/x) J_m - J_{m-1} is stable
     upward while m < x (Gautschi, SIAM Rev. 9, 1967) and writes every row of
     the returned table.  Rows past x, where the recurrence turns unstable,
-    are discarded on lanes with x < m_max: a downward recurrence seeded at
-    _start_orders (as Miller's is) runs over the one contiguous range of
-    lanes that holds them, stores rows floor(x) + 1 .. m_max of those lanes,
-    and is scaled to meet the upward value at floor(x).  That value needs no
-    normalization sum and is well conditioned: x lies below the first zero
-    of J_floor(x).  Lanes with x < _HANKEL_X_CUT hold garbage here (inf and
-    NaN included), which the caller replaces.
+    are discarded on lanes with 25 <= x < m_max: _downward_rows recurs down
+    over just those lanes from _start_orders (as Miller's does) and writes
+    their rows floor(x) + 1 .. m_max, scaled to meet the upward value at
+    floor(x).  That value needs no normalization sum and is well
+    conditioned: x lies below the first zero of J_floor(x).  Lanes with
+    x < _HANKEL_X_CUT hold garbage here (inf and NaN included), which the
+    caller replaces.
     """
     out = np.empty((m_max + 1, x.size))
     with np.errstate(all="ignore"):  # discarded lanes and rows may overflow
@@ -283,37 +272,39 @@ def _upward_table(m_max: int, x: np.ndarray) -> np.ndarray:
             np.multiply(inv_x, 2.0 * m, out=t)
             t *= out[m]
             np.subtract(t, out[m - 1], out=out[m + 1])
-    low = (x >= _HANKEL_X_CUT) & (x < m_max)
-    if low.any():
-        first, last = np.flatnonzero(low)[[0, -1]]
-        lanes = slice(first, last + 1)
-        _downward_rows(out[:, lanes], x[lanes], low[lanes])
+    lanes = np.flatnonzero((x >= _HANKEL_X_CUT) & (x < m_max))
+    if lanes.size:
+        _downward_rows(out, x, lanes)
     return out
 
 
-def _downward_rows(block: np.ndarray, x: np.ndarray, low: np.ndarray) -> None:
-    """In `block`, a view of a table's lanes at arguments x, replace rows
-    floor(x) + 1 .. m_max of the `low` lanes by a downward recurrence scaled
-    to the upward row floor(x); the other lanes keep every row."""
-    m_max = block.shape[0] - 1
-    nstart = np.where(low, _start_orders(m_max, x), -1)
-    floor = np.where(low, np.floor(x).astype(np.int64), np.iinfo(np.int64).max)
-    n_top, n_low, n_meet = int(nstart.max()), int(floor.min()), int(floor[low].max())
+def _downward_rows(out: np.ndarray, x: np.ndarray, lanes: np.ndarray) -> None:
+    """In the table `out` at arguments x, replace rows floor(x) + 1 .. m_max
+    of the listed lanes by a downward recurrence scaled to the upward row
+    floor(x), over those lanes alone, sorted by x: the lanes that take row n
+    are a prefix and those that meet the upward row at n a slice.  Rows are
+    written as the recurrence goes and scaled at the end.  A lane reads no
+    other and steps from the set's highest start order to its lowest
+    floor(x), as over the contiguous range of lanes that holds the set."""
+    m_max = out.shape[0] - 1
+    lanes = lanes[np.argsort(x[lanes], kind="stable")]
+    x = x[lanes]
+    nstart = _start_orders(m_max, x)
+    floor = np.floor(x).astype(np.int64)
+    n_top, n_low, n_meet = int(nstart.max()), int(floor[0]), int(floor[-1])
+    cut = np.searchsorted(floor, np.arange(m_max + 2))  # cut[n]: the lanes with floor(x) < n
     has_seed = np.zeros(n_top + 1, dtype=bool)
-    has_seed[nstart[low]] = True
-    inv_x = np.divide(1.0, x, out=np.ones(x.size), where=low)  # the others, unseeded, stay 0
+    has_seed[nstart] = True
+    inv_x = 1.0 / x
     j, jp, t, meet = (np.zeros(x.size) for _ in range(4))
-    mask = np.empty(x.size, dtype=bool)
     for order in range(n_top, n_low - 1, -1):
         if has_seed[order]:
             seed = nstart == order
             j[seed], jp[seed] = 1.0, 0.0
         if order <= m_max:
-            np.less(floor, order, out=mask)
-            np.copyto(block[order], j, where=mask)
+            out[order, lanes[:cut[order]]] = j[:cut[order]]
         if order <= n_meet:
-            np.equal(floor, order, out=mask)
-            np.copyto(meet, j, where=mask)
+            meet[cut[order]:cut[order + 1]] = j[cut[order]:cut[order + 1]]
         if order == n_low:
             break
         np.multiply(inv_x, 2.0 * order, out=t)
@@ -324,13 +315,12 @@ def _downward_rows(block: np.ndarray, x: np.ndarray, low: np.ndarray) -> None:
             big = np.abs(j) > _RESCALE_THRESHOLD
             for arr in (j, jp, meet):
                 arr[big] *= _RESCALE_FACTOR
-            rows = block[order:]
-            np.multiply(rows, _RESCALE_FACTOR, out=rows,
-                        where=big & (floor < np.arange(order, m_max + 1)[:, None]))
-    scale = np.zeros(x.size)
-    np.divide(block[np.minimum(floor, m_max), np.arange(x.size)], meet, out=scale, where=low)
-    rows = block[n_low + 1:]
-    np.multiply(rows, scale, out=rows, where=floor < np.arange(n_low + 1, m_max + 1)[:, None])
+            for n in range(order, m_max + 1):
+                rows = lanes[:cut[n]][big[:cut[n]]]
+                out[n, rows] *= _RESCALE_FACTOR
+    scale = out[floor, lanes] / meet
+    for n in range(n_low + 1, m_max + 1):
+        out[n, lanes[:cut[n]]] *= scale[:cut[n]]
 
 
 def bessel_j_table(m_max: int, x, compensated: bool = True) -> np.ndarray:

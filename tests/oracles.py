@@ -21,7 +21,8 @@ import numpy as np
 
 from elliptic_doa.beamform import DENOMINATOR_FLOOR, DESIGNS
 from elliptic_doa.errors import DomainError, InstabilityError
-from elliptic_doa.specfun import bessel_j, bessel_j_prime
+from elliptic_doa.specfun import (_RESCALE_FACTOR, _RESCALE_THRESHOLD, _start_orders, bessel_j,
+                                  bessel_j_prime)
 from elliptic_doa.spectrum import _PGM_FLOOR_DB, _RANKED_MAXIMA, TIE_RTOL, find_peaks
 
 C = 299_792_458.0
@@ -59,6 +60,68 @@ def series_bessel_j(m: int, x: float) -> float:
             if abs(term) < mp.mpf(10) ** (-dps) * (abs(total) + 1):
                 break
         return sign * float(total)
+
+
+def bessel_reference_suite(rng, n=10_000):
+    """Criterion 07's (order, argument) pairs: orders 0..300, arguments
+    uniform to 5000, log-uniform from 1e-8, uniform below 30, and within
+    0.8-1.25 of the order."""
+    m = rng.integers(0, 301, size=n)
+    x = np.empty(n)
+    kinds = rng.random(n)
+    x[kinds < 0.5] = rng.uniform(0.0, 5000.0, size=int((kinds < 0.5).sum()))
+    log_sel = (kinds >= 0.5) & (kinds < 0.8)
+    x[log_sel] = 10.0 ** rng.uniform(-8, math.log10(5000.0), size=int(log_sel.sum()))
+    small_sel = (kinds >= 0.8) & (kinds < 0.95)
+    x[small_sel] = rng.uniform(0.0, 30.0, size=int(small_sel.sum()))
+    edge_sel = kinds >= 0.95
+    x[edge_sel] = np.clip(rng.uniform(0.8, 1.25, size=int(edge_sel.sum()))
+                          * m[edge_sel], 0.0, 5000.0)
+    return m, x
+
+
+def contiguous_downward_rows(block, x, low):
+    """The plain table's downward pass over one contiguous range of lanes,
+    `block` a view of them: rows floor(x) + 1 .. m_max of the `low` lanes by
+    a downward recurrence scaled to the upward row floor(x), every lane of
+    the range stepped and masked at every order.  specfun._downward_rows,
+    which gathers the low lanes, must give the same bits."""
+    m_max = block.shape[0] - 1
+    nstart = np.where(low, _start_orders(m_max, x), -1)
+    floor = np.where(low, np.floor(x).astype(np.int64), np.iinfo(np.int64).max)
+    n_top, n_low, n_meet = int(nstart.max()), int(floor.min()), int(floor[low].max())
+    has_seed = np.zeros(n_top + 1, dtype=bool)
+    has_seed[nstart[low]] = True
+    inv_x = np.divide(1.0, x, out=np.ones(x.size), where=low)
+    j, jp, t, meet = (np.zeros(x.size) for _ in range(4))
+    mask = np.empty(x.size, dtype=bool)
+    for order in range(n_top, n_low - 1, -1):
+        if has_seed[order]:
+            seed = nstart == order
+            j[seed], jp[seed] = 1.0, 0.0
+        if order <= m_max:
+            np.less(floor, order, out=mask)
+            np.copyto(block[order], j, where=mask)
+        if order <= n_meet:
+            np.equal(floor, order, out=mask)
+            np.copyto(meet, j, where=mask)
+        if order == n_low:
+            break
+        np.multiply(inv_x, 2.0 * order, out=t)
+        t *= j
+        t -= jp
+        j, jp, t = t, j, jp
+        if order % 4 == 0 and np.abs(j).max() > _RESCALE_THRESHOLD:
+            big = np.abs(j) > _RESCALE_THRESHOLD
+            for arr in (j, jp, meet):
+                arr[big] *= _RESCALE_FACTOR
+            rows = block[order:]
+            np.multiply(rows, _RESCALE_FACTOR, out=rows,
+                        where=big & (floor < np.arange(order, m_max + 1)[:, None]))
+    scale = np.zeros(x.size)
+    np.divide(block[np.minimum(floor, m_max), np.arange(x.size)], meet, out=scale, where=low)
+    rows = block[n_low + 1:]
+    np.multiply(rows, scale, out=rows, where=floor < np.arange(n_low + 1, m_max + 1)[:, None])
 
 
 def brute_phase_mode(channel_values, phis, radii, freqs, mode_half, design="robust"):
@@ -171,9 +234,18 @@ def longdouble_channel(scene, array, grid, model):
     return np.concatenate(rows)
 
 
+def j_power(m):
+    """j^m for integer m, exactly (one of 1, j, -1, -j)."""
+    return np.array([1, 1j, -1, -1j])[np.asarray(m) % 4]
+
+
 def bank_weights_at(bank, k):
-    """(mode_half + 1, U) weights over the bank's radii at sample k; rows are m = 0..M_h."""
-    return bank.weights_from_jtable(bank.jtable(k, k + 1)[:, 0], k)
+    """(mode_half + 1, U) weights W over the bank's radii at sample k; rows are
+    m = 0..M_h.  The bank's kernel writes W j^m, which j^-m turns into W exactly."""
+    w = np.empty((bank.mode_half + 1, bank.radii.size), dtype=complex)
+    bank.weights_from_jtable(bank.jtable(k, k + 1)[:, 0], k, w,
+                             np.empty((w.shape[0] + 1, w.shape[1])))
+    return w * j_power(-np.arange(w.shape[0]))[:, None]
 
 
 def sensor_columns(bank, ring):

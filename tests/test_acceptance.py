@@ -5,7 +5,6 @@ see them) and then asserts.  Scenarios come from the shipped presets so the
 CLI reproduces every figure-level claim checked here.
 """
 
-import math
 import time
 
 import numpy as np
@@ -179,18 +178,8 @@ def test_criterion_06_position_noise_ladder():
 
 def test_criterion_07_bessel_reference_suite():
     rng = np.random.default_rng(20260808)
-    n = 10_000
-    m = rng.integers(0, 301, size=n)
-    x = np.empty(n)
-    kinds = rng.random(n)
-    x[kinds < 0.5] = rng.uniform(0.0, 5000.0, size=int((kinds < 0.5).sum()))
-    log_sel = (kinds >= 0.5) & (kinds < 0.8)
-    x[log_sel] = 10.0 ** rng.uniform(-8, math.log10(5000.0), size=int(log_sel.sum()))
-    small_sel = (kinds >= 0.8) & (kinds < 0.95)
-    x[small_sel] = rng.uniform(0.0, 30.0, size=int(small_sel.sum()))
-    edge_sel = kinds >= 0.95
-    x[edge_sel] = np.clip(rng.uniform(0.8, 1.25, size=int(edge_sel.sum()))
-                          * m[edge_sel], 0.0, 5000.0)
+    m, x = oracles.bessel_reference_suite(rng)
+    n = x.size
 
     from elliptic_doa.specfun import bessel_j, bessel_j_table
     tab = bessel_j_table(300, x)

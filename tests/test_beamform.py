@@ -330,6 +330,75 @@ class TestBank:
         assert len(lines) == 1 + 3 * 8 * 2
 
 
+class TestWeightKernel:
+    """FilterBank.weights_from_jtable, which writes W j^m, against
+    oracles.make_filter at every (mode, column, sample) of a bank."""
+
+    @pytest.mark.parametrize("design", ["robust", "plain"])
+    @pytest.mark.parametrize("ecc,sensors,reduction,sigma", [
+        pytest.param(0.7, 36, "symmetric", 0.0, id="folded-ellipse"),
+        pytest.param(0.0, 36, "symmetric", 0.0, id="folded-circle"),
+        pytest.param(0.5, 30, "none", 1e-3, id="perturbed-unreduced"),
+    ])
+    def test_matches_make_filter(self, ecc, sensors, reduction, sigma, design):
+        self.assert_matches(make_array(a=0.15, ecc=ecc, sensors=sensors, sigma=sigma, seed=3),
+                            design, reduction)
+
+    @pytest.mark.parametrize("reduction", ["none", "symmetric"])
+    def test_average_design_matches_make_filter(self, reduction):
+        self.assert_matches(make_array(a=0.15, ecc=0.5, sensors=24), "average", reduction)
+
+    @staticmethod
+    def assert_matches(arr, design, reduction):
+        """x from about 18 (25 on the circle) to 39 with M_h = 30 takes
+        Miller, upward and downward table lanes.  Each Bessel value sits
+        within 1e-12 of the oracle's, and |dW| = |W|^2 |d den| (plain) or
+        |W|^2 |d den| / 2 (robust)."""
+        grid = small_grid(samples=4, f_start=8e9, bw=6e9)
+        bank = beamform.build_bank(arr, grid, design=design, mode_half=30, reduction=reduction)
+        x = 2 * math.pi * np.outer(grid.frequencies, bank.radii) / SPEED_OF_LIGHT
+        assert ((x >= 25) & (x < 31)).any() and (x >= 31).any()
+        for k, f in enumerate(grid.frequencies):
+            jk = bank.jtable(k, k + 1)[:, 0]
+            got = np.empty((31, bank.radii.size), dtype=complex)
+            assert bank.weights_from_jtable(jk, k, got, np.empty(jk.shape)) is got
+            want = np.array([[oracles.make_filter(design, m, r, f) for r in bank.radii]
+                             for m in range(31)]) * oracles.j_power(np.arange(31))[:, None]
+            err = np.abs(got - want)
+            assert (err <= 1e-12 * np.abs(want) ** 2 + 4e-16 * np.abs(want)).all(), k
+        if design == "plain":
+            assert not got.imag.any()
+
+    @pytest.mark.parametrize("design,mode_half,radii,where", [
+        # x hits the first J_0 null at sensor 2 of ring 1 only
+        ("plain", 2, [[0.5] * 4, [1.0, 1.0, FIRST_J0_ROOT, 1.0]], (0, 2, 1)),
+        # |J_11(0.5) + jJ'_11(0.5)| ~ 1e-13 at sensor 1 of ring 0; every other
+        # order and argument (x = 0.5 there, 1 elsewhere) stays above the floor
+        ("robust", 11, [[1.0, 0.5, 1.0, 1.0], [1.0] * 4], (11, 1, 0)),
+    ])
+    def test_floor_error_names_the_one_failing_filter(self, design, mode_half, radii, where):
+        f0 = 10e9
+        unit = SPEED_OF_LIGHT / (2 * math.pi * f0)  # the radius of x = 1 at f0
+        rings = [(None, np.array([[r * unit * math.cos(i), r * unit * math.sin(i)]
+                                  for i, r in enumerate(ring)])) for ring in radii]
+        arr = geometry.SensorArray(rings=rings)
+        grid = channel.FrequencyGrid(f_start_hz=f0, bandwidth_hz=10e9, samples=2)
+        bank = beamform.build_bank(arr, grid, design=design, mode_half=mode_half)
+        failing = []
+        for m in range(mode_half + 1):
+            for ring in range(2):
+                for p, r in enumerate(arr.ring_radii(ring)):
+                    try:
+                        oracles.make_filter(design, m, r, f0)
+                    except InstabilityError:
+                        failing.append((m, p, ring))
+        assert failing == [where]
+        with pytest.raises(InstabilityError,
+                           match=r"m=%d, p=%d \(ring %d\), f=10000000000.0 Hz" % where):
+            oracles.bank_weights_at(bank, 0)
+        oracles.bank_weights_at(bank, 1)  # at 15 GHz x is 1.5 times larger: none fails
+
+
 class TestExpansion:
     def test_unit_weights_average(self, monkeypatch):
         arr = make_array(sensors=16)
@@ -337,9 +406,9 @@ class TestExpansion:
         ch = channel.ChannelMatrix(array=arr, grid=grid,
                                    values=np.ones((16, 3), dtype=complex))
         bank = beamform.build_bank(arr, grid, design="plain", mode_half=2)
-        monkeypatch.setattr(
-            beamform.FilterBank, "weights_from_jtable",
-            lambda self, jk, k: np.ones((self.mode_half + 1, self.radii.size), dtype=complex))
+        # the kernel writes W j^m: unit values there are W = j^-m
+        monkeypatch.setattr(beamform.FilterBank, "weights_from_jtable",
+                            lambda self, jk, k, out, den: np.copyto(out, 1.0) or out)
         modes = beamform.phase_mode_expand(ch, 0, bank)
         # m = 0 row is the plain average of ones
         assert modes.values[2] == pytest.approx(np.ones(3), rel=1e-15)
@@ -608,8 +677,10 @@ class TestParityProducts:
             assert sums.shape == (grid.samples, len(rings) * points, r.size, 2 if bank.folded else 1)
             for k in range(grid.samples):
                 w_bank = oracles.bank_weights_at(bank, k)
-                got = terms.products(w_bank, sums[k], diffs[k], np.empty(
-                    (2, mode_half + 1, len(rings) * points), dtype=complex))
+                # the products take the kernel's W j^m, their phase tables j^-m
+                got = terms.products(
+                    w_bank * oracles.j_power(np.arange(mode_half + 1))[:, None], sums[k],
+                    diffs[k], np.empty((2, mode_half + 1, len(rings) * points), dtype=complex))
                 want = oracles.parity_select_products(
                     w_bank[:, bank.ring_columns[rings[0]]], np.cos(angle), np.sin(angle),
                     sums[k], diffs[k])

@@ -688,6 +688,14 @@ class TestCli:
         (["ingest"], lambda cfg: cfg.update(procesing=cfg.pop("processing")), "'procesing'"),
         (["ingest"], lambda cfg: cfg.update(allow_undersampled="no"), "allow_undersampled"),
         (["ingest"], lambda cfg: cfg.update(name=5), "name"),
+        # ingest reads the sections it does not use as run reads them
+        (["ingest"], lambda cfg: cfg.update(grid=5, seed="x", array=5, scene=None), "bad seed"),
+        (["ingest"], lambda cfg: cfg.update(grid=5), "grid must be an object"),
+        (["ingest"], lambda cfg: cfg.update(array=5), "array must be a non-empty list"),
+        (["ingest"], lambda cfg: cfg["array"][0].update(sigma_wavelengths="x"),
+         "bad array[0].sigma_wavelengths"),
+        (["ingest"], lambda cfg: cfg.update(scene=None), "scene must be a non-empty list"),
+        (["ingest"], lambda cfg: cfg.update(sweep={"axes": 5}), "sweep requires"),
         (["run"], lambda cfg: cfg["processing"].update(modes=0), "modes must be positive"),
         (["run"], lambda cfg: cfg["processing"].update(pad_az=0), "pad factors must be >= 1"),
         (["run"], lambda cfg: cfg["array"][0].update(sigma_m=1e-4, sigma_wavelengths=0.1),
@@ -711,7 +719,9 @@ class TestCli:
             "allow-undersampled-zero", "allow-undersampled-one", "allow-undersampled-null",
             "force-modes-text-true", "force-modes-one",
             "ingest-snr-db", "ingest-top-level-procesing", "ingest-allow-undersampled-text-no",
-            "ingest-name-not-text", "modes-zero", "pad-az-zero",
+            "ingest-name-not-text", "ingest-unused-sections-malformed", "ingest-grid-not-object",
+            "ingest-array-not-list", "ingest-sigma-wavelengths-text", "ingest-scene-null",
+            "ingest-sweep-axes-not-list", "modes-zero", "pad-az-zero",
             "ring-both-sigmas", "sweep-axis-not-object", "sweep-path-ends-in-star"])
     def test_malformed_input_exits_1_with_one_line(self, tmp_path, capsys, extra, edit, named):
         err = self.assert_one_line_exit(tmp_path, capsys, extra, edit, 1, "config error: ")
@@ -751,12 +761,14 @@ class TestCli:
         self.assert_one_line_exit(tmp_path, capsys, ["run"], edit, 2, "validation error: ")
 
     @staticmethod
-    def assert_one_line_exit(tmp_path, capsys, extra, edit, code, prefix):
+    def assert_one_line_exit(tmp_path, capsys, extra, edit, code, prefix, document=None):
+        """`document`, when given, is the config file's text in place of the
+        edited small scenario."""
         cfg = small_scenario()
         if edit is not None:
             edit(cfg)
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
+        cfg_path.write_text(json.dumps(cfg) if document is None else document)
         if extra[0] == "ingest":  # the small scenario's array and noiseless channel
             sc = pipeline.resolve(small_scenario())
             sc.array.to_csv(tmp_path / "geo.csv")
@@ -773,6 +785,41 @@ class TestCli:
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "o").exists()
         return err
+
+    @pytest.mark.parametrize("verb", ["run", "sweep", "ingest"])
+    @pytest.mark.parametrize("document", [
+        "[" * 200_000,
+        json.dumps(small_scenario())[:-1] + ', "sweep": ' + "[" * 600 + "]" * 600 + "}",
+        json.dumps({**small_scenario(), "array": None}).replace(
+            "null", "[" * 600 + json.dumps(small_scenario()["array"]) + "]" * 600),
+    ], ids=["brackets-200000", "sweep-600-lists", "array-600-lists"])
+    def test_deeply_nested_config_exits_1_with_one_line(self, tmp_path, capsys, verb, document):
+        """The JSON parser recurses once per level of '[' x 200000, and a
+        valid document 600 lists deep would overflow the copy resolve makes."""
+        err = self.assert_one_line_exit(tmp_path, capsys, [verb], None, 1, "config error: ",
+                                        document=document)
+        assert "config nests more than 32 arrays and objects deep" in err
+
+    def test_run_manifest_and_scenario_ingest(self, tmp_path, capsys):
+        """ingest --config reads every section of a scenario and of a run
+        manifest and keeps its name and processing.  An ingested ring has no
+        ellipse parameters, so the run takes no symmetric reduction."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_scenario(reduction="none")))
+        assert cli.main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "run")]) == 0
+        sc = pipeline.resolve(small_scenario())
+        sc.array.to_csv(tmp_path / "geo.csv")
+        channel.export_channel(channel.superpose(sc.scene, sc.array, sc.grid),
+                               tmp_path / "chan.csv")
+        for doc in (cfg_path, tmp_path / "run" / "manifest.json"):
+            out = tmp_path / doc.stem
+            assert cli.main(["ingest", "--geometry", str(tmp_path / "geo.csv"), "--channel",
+                             str(tmp_path / "chan.csv"), "--config", str(doc),
+                             "--out-dir", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["config"]["name"] == "small"
+            assert manifest["config"]["processing"]["modes"] == 61
+        assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("path,value,flags,field", [
         ("array.0.sensors", 1e30, [], "array[*].sensors"),

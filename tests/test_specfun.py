@@ -165,6 +165,41 @@ def test_plain_table_on_bank_lanes_against_double_double(name, paths):
         assert past_err <= 1e-12
 
 
+def contiguous_table(monkeypatch, m_max, x):
+    """The plain upward table with its downward pass over the one contiguous
+    range of lanes that holds every lane with 25 <= x < m_max (oracles)."""
+    with monkeypatch.context() as patch:
+        patch.setattr(specfun, "_downward_rows", lambda *args: None)
+        out = specfun._upward_table(m_max, x)
+    low = (x >= specfun._HANKEL_X_CUT) & (x < m_max)
+    if low.any():
+        first, last = np.flatnonzero(low)[[0, -1]]
+        lanes = slice(first, last + 1)
+        oracles.contiguous_downward_rows(out[:, lanes], x[lanes], low[lanes])
+    return out
+
+
+@pytest.mark.parametrize("case", ["fig8-samples", "fig4a-e0.7", "criterion-07"])
+def test_compacted_downward_pass_equals_contiguous_one(monkeypatch, case):
+    """Gathering the lanes the downward pass needs gives the bits the pass
+    over their contiguous range gives, on every lane of the table."""
+    if case == "fig8-samples":  # one sample per table, as the bank takes them
+        m_max, x = bank_arguments("fig8", **{"array__*__sigma_wavelengths": 1.0, "seed": 2})
+        tables = [(m_max, x[k]) for k in range(0, x.shape[0], 10)]
+    elif case == "fig4a-e0.7":
+        m_max, x = bank_arguments("fig4a", **{"array__*__eccentricity": 0.7,
+                                              "processing__modes": "auto"})
+        tables = [(m_max, rows.ravel()) for rows in np.array_split(x, 4)]
+    else:  # criterion 07's arguments at its order, and at half and twice it
+        x = oracles.bessel_reference_suite(np.random.default_rng(20260808))[1]
+        tables = [(m_max, x) for m_max in (150, 300, 600)]
+    for m_max, args in tables:
+        assert ((args >= 25.0) & (args < m_max)).any()
+        want = contiguous_table(monkeypatch, m_max, args)
+        got = specfun._upward_table(m_max, args)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), m_max
+
+
 @settings(max_examples=60, deadline=None)
 @given(m_max=st.integers(min_value=0, max_value=300),
        x=st.lists(st.one_of(st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
