@@ -108,9 +108,8 @@ def processing_argv(tmp: Path) -> list:
         wave["distance_m"] = 10.0
     # exclusion_deg is an int: the manifest keeps the value as configured
     cfg["processing"] = {"model": "spherical", "design": "average", "modes": 80,
-                         "mode_threshold": 1e-4, "reduction": "none", "pad_az": 2,
-                         "pad_delay": 3, "exclusion_cells": [4, 6], "exclusion_deg": 9,
-                         "snr_db": 20.0}
+                         "mode_threshold": 1e-4, "pad_az": 2, "pad_delay": 3,
+                         "exclusion_cells": [4, 6], "exclusion_deg": 9, "snr_db": 20.0}
     defaults = {f.name: f.default for f in fields(pipeline.Processing)}
     assert defaults.keys() == cfg["processing"].keys()
     assert all(value != defaults[key] for key, value in cfg["processing"].items())

@@ -75,7 +75,6 @@ from .geometry import EllipseSpec, SensorArray, build_ellipse
 from .specfun import ORDER_GUARD, bessel_j_table
 
 DESIGNS = ("robust", "plain", "average")
-REDUCTIONS = ("none", "symmetric")
 
 DENOMINATOR_FLOOR = 1e-12
 """Hard runtime floor for filter denominators (distinct from the planning
@@ -271,31 +270,28 @@ def build_bank(array: SensorArray, grid: FrequencyGrid, design: str = "robust",
                mode_half: int = 0, reduction: str = "none") -> FilterBank:
     """Construct the filter bank for an array over a frequency grid.
 
-    reduction="symmetric" exploits the four-fold radius symmetry of an
-    unperturbed ring; it requires sigma = 0 and P divisible by 4 on every
-    ring, whatever the design, and is rejected otherwise; a folded ring's
-    radii come from its shape at rotation 0 (see FilterBank).  The "average"
-    design needs ellipse parameters (it evaluates at (a+b)/2) and therefore
-    a built geometry.
+    reduction="symmetric" shares each ring's quadrant mirrors; it needs
+    sigma = 0 and P divisible by 4 on every ring, whatever the design, and
+    is rejected otherwise.  "auto" takes it where that holds and the design
+    is not "average", else "none"; the bank's `reduction` records the choice.
+    A folded ring's radii come from its shape at rotation 0 (see FilterBank).
+    The "average" design needs ellipse parameters (it evaluates at (a+b)/2).
     """
     if design not in DESIGNS:
         raise DomainError(f"unknown filter design {design!r}")
-    if reduction not in REDUCTIONS:
+    if reduction not in ("auto", "none", "symmetric"):
         raise DomainError(f"unknown reduction {reduction!r}")
     if mode_half < 0:
         raise DomainError(f"mode_half must be >= 0, got {mode_half}")
+    specs = [array.ring_spec(ring) for ring in range(array.ring_count)]
+    clean = all(s is not None and s.sigma_m == 0.0 and s.sensors % 4 == 0 for s in specs)
+    if reduction == "auto":
+        reduction = "symmetric" if clean and design != "average" else "none"
+    elif reduction == "symmetric" and not clean:
+        raise ValidationError("symmetric reduction requires exact (sigma = 0) placement "
+                              "and P divisible by 4 on every ring")
     reps = []  # per ring: its representatives' radii
-    for ring in range(array.ring_count):
-        spec = array.ring_spec(ring)
-        radii = array.ring_radii(ring)
-        p = radii.size
-        if reduction == "symmetric":
-            if spec is None or spec.sigma_m != 0.0:
-                raise ValidationError(
-                    "symmetric reduction requires exact (sigma = 0) placement")
-            if p % 4 != 0:
-                raise ValidationError(
-                    f"symmetric reduction requires P divisible by 4, got {p}")
+    for ring, spec in enumerate(specs):
         if design == "average":
             if spec is None:
                 raise ValidationError(
@@ -305,10 +301,10 @@ def build_bank(array: SensorArray, grid: FrequencyGrid, design: str = "robust",
             if spec.eccentricity == 0.0:  # one representative: hypot's radius at r = 0
                 reps.append(np.array([spec.semi_major_m]))
             else:
-                xy = _shape_xy(spec)[: p // 4 + 1]
+                xy = _shape_xy(spec)[: spec.sensors // 4 + 1]
                 reps.append(np.hypot(xy[:, 0], xy[:, 1]))
         else:
-            reps.append(radii)
+            reps.append(array.ring_radii(ring))
     radii = np.concatenate(reps)
     column = np.arange(radii.size)
     if design == "average" or reduction == "symmetric":

@@ -251,7 +251,7 @@ def ingest_channel(path, array: SensorArray) -> ChannelMatrix:
     Validates sensor coverage, per-sensor sample counts, a shared frequency
     axis, grid uniformity within 1e-6 relative, and finiteness, and rejects
     a sensor that lists one frequency twice.  Each sensor's rows keep their
-    file order.  The grid is inferred with bandwidth = K * step (half-open
+    file order, in which its frequencies must rise.  The grid is inferred with bandwidth = K * step (half-open
     band convention).
     """
     rows = _read_csv(path, "p,f_hz,re,im", "channel")
@@ -285,7 +285,9 @@ def ingest_channel(path, array: SensorArray) -> ChannelMatrix:
         raise NonUniformGridError(f"sensor {differs[0] + 1} has a different frequency axis")
     steps = np.diff(f_axis)
     step = float(steps.mean())
-    if step <= 0.0 or np.any(np.abs(steps - step) > 1e-6 * step):
+    if step <= 0.0:
+        raise NonUniformGridError("frequencies must rise along each sensor's rows")
+    if np.any(np.abs(steps - step) > 1e-6 * step):
         raise NonUniformGridError("frequency axis is not uniform within 1e-6 relative")
 
     values = np.empty(p.size, dtype=complex)

@@ -25,6 +25,7 @@ from .config import add_axis, as_object, load_config, name_of, write_record
 from .errors import ConfigError, NumericError, ValidationError
 from .geometry import SensorArray, nyquist_audit
 from .pipeline import (
+    realize,
     resolve,
     resolve_ingested,
     run_channel,
@@ -100,7 +101,7 @@ def _cmd_run(args) -> int:
     out = _out_dir(args, name)
     result = run_scenario(scenario)
     return _write_run(result, out, f"{name}: modes={scenario.processing.modes} "
-                      f"reduction={scenario.processing.reduction} runtime={result.runtime_s:.2f}s")
+                      f"reduction={result.reduction} runtime={result.runtime_s:.2f}s")
 
 
 def _cmd_sweep(args) -> int:
@@ -128,12 +129,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    scenario = resolve({**_scenario(args), "allow_undersampled": True, "force_modes": True})
-    f_max = scenario.grid.f_max_hz if args.f_max is None else args.f_max
-    report = nyquist_audit(scenario.array, f_max)
+    _, array, grid, _ = realize(_scenario(args))
+    report = nyquist_audit(array, grid.f_max_hz if args.f_max is None else args.f_max)
     print(report.to_text())
     if args.export_geometry:
-        scenario.array.to_csv(args.export_geometry)
+        array.to_csv(args.export_geometry)
         print(f"wrote {args.export_geometry}")
     return 0 if report.passed else 2
 

@@ -1,11 +1,11 @@
 """Scenario resolution, execution and sweeps.
 
 config reads the scenario document into records.  Resolution pins what
-needs the physics ("auto" mode counts and reduction, sigma in wavelengths,
-per-ring seeds, the spatial-sampling gate, the size bounds) for built and
-ingested arrays alike.  A resolved config is itself a valid scenario;
-re-running one reproduces every numeric output bit for bit, which is what
-the run manifest records.
+needs the physics ("auto" mode counts, sigma in wavelengths, per-ring
+seeds, the spatial-sampling gate, the size bounds) for built and ingested
+arrays alike; the filter bank decides its own reduction.  A resolved
+config is itself a valid scenario; re-running one reproduces every
+numeric output bit for bit, which is what the run manifest records.
 
 Each step adds its wall time (time.perf_counter seconds) to a stage entry:
 "resolve" (less its "mode_limit" search), "synthesis", "bank", "folds",
@@ -31,7 +31,6 @@ import numpy as np
 from . import config
 from .beamform import (
     DESIGNS,
-    REDUCTIONS,
     ModeMatrix,
     _lap,
     build_bank,
@@ -63,10 +62,9 @@ class Processing:
     """The processing section: its keys with their defaults and, once
     resolved, the manifest's section as written (asdict).
 
-    A config gives `modes` as "auto" or a total count, `reduction` as
-    "auto", "none" or "symmetric", and `snr_db` null for a noiseless run.
-    Resolved, `modes` is the odd total 2 M_h + 1, `reduction` is not "auto",
-    and `exclusion_cells` is what find_peaks excludes, its azimuth entry
+    A config gives `modes` as "auto" or a total count and `snr_db` null for
+    a noiseless run.  Resolved, `modes` is the odd total 2 M_h + 1 and
+    `exclusion_cells` is what find_peaks excludes, its azimuth entry
     taken from exclusion_deg when that is set; exclusion_deg itself stays
     as configured (an int stays an int), so it is not typed float here.
     """
@@ -75,7 +73,6 @@ class Processing:
     design: str = "robust"
     modes: object = "auto"
     mode_threshold: float = 1e-6
-    reduction: str = "auto"
     pad_az: int = 4
     pad_delay: int = 2
     exclusion_cells: tuple = DEFAULT_EXCLUSION_CELLS
@@ -126,8 +123,7 @@ def _resolved(t0: float, cfg: dict, resolved_cfg: dict, array: SensorArray,
             resolved_cfg[gate] = True
     proc_cfg = cfg.get("processing")
     proc = config.read_record(Processing, "processing", {} if proc_cfg is None else proc_cfg)
-    for key, names in (("model", MODELS), ("design", DESIGNS),
-                       ("reduction", ("auto", *REDUCTIONS))):
+    for key, names in (("model", MODELS), ("design", DESIGNS)):
         if getattr(proc, key) not in names:
             raise ConfigError(f"unknown {key} {getattr(proc, key)!r}")
     if not scene and proc.snr_db is not None:
@@ -150,13 +146,6 @@ def _resolved(t0: float, cfg: dict, resolved_cfg: dict, array: SensorArray,
                 f"requested modes {total} (half-range {mh}) exceed the stability "
                 f"limit {limit} at threshold {proc.mode_threshold}; "
                 f"pass --force-modes to override")
-
-    reduction = proc.reduction
-    if reduction == "auto":
-        specs = [array.ring_spec(i) for i in range(array.ring_count)]
-        clean = all(s is not None and s.sigma_m == 0.0 and s.sensors % 4 == 0
-                    for s in specs)
-        reduction = "symmetric" if (clean and proc.design != "average") else "none"
 
     audit = nyquist_audit(array, grid.f_max_hz)
     if not audit.passed and "allow_undersampled" not in resolved_cfg:
@@ -192,7 +181,7 @@ def _resolved(t0: float, cfg: dict, resolved_cfg: dict, array: SensorArray,
             raise DomainError(f"exclusion_deg must be finite and >= 0, got {exclusion_deg}")
         cell_deg = 360.0 / (2 * mh + 1)  # 360 deg already spans the azimuth axis
         excl = (max(1, round(min(exclusion_deg, 360.0) / cell_deg)), excl[1])
-    proc = replace(proc, modes=2 * mh + 1, reduction=reduction, exclusion_cells=excl)
+    proc = replace(proc, modes=2 * mh + 1, exclusion_cells=excl)
     if proc.model == "spherical" and any(w.distance_m is None for w in scene):
         raise ValidationError("spherical model requires distance_m on every wave")
     resolved_cfg.update(grid=asdict(grid), processing=asdict(proc))
@@ -231,23 +220,29 @@ def _sections(cfg: dict, grid: Optional[FrequencyGrid] = None) -> tuple:
                                for i, wave in enumerate(cfg.get("scene", []))]
 
 
-def resolve(cfg: dict) -> ResolvedScenario:
-    """Validate a scenario document and pin every derived quantity; its
-    allow_undersampled and force_modes keys open the two gates."""
-    t0 = time.perf_counter()
-    cfg = copy.deepcopy(cfg)
+def realize(cfg: dict) -> tuple:
+    """A scenario document read up to its realized array (top-level keys,
+    seed, grid, rings, waves, the channel-size bound): (the resolved document
+    so far, array, grid, waves).  resolve goes on from there; audit stops."""
     config.check_keys("scenario", cfg, config.SCENARIO_KEYS, required=("array", "grid", "scene"))
     name = config.name_of(cfg, "scenario")
     seed, grid, specs, scene = _sections(cfg)
     if 16 * sum(spec.sensors for spec in specs) * grid.samples > MAX_ARRAY_BYTES:
         raise ValidationError("array[*].sensors x grid.samples: the channel would "
                               f"exceed MAX_ARRAY_BYTES = {MAX_ARRAY_BYTES}")
-    array = build_concentric(specs)
     resolved_cfg = {"name": name, "seed": seed, "array": [asdict(spec) for spec in specs],
                     "scene": [asdict(w) for w in scene]}
     if "sweep" in cfg:
         resolved_cfg["sweep"] = cfg["sweep"]
-    return _resolved(t0, cfg, resolved_cfg, array, grid, scene)
+    return resolved_cfg, build_concentric(specs), grid, scene
+
+
+def resolve(cfg: dict) -> ResolvedScenario:
+    """Validate a scenario document and pin every derived quantity; its
+    allow_undersampled and force_modes keys open the two gates."""
+    t0 = time.perf_counter()
+    cfg = copy.deepcopy(cfg)
+    return _resolved(t0, cfg, *realize(cfg))
 
 
 def resolve_ingested(array: SensorArray, grid: FrequencyGrid, cfg: dict) -> ResolvedScenario:
@@ -262,13 +257,15 @@ def resolve_ingested(array: SensorArray, grid: FrequencyGrid, cfg: dict) -> Reso
 
 @dataclass
 class RunResult:
-    """One run's outputs.  `stages` holds the run's stage times, which sum
-    to about runtime_s; write_outputs adds "write"."""
+    """One run's outputs.  `reduction` is the bank's ("none" or
+    "symmetric"); `stages` holds the run's stage times, which sum to about
+    runtime_s; write_outputs adds "write"."""
 
     scenario: ResolvedScenario
     spectrum: JointSpectrum
     report: PeakReport
     runtime_s: float
+    reduction: str
     bank_unique_evals: int
     bank_dense_weights: int
     stages: dict
@@ -281,7 +278,7 @@ def run_channel(scenario: ResolvedScenario, ch: ChannelMatrix, stages=None) -> R
     stages = dict(stages or {})
     proc = scenario.processing
     bank = build_bank(ch.array, ch.grid, design=proc.design,
-                      mode_half=proc.mode_half, reduction=proc.reduction)
+                      mode_half=proc.mode_half, reduction="auto")
     _lap(stages, "bank", t0)
     modes = expand_array(ch, bank, stages=stages)
     t = time.perf_counter()
@@ -291,7 +288,7 @@ def run_channel(scenario: ResolvedScenario, ch: ChannelMatrix, stages=None) -> R
     report = find_peaks(spec, exclusion_cells=proc.exclusion_cells)
     _lap(stages, "peaks", t)
     return RunResult(scenario=scenario, spectrum=spec, report=report,
-                     runtime_s=time.perf_counter() - t0,
+                     runtime_s=time.perf_counter() - t0, reduction=bank.reduction,
                      bank_unique_evals=bank.unique_eval_count,
                      bank_dense_weights=bank.dense_weight_count, stages=stages)
 
@@ -331,6 +328,7 @@ def write_outputs(result: RunResult, out_dir, inputs=None) -> list:
     config.write_record(paths[0], "manifest", sc.config, resolved={
         "modes_total": sc.processing.modes,
         "mode_limit": sc.mode_limit_value,
+        "reduction": result.reduction,
         "nyquist_max_spacing_m": sc.nyquist.max_spacing_m,
         "nyquist_pass": sc.nyquist.passed,
         "bank_unique_evals": result.bank_unique_evals,
@@ -350,7 +348,7 @@ def _bank_key(scenario: ResolvedScenario) -> tuple:
     """What a filter bank depends on: realized array, grid and processing."""
     proc = scenario.processing
     return (json.dumps(scenario.config["array"], sort_keys=True), scenario.grid,
-            proc.design, proc.mode_half, proc.reduction)
+            proc.design, proc.mode_half)
 
 
 def sweep_rows(cfg: dict, stages=None) -> list:
@@ -362,8 +360,8 @@ def sweep_rows(cfg: dict, stages=None) -> list:
 
     Every point is resolved before any is computed, so a bad point fails
     first.  Points whose filter bank would be the same (equal resolved
-    array section, ring seeds included, grid, design, mode count and
-    reduction) form a group that builds one bank.  A group runs in batches
+    array section, ring seeds included, grid, design and mode count) form a
+    group that builds one bank, which decides its own reduction.  A group runs in batches
     of at most SWEEP_BATCH_BYTES of channel data (at least one point): each
     point's channel, with noise from its own seed, joins a stacked channel
     that one expand_array call turns into mode matrices, so a batch
@@ -400,7 +398,7 @@ def sweep_rows(cfg: dict, stages=None) -> list:
         shared = first.processing  # the bank's keys; pads and windows stay per point
         t = time.perf_counter()
         bank = build_bank(first.array, first.grid, design=shared.design,
-                          mode_half=shared.mode_half, reduction=shared.reduction)
+                          mode_half=shared.mode_half, reduction="auto")
         _lap(stages, "bank", t)
         point_bytes = 16 * first.array.total_sensors * first.grid.samples
         size = max(1, SWEEP_BATCH_BYTES // point_bytes)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from elliptic_doa import beamform, channel, geometry, specfun, spectrum
+from elliptic_doa import beamform, channel, geometry, pipeline, presets, specfun, spectrum
 from elliptic_doa.constants import SPEED_OF_LIGHT
 from elliptic_doa.errors import DomainError, InstabilityError, ValidationError
 from elliptic_doa.specfun import bessel_j
@@ -203,6 +203,36 @@ class TestBank:
             with pytest.raises(ValidationError):
                 beamform.build_bank(odd, grid, design=design, mode_half=4,
                                     reduction="symmetric")
+
+    def test_auto_folds_exactly_where_every_ring_allows(self):
+        """The "auto" reduction folds when every ring has ellipse parameters,
+        sigma = 0 and P divisible by 4, and the design is not "average"."""
+        grid = small_grid(samples=2)
+        clean = geometry.EllipseSpec(semi_major_m=0.15, eccentricity=0.7, sensors=36)
+        perturbed = geometry.EllipseSpec(semi_major_m=0.2, sensors=36, sigma_m=1e-4, seed=1)
+        spec_less = geometry.SensorArray(rings=[(None, geometry.build_ellipse(clean))])
+
+        def auto(arr, design="robust"):
+            bank = beamform.build_bank(arr, grid, design=design, mode_half=4, reduction="auto")
+            return bank.reduction
+
+        assert auto(geometry.build_concentric([clean])) == "symmetric"
+        assert auto(geometry.build_concentric([clean, perturbed])) == "none"
+        assert auto(make_array(sensors=30)) == "none"
+        assert auto(spec_less) == "none"
+        assert auto(geometry.build_concentric([clean]), design="average") == "none"
+        with pytest.raises(DomainError):
+            beamform.build_bank(spec_less, grid, reduction="folded")
+
+    def test_auto_bank_of_fig7_cea_is_the_symmetric_bank(self):
+        sc = pipeline.resolve(presets.get_preset("fig7-cea"))
+        auto, symmetric = (beamform.build_bank(sc.array, sc.grid, reduction=reduction,
+                                               mode_half=sc.processing.mode_half)
+                           for reduction in ("auto", "symmetric"))
+        assert auto.reduction == "symmetric" and auto.folded
+        assert np.array_equal(auto.radii, symmetric.radii)
+        assert [c.tolist() for c in auto.ring_columns] == [
+            c.tolist() for c in symmetric.ring_columns]
 
     def test_reduction_counts(self):
         grid = small_grid()

@@ -307,8 +307,14 @@ def test_ingest_errors(tmp_path):
             l = ",".join(parts)
         out.append(l)
     warped.write_text("\n".join(out) + "\n")
-    with pytest.raises(NonUniformGridError):
+    with pytest.raises(NonUniformGridError, match="not uniform within 1e-6 relative"):
         channel.ingest_channel(warped, arr)
+
+    falling = tmp_path / "falling.csv"  # each sensor's rows from high to low frequency
+    falling.write_text("\n".join([lines[0], *(row for p in range(4) for row in reversed(
+        [l for l in lines[1:] if l.startswith(f"{p},")]))]) + "\n")
+    with pytest.raises(NonUniformGridError, match="frequencies must rise along each sensor's rows"):
+        channel.ingest_channel(falling, arr)
 
     nanfile = tmp_path / "nan.csv"
     out = list(lines)

@@ -50,11 +50,12 @@ class TestResolve:
             pipeline.resolve(cfg)
 
     def test_auto_modes_and_reduction(self):
+        """The bank, not the document, decides the reduction: a clean ellipse folds."""
         cfg = small_scenario()
         cfg["processing"]["modes"] = "auto"
         sc = pipeline.resolve(cfg)
         assert sc.processing.mode_half == sc.mode_limit_value > 60
-        assert sc.processing.reduction == "symmetric"
+        assert pipeline.run_scenario(sc).reduction == "symmetric"
         assert sc.config["processing"]["modes"] == 2 * sc.processing.mode_half + 1
 
     def test_requested_modes_round_up_to_odd(self):
@@ -76,7 +77,8 @@ class TestResolve:
         sc = pipeline.resolve(cfg)
         lam = 299792458.0 / 29e9
         assert sc.array.ring_spec(0).sigma_m == pytest.approx(2 * lam, rel=1e-12)
-        assert sc.processing.reduction == "none"  # perturbed ring cannot share quadrants
+        # a perturbed ring cannot share quadrants
+        assert pipeline.run_scenario(sc).reduction == "none"
         assert sc.config["array"][0]["sigma_m"] == pytest.approx(2 * lam, rel=1e-12)
         assert "sigma_wavelengths" not in sc.config["array"][0]
 
@@ -142,7 +144,7 @@ class TestResolve:
 
     def test_every_processing_key_off_default_resolves_again(self):
         proc = {"model": "spherical", "design": "average", "modes": 41,
-                "mode_threshold": 1e-4, "reduction": "none", "pad_az": 3, "pad_delay": 3,
+                "mode_threshold": 1e-4, "pad_az": 3, "pad_delay": 3,
                 "exclusion_cells": [4, 6], "exclusion_deg": 9, "snr_db": 20.0}
         defaults = {f.name: f.default for f in fields(pipeline.Processing)}
         assert proc.keys() == defaults.keys()
@@ -152,7 +154,7 @@ class TestResolve:
         sc = pipeline.resolve(cfg)
         assert sc.processing == pipeline.Processing(
             model="spherical", design="average", modes=41, mode_threshold=1e-4,
-            reduction="none", pad_az=3, pad_delay=3,
+            pad_az=3, pad_delay=3,
             exclusion_cells=(1, 6), exclusion_deg=9, snr_db=20.0)  # 9 deg is one 8.8-deg cell
         assert sc.processing.mode_half == 20
         section = sc.config["processing"]
@@ -178,8 +180,7 @@ class TestResolve:
 
     def test_ingested_and_built_arrays_resolve_equal_processing(self, tmp_path):
         """Equal processing, but for noise: ingest adds none, so it refuses an snr_db."""
-        proc = {"design": "plain", "modes": 41, "reduction": "none", "pad_delay": 3,
-                "exclusion_deg": 5.0}
+        proc = {"design": "plain", "modes": 41, "pad_delay": 3, "exclusion_deg": 5.0}
         sc = pipeline.resolve(small_scenario(**proc))
         sc.array.to_csv(tmp_path / "geo.csv")
         array = geometry.SensorArray.from_csv(tmp_path / "geo.csv")
@@ -565,6 +566,23 @@ class TestCli:
         rc = cli.main(["audit", "--config", str(cfg_path)])
         assert rc == 2
 
+    def test_audit_reads_no_processing(self, tmp_path, capsys):
+        """audit realizes the array and stops: a processing section that
+        would fail resolution (10^7 modes: the spectrum-size bound) runs no
+        mode search and does not decide its exit code."""
+        cfg = presets.get_preset("fig3")
+        cfg["processing"]["modes"] = 10**7
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["audit", "--config", str(cfg_path)]) == 0
+        assert "pass" in capsys.readouterr().out
+        cfg["array"][0]["sensors"] = "x"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["audit", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "array[0].sensors" in err
+        assert len(err.splitlines()) == 1
+
     def test_preset_listing_and_run(self, capsys):
         rc = cli.main(["presets"])
         assert rc == 0
@@ -703,6 +721,10 @@ class TestCli:
         (["sweep"], lambda cfg: cfg.update(sweep={"axes": [5]}), "each sweep axis"),
         (["sweep"], lambda cfg: cfg.update(sweep={"axes": [{"path": "array.*", "values": [1]}]}),
          "cannot assign to '*' directly in 'array.*'"),
+        # the bank decides the reduction: a document that still sets it, as
+        # manifests written while it was a setting do, is refused
+        (["run"], lambda cfg: cfg["processing"].update(reduction="symmetric"), "'reduction'"),
+        (["ingest"], lambda cfg: cfg["processing"].update(reduction="none"), "'reduction'"),
     ], ids=["axis-value-not-json", "axis-path-not-index", "processing-not-object",
             "processing-not-object-with-pad-flag", "exclusion-cells-not-list",
             "seed-auto", "seed-list", "seed-dict", "seed-nan", "sensors-infinite",
@@ -722,7 +744,8 @@ class TestCli:
             "ingest-name-not-text", "ingest-unused-sections-malformed", "ingest-grid-not-object",
             "ingest-array-not-list", "ingest-sigma-wavelengths-text", "ingest-scene-null",
             "ingest-sweep-axes-not-list", "modes-zero", "pad-az-zero",
-            "ring-both-sigmas", "sweep-axis-not-object", "sweep-path-ends-in-star"])
+            "ring-both-sigmas", "sweep-axis-not-object", "sweep-path-ends-in-star",
+            "processing-reduction", "ingest-processing-reduction"])
     def test_malformed_input_exits_1_with_one_line(self, tmp_path, capsys, extra, edit, named):
         err = self.assert_one_line_exit(tmp_path, capsys, extra, edit, 1, "config error: ")
         assert named in err
@@ -802,11 +825,14 @@ class TestCli:
 
     def test_run_manifest_and_scenario_ingest(self, tmp_path, capsys):
         """ingest --config reads every section of a scenario and of a run
-        manifest and keeps its name and processing.  An ingested ring has no
-        ellipse parameters, so the run takes no symmetric reduction."""
+        manifest and keeps its name and processing.  The run folds its clean
+        ellipse; an ingested ring has no ellipse parameters, so its bank
+        does not, and each manifest records its own bank's choice."""
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(small_scenario(reduction="none")))
+        cfg_path.write_text(json.dumps(small_scenario()))
         assert cli.main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "run")]) == 0
+        run = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert run["resolved"]["reduction"] == "symmetric"
         sc = pipeline.resolve(small_scenario())
         sc.array.to_csv(tmp_path / "geo.csv")
         channel.export_channel(channel.superpose(sc.scene, sc.array, sc.grid),
@@ -819,6 +845,7 @@ class TestCli:
             manifest = json.loads((out / "manifest.json").read_text())
             assert manifest["config"]["name"] == "small"
             assert manifest["config"]["processing"]["modes"] == 61
+            assert manifest["resolved"]["reduction"] == "none"
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("path,value,flags,field", [

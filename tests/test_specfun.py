@@ -144,7 +144,7 @@ def bank_arguments(name, **paths):
     scenario = pipeline.resolve(cfg)
     proc = scenario.processing
     bank = beamform.build_bank(scenario.array, scenario.grid, design=proc.design,
-                               mode_half=proc.mode_half, reduction=proc.reduction)
+                               mode_half=proc.mode_half, reduction="auto")
     x = (2.0 * np.pi / SPEED_OF_LIGHT) * np.outer(scenario.grid.frequencies, bank.radii)
     return bank.mode_half + 1, x
 
