@@ -94,19 +94,29 @@ def mode_limit(array: SensorArray, grid: FrequencyGrid, threshold: float,
     """Largest usable half mode order before the filters destabilize.
 
     Returns the largest M_h such that the denominator magnitude at the
-    worst-case argument x_min = 2 pi f_min r_min / c stays >= threshold for
-    every |m| <= M_h.  r_min is the smallest sensor radius over all rings
-    (the semi-minor axis for an unperturbed ellipse), or for the average
-    design the smallest averaged ring radius (a + b)/2, the smallest
-    argument such a bank ever evaluates; f_min is the lowest grid
-    frequency.  Non-decreasing in both r_min and f_min.  The search reads
-    the bank's own plain table at x_min (FilterBank.jtable), which below
-    x_min = 25 is the double-double Miller table.  An x_min whose search
-    would need Bessel orders past ORDER_GUARD is a DomainError that names
-    it, raised before any table is built.
+    worst-case argument x_min (search_argument) stays >= threshold for
+    every |m| <= M_h.  Non-decreasing in both r_min and f_min.  The search
+    reads the bank's own plain table at x_min (FilterBank.jtable), which
+    below x_min = 25 is the double-double Miller table.  In the robust
+    denominators, which the average design uses too, the limit lies above
+    x_min; the plain design's J_m has zeros below x, so its limit may not.
     """
     if not (threshold > 0.0):
         raise DomainError(f"threshold must be positive, got {threshold}")
+    return _mode_limit_at(search_argument(array, grid, design), threshold,
+                          "plain" if design == "plain" else "robust")
+
+
+def search_argument(array: SensorArray, grid: FrequencyGrid, design: str = "robust") -> float:
+    """mode_limit's worst-case argument x_min = 2 pi f_min r_min / c.
+
+    r_min is the smallest sensor radius over all rings (the semi-minor axis
+    for an unperturbed ellipse), or for the average design the smallest
+    averaged ring radius (a + b)/2, the smallest argument such a bank ever
+    evaluates; f_min is the lowest grid frequency.  An x_min whose search
+    would need Bessel orders past ORDER_GUARD is a DomainError that names
+    it, raised before any table is built.
+    """
     if design not in DESIGNS:
         raise DomainError(f"unknown filter design {design!r}")
     if design == "average":
@@ -122,7 +132,7 @@ def mode_limit(array: SensorArray, grid: FrequencyGrid, threshold: float,
             f"x_min = 2 pi f_start_hz r_min / c = {x_min:.6g} (f_start_hz = {grid.f_start_hz:g}, "
             f"smallest radius {r_min_m:g} m) puts the mode search past the Bessel order "
             f"guard {ORDER_GUARD}")
-    return _mode_limit_at(x_min, threshold, "plain" if design == "plain" else "robust")
+    return x_min
 
 
 @functools.lru_cache(maxsize=1024)
@@ -172,7 +182,16 @@ class ModeMatrix:
 TABLE_CHUNK_BYTES = 8 << 20
 """Bytes of Bessel table, folded ring data and mode products per band chunk
 of the expansion: each chunk takes as many frequency samples as fit (at
-least one), so peak memory does not grow with samples x radii."""
+least one), so peak memory does not grow with samples x radii.
+
+A sweep's batches release their arrays (pipeline.sweep_rows), so this
+budget sets a sweep's peak memory.  The benchmark's sweep-fig4a op (two
+bank groups of a 720-sensor ring, 100 samples, 501 modes) peaked at 49.8 MB
+of process memory at 8 MiB, 48.2 MB at 4 MiB and 44.2 MB at 2 MiB, and a
+fig7-cea run at 61.2, 57.9 and 57.9 MB.  Each halving adds a table call
+and a fold per chunk: at 4 MiB the sweep op's median time relative to the
+benchmark's reference task rose 1.7% and fig7-cea's 2.4% over 8 MiB (six
+15 s runs each on a 2-core x86-64 host), so the budget stays 8 MiB."""
 
 
 @dataclass

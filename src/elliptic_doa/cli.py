@@ -139,17 +139,23 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
+    t0 = time.perf_counter()
     array = SensorArray.from_csv(args.geometry)
     ch = ingest_channel(args.channel, array)
-    scenario = resolve_ingested(array, ch.grid, _scenario(args))
-    name = scenario.config["name"]
-    out = _out_dir(args, name)
-    result = run_channel(scenario, ch)
     import hashlib  # here, not at the top: it loads libcrypto, 3.5 MB RSS in every verb
     inputs = {}  # what the manifest cannot embed: the measured files, by size and digest
     for role in ("geometry", "channel"):
         data = Path(getattr(args, role)).read_bytes()
         inputs[role] = {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+    del data  # the channel file's bytes, not to be held through the run
+    ingest_s = time.perf_counter() - t0
+    scenario = resolve_ingested(array, ch.grid, _scenario(args))
+    name = scenario.config["name"]
+    out = _out_dir(args, name)
+    # the "ingest" stage (reading, parsing and hashing the two files) counts
+    # in runtime_s, as synthesis does in a run's
+    result = run_channel(scenario, ch, {"ingest": ingest_s})
+    result.runtime_s += ingest_s
     return _write_run(result, out, f"{name}: sensors={array.total_sensors} "
                       f"K={ch.grid.samples} modes={scenario.processing.modes}", inputs)
 

@@ -8,9 +8,10 @@ config is itself a valid scenario; re-running one reproduces every
 numeric output bit for bit, which is what the run manifest records.
 
 Each step adds its wall time (time.perf_counter seconds) to a stage entry:
-"resolve" (less its "mode_limit" search), "synthesis", "bank", "folds",
-"tables", "weights", "products" (see beamform._expand), "fft" (the joint
-spectrum), "peaks" and "write".  A run manifest records them under
+"resolve" (less its "mode_limit" search), "synthesis" (or, on ingest,
+"ingest": reading, parsing and hashing the measured files), "bank",
+"folds", "tables", "weights", "products" (see beamform._expand), "fft" (the
+joint spectrum), "peaks" and "write".  A run manifest records them under
 resolved.stages, a sweep record (sweep_config.json) its totals under stages.
 """
 
@@ -36,6 +37,7 @@ from .beamform import (
     build_bank,
     expand_array,
     mode_limit,
+    search_argument,
 )
 from .channel import (
     MODELS,
@@ -102,7 +104,8 @@ MAX_ARRAY_BYTES = 1 << 30
 """Largest channel (16 P K bytes), spectrum (16 (2M_h+1) pad_az K pad_delay
 bytes) or one frequency sample of the filter bank's Bessel table (8 (M_h+2) P
 bytes; P bounds the bank's columns) that resolve admits, checked before any
-is allocated."""
+is allocated; with auto modes outside the plain design, the table's bound at
+M_h = x_min is checked before the mode-limit search."""
 
 
 def _resolved(t0: float, cfg: dict, resolved_cfg: dict, array: SensorArray,
@@ -131,6 +134,18 @@ def _resolved(t0: float, cfg: dict, resolved_cfg: dict, array: SensorArray,
                           f"gets no added noise, got {proc.snr_db!r}")
 
     t = time.perf_counter()
+    if proc.modes == "auto" and proc.design != "plain":
+        # the robust denominators (the average design's too) put the limit
+        # above x_min, so a table too large at M_h = x_min would fail the
+        # bound below anyway: refuse it before the search, a one-lane table
+        # of about x_min orders (3.3 s at x_min ~ 1e6)
+        x_min = search_argument(array, grid, proc.design)
+        if 8 * (x_min + 2) * array.total_sensors > MAX_ARRAY_BYTES:
+            raise ValidationError(f"processing.modes 'auto' at x_min = {x_min:.6g} with "
+                                  f"{array.total_sensors} sensors: the {proc.design} design's "
+                                  "mode limit lies above x_min, so one frequency sample of the "
+                                  "filter bank's Bessel table would exceed "
+                                  f"MAX_ARRAY_BYTES = {MAX_ARRAY_BYTES}")
     limit = mode_limit(array, grid, proc.mode_threshold, design=proc.design)
     _lap(stages, "mode_limit", t)
     if proc.modes == "auto":
@@ -366,10 +381,16 @@ def sweep_rows(cfg: dict, stages=None) -> list:
     point's channel, with noise from its own seed, joins a stacked channel
     that one expand_array call turns into mode matrices, so a batch
     evaluates its Bessel tables and filter weights once per frequency.
-    The spectrum and its one peak report then run per point.  Every numeric
-    column equals the same reading of a run_scenario spectrum of that point
-    alone, bit for bit; runtime_s is the batch's wall time divided by its
-    point count.  Determinism comes from per-point seeds in the config, so
+    The spectrum and its one peak report then run per point.  A batch lets
+    go of its channel once expanded, of each point's spectrum once its row
+    is written and of its modes at its end, so no array outlives its stage
+    and the sweep's peak memory is that of its largest stage, the
+    expansion's band chunk (beamform.TABLE_CHUNK_BYTES): the benchmark's
+    two-group sweep-fig4a op peaks at 49.8 MB of process memory, against
+    58.5 MB with each group's last arrays alive through the next group.
+    Every numeric column equals the same reading of a run_scenario spectrum
+    of that point alone, bit for bit; runtime_s is the batch's wall time
+    divided by its point count.  Determinism comes from per-point seeds in the config, so
     evaluation order carries no state.
 
     A `stages` dict receives the sweep's stage totals over all points.
@@ -412,6 +433,7 @@ def sweep_rows(cfg: dict, stages=None) -> list:
             _lap(stages, "synthesis", t0)
             modes = expand_array(ChannelMatrix(array=first.array, grid=first.grid,
                                                values=values), bank, stages=stages)
+            del values
             for b, i in enumerate(batch):
                 assignment, scenario = points[i]
                 proc, wave = scenario.processing, scenario.scene[0]
@@ -433,6 +455,8 @@ def sweep_rows(cfg: dict, stages=None) -> list:
                     "global_tau_s": peak.tau_s,
                     "modes_total": proc.modes,
                 })
+                del spec
+            del modes
             runtime_s = (time.perf_counter() - t0) / len(batch)
             for i in batch:
                 rows[i]["runtime_s"] = runtime_s

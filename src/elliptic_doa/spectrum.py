@@ -40,23 +40,44 @@ DEFAULT_EXCLUSION_CELLS = (5, 5)
 TIE_RTOL = 1e-10  # two bins straddling an arrival's mirror axis differ by ~1e-12
 _RANKED_MAXIMA = 10  # local maxima a peak report lists, strongest first
 _PGM_FLOOR_DB = -35.0  # heatmap dynamic range below the peak
+_DELAY_BLOCK_BYTES = 1 << 20  # complex delay-transform rows joint_spectrum holds at once
 
 
 def joint_spectrum(modes: ModeMatrix, pad_az: int = 1, pad_delay: int = 1) -> "JointSpectrum":
-    """2-D transform of the mode matrix into the azimuth-delay magnitude map,
-    in place in one zeroed (n_az, n_delay) buffer, the modes in its first K
-    columns: the azimuth transform over those, the delay one over all."""
+    """2-D transform of the mode matrix into the azimuth-delay magnitude map.
+
+    The azimuth transform runs in place on a zeroed contiguous (n_az, K)
+    array holding the modes.  The delay transform (n_delay = K pad_delay
+    points) then runs in place over blocks of about _DELAY_BLOCK_BYTES of
+    rows, each row's K azimuth bins followed by zeros, and np.abs writes
+    each block straight into the float map.  With pad_delay >= 2 the
+    azimuth array lies in the map's own bytes, its row q at or before map
+    row q, so the blocks run from the last row to the first: a map row is
+    written only once the azimuth rows under it have been read.  A map then
+    costs one allocation, which a sweep makes per point: a second one freed
+    per point came back as fresh pages, 500-1,000 more page faults a map.  No
+    complex (n_az, n_delay) array exists, and every bin equals that of one
+    transform pair over a full buffer."""
     if pad_az < 1 or pad_delay < 1:
         raise DomainError("pad factors must be >= 1")
     m_count = 2 * modes.mode_half + 1
     n_az = m_count * pad_az
     k_count = modes.grid.samples
-    buf = np.zeros((n_az, k_count * pad_delay), dtype=complex)
-    buf[modes.modes % n_az, :k_count] = modes.values
-    np.fft.fft(buf[:, :k_count], axis=0, out=buf[:, :k_count])
-    np.fft.fft(buf, axis=1, out=buf)
-    return JointSpectrum(magnitudes=np.abs(buf), pad_az=pad_az, pad_delay=pad_delay,
-                         grid=modes.grid)
+    mags = np.empty((n_az, k_count * pad_delay))
+    az = (mags.reshape(-1)[:2 * n_az * k_count].view(complex).reshape(n_az, k_count)
+          if pad_delay >= 2 else np.empty((n_az, k_count), dtype=complex))
+    az[:] = 0.0
+    az[modes.modes % n_az] = modes.values
+    np.fft.fft(az, axis=0, out=az)
+    rows = max(1, _DELAY_BLOCK_BYTES // (16 * mags.shape[1]))
+    block = np.empty((min(rows, n_az), mags.shape[1]), dtype=complex)
+    for q0 in reversed(range(0, n_az, rows)):
+        part = block[:min(rows, n_az - q0)]
+        part[:, :k_count] = az[q0:q0 + rows]
+        part[:, k_count:] = 0.0
+        np.fft.fft(part, axis=1, out=part)
+        np.abs(part, out=mags[q0:q0 + rows])
+    return JointSpectrum(magnitudes=mags, pad_az=pad_az, pad_delay=pad_delay, grid=modes.grid)
 
 
 @dataclass

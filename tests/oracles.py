@@ -6,10 +6,10 @@ no code path with the package.  The helpers at the end are the exception:
 they read a package FilterBank back out in the literal (mode x sensor)
 layout, keep the per-cell writers the array-speed exports must match byte
 for byte, keep the plainer formulations (parity selection, the stacked
-fold, ranking over all maxima, the text writer, the one-expression
-heatmap) the fast paths must match, hold scalar conveniences built on the
-package's Bessel functions, and read a run's peak report anchored on its
-first wave, all of which only tests need.
+fold, the one-buffer joint transform, ranking over all maxima, the text
+writer, the one-expression heatmap) the fast paths must match, hold scalar
+conveniences built on the package's Bessel functions, and read a run's peak
+report anchored on its first wave, all of which only tests need.
 """
 
 import cmath
@@ -297,6 +297,18 @@ def stacked_fold(terms, k0, k1):
         sums.append(a + c)
         diffs.append(a - c)
     return np.concatenate(sums, axis=1), np.concatenate(diffs, axis=1)
+
+
+def one_buffer_joint_spectrum(modes, pad_az, pad_delay):
+    """The magnitude map joint_spectrum must match bit for bit, from one
+    zeroed complex (n_az, n_delay) buffer: the modes in its first K columns,
+    the azimuth transform over those in place, the delay one over all."""
+    n_az, k_count = (2 * modes.mode_half + 1) * pad_az, modes.grid.samples
+    buf = np.zeros((n_az, k_count * pad_delay), dtype=complex)
+    buf[modes.modes % n_az, :k_count] = modes.values
+    np.fft.fft(buf[:, :k_count], axis=0, out=buf[:, :k_count])
+    np.fft.fft(buf, axis=1, out=buf)
+    return np.abs(buf)
 
 
 def ranked_maxima(spectrum):

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elliptic_doa import channel, cli, config, geometry, pipeline, presets
+from elliptic_doa import beamform, channel, cli, config, geometry, pipeline, presets
 from elliptic_doa.errors import ConfigError, ValidationError
 
 import oracles
@@ -336,6 +337,32 @@ class TestRun:
         with pytest.raises(ValidationError, match="stability limit"):
             pipeline.sweep_rows(cfg)
 
+    def test_second_bank_group_adds_no_peak_memory(self):
+        """A batch lets go of its channel, spectra and modes, so nothing of
+        the first group is alive while the second expands: two groups peak
+        within 1.1x the larger group's sweep alone (1.13x when the first
+        group's arrays stayed alive)."""
+        def sweep(eccentricities):
+            cfg = small_scenario(modes=101)
+            cfg["grid"]["samples"] = 64
+            cfg["sweep"] = {"axes": [
+                {"path": "array.0.eccentricity", "values": eccentricities},
+                {"path": "scene.0.azimuth_deg", "values": [0.0, 45.0, 100.0, 200.0, 300.0]},
+            ]}
+            return cfg
+
+        def peak(cfg):
+            tracemalloc.start()
+            try:
+                pipeline.sweep_rows(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        pipeline.sweep_rows(sweep([0.5, 0.7]))  # numpy's and the mode search's one-time setup
+        alone = max(peak(sweep([e])) for e in (0.5, 0.7))
+        assert peak(sweep([0.5, 0.7])) <= 1.1 * alone
+
     def test_sweep_requires_axes(self):
         with pytest.raises(ConfigError):
             pipeline.sweep_rows(small_scenario())
@@ -605,6 +632,21 @@ class TestCli:
         assert (tmp_path / "out" / "peaks.txt").exists()
         out = capsys.readouterr().out
         assert "sensors=256" in out
+
+    def test_ingest_stages_cover_runtime(self, tmp_path):
+        """Reading, parsing and hashing the two files is the "ingest" stage,
+        which runtime_s counts as a run's counts synthesis."""
+        sc = pipeline.resolve(presets.get_preset("fig3"))
+        sc.array.to_csv(tmp_path / "geo.csv")
+        channel.export_channel(channel.superpose(sc.scene, sc.array, sc.grid),
+                               tmp_path / "chan.csv")
+        assert cli.main(["ingest", "--geometry", str(tmp_path / "geo.csv"), "--channel",
+                         str(tmp_path / "chan.csv"), "--out-dir", str(tmp_path / "out")]) == 0
+        resolved = json.loads((tmp_path / "out" / "manifest.json").read_text())["resolved"]
+        stages = resolved.pop("stages")
+        assert set(stages) == {"resolve", "mode_limit", "ingest", *RUN_STAGES[1:], "write"}
+        ran = [stages[stage] for stage in ("ingest", *RUN_STAGES[1:])]
+        assert sum(ran) == pytest.approx(resolved["runtime_s"], rel=0.05)
 
     def test_interleaved_ring_indices_exit_2_before_the_channel_is_read(self, tmp_path, capsys):
         """Channel rows map to rings as contiguous blocks of p, so a geometry
@@ -960,6 +1002,33 @@ class TestCli:
                                         lambda cfg: config.set_path(cfg, path, value),
                                         2, "validation error: ")
         assert "x_min" in err and "f_start_hz" in err and "smallest radius" in err
+
+    def test_hopeless_auto_mode_search_exits_2_before_it_starts(self, tmp_path, capsys,
+                                                                monkeypatch):
+        """With auto modes the robust limit lies above x_min, so a Bessel
+        table too large at M_h = x_min is refused without the search, a
+        one-lane table of about x_min orders.  The plain design's limit has
+        no such bound, so it still searches."""
+        def far_ring(design):
+            def edit(cfg):
+                cfg["array"][0].update(semi_major_m=1702.0, eccentricity=0.0, sensors=720)
+                cfg["processing"].update(modes="auto", design=design)
+            return edit
+
+        def reached(*args):
+            raise ValidationError("the search ran")
+
+        monkeypatch.setattr(beamform, "_mode_limit_at", reached)
+        for design in ("robust", "average"):
+            err = self.assert_one_line_exit(tmp_path, capsys, ["run", "--allow-undersampled"],
+                                            far_ring(design), 2, "validation error: ")
+            assert err == (
+                "validation error: processing.modes 'auto' at x_min = 998796 with 720 sensors: "
+                f"the {design} design's mode limit lies above x_min, so one frequency sample "
+                "of the filter bank's Bessel table would exceed MAX_ARRAY_BYTES = 1073741824\n")
+        err = self.assert_one_line_exit(tmp_path, capsys, ["run", "--allow-undersampled"],
+                                        far_ring("plain"), 2, "validation error: ")
+        assert err == "validation error: the search ran\n"
 
     @pytest.mark.parametrize("index", [-1, 256, 10**12])
     def test_out_of_range_channel_index_exits_2(self, tmp_path, capsys, index):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,52 @@ def test_matches_brute_force_dft():
     got = spectrum.joint_spectrum(mm).magnitudes
     want = oracles.brute_joint_spectrum(values, mh, k)
     assert np.abs(got - want).max() <= 1e-10 * want.max()
+
+
+def random_modes(mode_half, samples, seed=5):
+    """A noise mode matrix: every bin of its map carries signal."""
+    rng = np.random.default_rng(seed)
+    shape = (2 * mode_half + 1, samples)
+    grid = channel.FrequencyGrid(f_start_hz=28e9, bandwidth_hz=2e9, samples=samples)
+    return beamform.ModeMatrix(values=rng.normal(size=shape) + 1j * rng.normal(size=shape),
+                               mode_half=mode_half, grid=grid)
+
+
+@pytest.mark.parametrize("block_rows", [None, 1, 10_000])
+@pytest.mark.parametrize("pad_delay", [1, 2, 3])
+def test_blocked_transform_equals_one_buffer(monkeypatch, pad_delay, block_rows):
+    """fig4a's map shape, 2004 azimuth rows: at the module's block size
+    they span several blocks, the last one short (2004 is no multiple of
+    655, 327 or 218 rows); then one row per block and one block for all."""
+    mm = random_modes(250, 100)
+    if block_rows is None:
+        rows = spectrum._DELAY_BLOCK_BYTES // (16 * 100 * pad_delay)
+        assert rows < 2004 and 2004 % rows
+    else:
+        monkeypatch.setattr(spectrum, "_DELAY_BLOCK_BYTES", 16 * 100 * pad_delay * block_rows)
+    got = spectrum.joint_spectrum(mm, pad_az=4, pad_delay=pad_delay).magnitudes
+    assert np.array_equal(got, oracles.one_buffer_joint_spectrum(mm, 4, pad_delay))
+
+
+@pytest.mark.parametrize("pad_delay", [1, 2])
+def test_transform_holds_no_full_complex_buffer(pad_delay):
+    """Peak memory is the float map, the (n_az, K) azimuth array (with
+    pad_delay >= 2 it lies in the map's bytes) and one block of delay rows,
+    plus 64 KiB for small objects; a complex (n_az, n_delay) buffer alone
+    would be twice the map."""
+    mm = random_modes(250, 100)
+    spectrum.joint_spectrum(mm, pad_az=4, pad_delay=pad_delay)  # numpy's one-time setup
+    n_az, n_delay = 2004, 100 * pad_delay
+    rows = spectrum._DELAY_BLOCK_BYTES // (16 * n_delay)
+    map_bytes, az_bytes, block_bytes = 8 * n_az * n_delay, 16 * n_az * 100, 16 * rows * n_delay
+    small = 64 << 10
+    tracemalloc.start()
+    try:
+        spectrum.joint_spectrum(mm, pad_az=4, pad_delay=pad_delay)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= map_bytes + (az_bytes if pad_delay == 1 else 0) + block_bytes + small
 
 
 def test_find_peaks_with_expected_window():
