@@ -105,7 +105,14 @@ MAX_ARRAY_BYTES = 1 << 30
 bytes) or one frequency sample of the filter bank's Bessel table (8 (M_h+2) P
 bytes; P bounds the bank's columns) that resolve admits, checked before any
 is allocated; with auto modes outside the plain design, the table's bound at
-M_h = x_min is checked before the mode-limit search."""
+M_h = x_min is checked before the mode-limit search.
+
+A spectrum's 16 bytes a padded bin are what its writers hold: the 8-byte
+magnitude map and the 8-byte dB copy `JointSpectrum._magnitudes_db` makes of
+it for each writer while the map is alive (the heatmap's 8-bit image adds one
+byte a bin as it is cast).  `joint_spectrum` itself holds the map plus one
+delay row block of about 1 MiB (with pad_delay = 1, also the 16 n_az K byte
+complex azimuth array)."""
 
 
 def _resolved(t0: float, cfg: dict, resolved_cfg: dict, array: SensorArray,
@@ -133,6 +140,11 @@ def _resolved(t0: float, cfg: dict, resolved_cfg: dict, array: SensorArray,
         raise ConfigError("processing.snr_db must be null on ingest: a measured channel "
                           f"gets no added noise, got {proc.snr_db!r}")
 
+    if proc.modes != "auto":  # a malformed count is reported before the search runs
+        total = config.parse(config.integral, proc.modes,
+                             "processing.modes ('auto' or an integer)")
+        if total < 1:
+            raise ConfigError("modes must be positive")
     t = time.perf_counter()
     if proc.modes == "auto" and proc.design != "plain":
         # the robust denominators (the average design's too) put the limit
@@ -151,10 +163,6 @@ def _resolved(t0: float, cfg: dict, resolved_cfg: dict, array: SensorArray,
     if proc.modes == "auto":
         mh = limit
     else:
-        total = config.parse(config.integral, proc.modes,
-                             "processing.modes ('auto' or an integer)")
-        if total < 1:
-            raise ConfigError("modes must be positive")
         mh = total // 2  # symmetric range: requested total rounds up to odd
         if mh > limit and "force_modes" not in resolved_cfg:
             raise ValidationError(

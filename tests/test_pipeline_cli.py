@@ -1,6 +1,7 @@
 import argparse
 import copy
 import csv
+import gc
 import hashlib
 import itertools
 import json
@@ -1029,6 +1030,67 @@ class TestCli:
         err = self.assert_one_line_exit(tmp_path, capsys, ["run", "--allow-undersampled"],
                                         far_ring("plain"), 2, "validation error: ")
         assert err == "validation error: the search ran\n"
+
+    @pytest.mark.parametrize("modes,named", [("abc", "bad processing.modes"),
+                                             (0, "modes must be positive")],
+                             ids=["text", "zero"])
+    def test_bad_mode_count_exits_1_before_the_mode_search(self, tmp_path, capsys, monkeypatch,
+                                                            modes, named):
+        """An explicit count is read before the mode-limit search, which on
+        this far ring runs for seconds and then fails on its own."""
+        def searched(*args, **kwargs):
+            raise AssertionError("the mode-limit search ran")
+
+        def edit(cfg):
+            cfg["array"][0].update(semi_major_m=1702.0, eccentricity=0.0, sensors=720)
+            cfg["processing"].update(modes=modes)
+
+        monkeypatch.setattr(pipeline, "mode_limit", searched)
+        err = self.assert_one_line_exit(tmp_path, capsys, ["run"], edit, 1, "config error: ")
+        assert named in err
+
+    def test_process_entry_exits_as_main_returns(self, tmp_path, capsys):
+        """`python -m elliptic_doa.cli` runs `entry`: on success, a config
+        error and a validation failure it exits with main's code and prints
+        main's output, one stderr line on an error."""
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        cfg = small_scenario()
+        config.set_path(cfg, "grid.samples", 1e30)
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(cfg))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        out = ["--out-dir", str(tmp_path / "o")]
+        for argv, code in ((["presets"], 0), (["run", "--config", str(bad), *out], 1),
+                           (["run", "--config", str(big), *out], 2)):
+            assert cli.main(argv) == code
+            inproc = capsys.readouterr()
+            proc = subprocess.run([sys.executable, "-m", "elliptic_doa.cli", *argv], env=env,
+                                  cwd=tmp_path, capture_output=True, text=True)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (code, inproc.out, inproc.err)
+            assert len(proc.stderr.splitlines()) == (code != 0)
+        assert not (tmp_path / "o").exists()
+
+    def test_main_leaves_the_heap_unfrozen(self, capsys):
+        """main is the in-process API: only the process entry freezes."""
+        before = gc.get_freeze_count()
+        assert cli.main(["presets"]) == 0
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("argv,code", [
+        (["presets"], 0), (["run", "--preset", "no-such-preset"], 1),
+        (["--version"], 0), (["--no-such-flag"], 2),
+    ], ids=["presets", "unknown-preset", "version", "usage-error"])
+    def test_entry_freezes_the_heap_and_exits_with_mains_code(self, monkeypatch, capsys,
+                                                               argv, code):
+        """argparse's own exits (--version, a usage error) freeze the heap too."""
+        frozen = []
+        monkeypatch.setattr(gc, "freeze", lambda: frozen.append(True))
+        monkeypatch.setattr(sys, "argv", ["elliptic-doa", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert (exc.value.code, frozen) == (code, [True])
 
     @pytest.mark.parametrize("index", [-1, 256, 10**12])
     def test_out_of_range_channel_index_exits_2(self, tmp_path, capsys, index):
