@@ -109,10 +109,10 @@ M_h = x_min is checked before the mode-limit search.
 
 A spectrum's 16 bytes a padded bin are what its writers hold: the 8-byte
 magnitude map and the 8-byte dB copy `JointSpectrum._magnitudes_db` makes of
-it for each writer while the map is alive (the heatmap's 8-bit image adds one
-byte a bin as it is cast).  `joint_spectrum` itself holds the map plus one
-delay row block of about 1 MiB (with pad_delay = 1, also the 16 n_az K byte
-complex azimuth array)."""
+it for each writer while the map is alive (the heatmap writer casts that copy
+to 8 bits one row block of about 1 MiB at a time).  `joint_spectrum` itself
+holds the map plus one delay row block of about 1 MiB (with pad_delay = 1,
+also the 16 n_az K byte complex azimuth array)."""
 
 
 def _resolved(t0: float, cfg: dict, resolved_cfg: dict, array: SensorArray,
@@ -158,7 +158,11 @@ def _resolved(t0: float, cfg: dict, resolved_cfg: dict, array: SensorArray,
                                   "mode limit lies above x_min, so one frequency sample of the "
                                   "filter bank's Bessel table would exceed "
                                   f"MAX_ARRAY_BYTES = {MAX_ARRAY_BYTES}")
-    limit = mode_limit(array, grid, proc.mode_threshold, design=proc.design)
+    try:
+        limit = mode_limit(array, grid, proc.mode_threshold, design=proc.design)
+    except DomainError as exc:  # name the request the search was run for
+        raise ValidationError(f"processing.modes {proc.modes!r} with {array.total_sensors} "
+                              f"sensors: {exc}") from None
     _lap(stages, "mode_limit", t)
     if proc.modes == "auto":
         mh = limit

@@ -3,10 +3,9 @@
 Implements J_m(x) and J'_m(x) for the argument range the phase-mode filter
 banks need (x up to ~1e4, |m| up to ~1e3, guarded to 1e6) by two kernels:
 
-* the ascending power series for small arguments (x < 12 with m <= 40, and
-  any m for x < 1): one vectorized kernel over (order, argument) pairs,
-  which tables call for their x < 1 lanes and scalars read at one argument;
-* otherwise a normalized downward (Miller) recurrence started above the
+* the ascending power series for x < 1, single values and table lanes
+  alike: one vectorized kernel over (order, argument) pairs;
+* for x >= 1 a normalized downward (Miller) recurrence started above the
   turning point: a scalar loop for one value, a table kernel for many.
 
 Both run in compensated (double-double) arithmetic, which keeps the
@@ -43,8 +42,6 @@ from .errors import DomainError, NumericError
 
 ORDER_GUARD = 10**6
 
-_SERIES_X_CUT = 12.0
-_SERIES_M_CUT = 40
 _TINY_X_CUT = 1.0
 _SERIES_LANES = 32  # lanes per series pass: its work arrays stay a small part of a table
 _RESCALE_THRESHOLD = 2.0**830
@@ -170,7 +167,7 @@ def bessel_j(m: int, x: float) -> float:
     if m < 0:
         v = bessel_j(-m, x)
         return -v if m % 2 else v
-    if x < _TINY_X_CUT or (x < _SERIES_X_CUT and m <= _SERIES_M_CUT):
+    if x < _TINY_X_CUT:
         rows = _series_rows(m, np.array([x]))
         return float(rows[m, 0]) if m < len(rows) else 0.0
     return _miller_scalar(m, x)
@@ -180,9 +177,6 @@ def bessel_j_prime(m: int, x: float) -> float:
     """J'_m(x) by the exact identity (J_{m-1} - J_{m+1}) / 2; J'_0 is -J_1, bit-exactly."""
     _validate(m, x)
     m, x = int(m), float(x)
-    if m < 0:
-        v = bessel_j_prime(-m, x)
-        return -v if m % 2 else v
     if m == 0:
         return -bessel_j(1, x)
     return 0.5 * (bessel_j(m - 1, x) - bessel_j(m + 1, x))

@@ -40,7 +40,7 @@ DEFAULT_EXCLUSION_CELLS = (5, 5)
 TIE_RTOL = 1e-10  # two bins straddling an arrival's mirror axis differ by ~1e-12
 _RANKED_MAXIMA = 10  # local maxima a peak report lists, strongest first
 _PGM_FLOOR_DB = -35.0  # heatmap dynamic range below the peak
-_DELAY_BLOCK_BYTES = 1 << 20  # complex delay-transform rows joint_spectrum holds at once
+_ROW_BLOCK_BYTES = 1 << 20  # rows held at once: joint_spectrum's complex ones, export_pgm's 8-bit ones
 
 
 def joint_spectrum(modes: ModeMatrix, pad_az: int = 1, pad_delay: int = 1) -> "JointSpectrum":
@@ -48,7 +48,7 @@ def joint_spectrum(modes: ModeMatrix, pad_az: int = 1, pad_delay: int = 1) -> "J
 
     The azimuth transform runs in place on a zeroed contiguous (n_az, K)
     array holding the modes.  The delay transform (n_delay = K pad_delay
-    points) then runs in place over blocks of about _DELAY_BLOCK_BYTES of
+    points) then runs in place over blocks of about _ROW_BLOCK_BYTES of
     rows, each row's K azimuth bins followed by zeros, and np.abs writes
     each block straight into the float map.  With pad_delay >= 2 the
     azimuth array lies in the map's own bytes, its row q at or before map
@@ -69,7 +69,7 @@ def joint_spectrum(modes: ModeMatrix, pad_az: int = 1, pad_delay: int = 1) -> "J
     az[:] = 0.0
     az[modes.modes % n_az] = modes.values
     np.fft.fft(az, axis=0, out=az)
-    rows = max(1, _DELAY_BLOCK_BYTES // (16 * mags.shape[1]))
+    rows = max(1, _ROW_BLOCK_BYTES // (16 * mags.shape[1]))
     block = np.empty((min(rows, n_az), mags.shape[1]), dtype=complex)
     for q0 in reversed(range(0, n_az, rows)):
         part = block[:min(rows, n_az - q0)]
@@ -136,12 +136,12 @@ class JointSpectrum:
 
         Rows are azimuth bins ascending, columns delay bins ascending; the
         dynamic range clamps at -35 dB (_PGM_FLOOR_DB) below the peak, with
-        255 at the peak and 0 at or below the floor.
+        255 at the peak and 0 at or below the floor, cast one row block at a time.
         """
         img = self._magnitudes_db()  # scaled, clipped and rounded in place
         img /= _PGM_FLOOR_DB
         np.multiply(np.subtract(1.0, img, out=img), 255.0, out=img)
-        img = np.clip(img, 0.0, 255.0, out=img).round(out=img).astype(np.uint8)
+        np.clip(img, 0.0, 255.0, out=img).round(out=img)
         n_az, n_d = img.shape
         header = (f"P5\n# rows: azimuth bins 0..{n_az - 1}, step {360.0 / n_az:.10g} deg\n"
                   f"# cols: delay bins 0..{n_d - 1}, "
@@ -149,7 +149,8 @@ class JointSpectrum:
                   f"{n_d} {n_az}\n255\n")
         with open(path, "wb") as fh:
             fh.write(header.encode("ascii"))
-            fh.write(img.tobytes())
+            for block in np.array_split(img, -(-img.size // _ROW_BLOCK_BYTES)):
+                fh.write(block.astype(np.uint8))
 
 
 @dataclass(frozen=True)

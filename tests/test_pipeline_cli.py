@@ -1031,6 +1031,19 @@ class TestCli:
                                         far_ring("plain"), 2, "validation error: ")
         assert err == "validation error: the search ran\n"
 
+    def test_mode_search_past_the_guard_names_the_request(self, tmp_path, capsys, monkeypatch):
+        """An explicit count whose stability search passes the order guard
+        exits 2 naming the count, the sensors and x_min.  The guard is
+        lowered so that the search's first table (order 142 at x_min = 76.2)
+        is built and its doubled cap passes the guard."""
+        monkeypatch.setattr(beamform, "ORDER_GUARD", 200)
+        beamform._mode_limit_at.cache_clear()
+        err = self.assert_one_line_exit(
+            tmp_path, capsys, ["run"],
+            lambda cfg: cfg["processing"].update(modes=61, mode_threshold=1e-300),
+            2, "validation error: processing.modes 61 with 256 sensors: mode search at x_min=")
+        assert "passes the Bessel order guard 200 before threshold 1e-300 fails" in err
+
     @pytest.mark.parametrize("modes,named", [("abc", "bad processing.modes"),
                                              (0, "modes must be positive")],
                              ids=["text", "zero"])

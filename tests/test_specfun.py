@@ -98,6 +98,22 @@ def test_table_agrees_with_scalar_and_reference():
     assert np.all(np.abs(fast - tab) <= 1e-12 * env + 1e-300)
 
 
+def test_scalar_at_x_from_one_takes_the_miller_kernel(monkeypatch):
+    """A single value takes the kernel a compensated table's lane takes at
+    its x: for x >= 1, at the small orders too, that is Miller's."""
+    xs = np.linspace(1.0, 12.0, 12, endpoint=False)
+    tab = specfun.bessel_j_table(40, xs)
+
+    def series(*args):
+        raise AssertionError("the series kernel ran")
+
+    monkeypatch.setattr(specfun, "_series_rows", series)
+    for i, x in enumerate(xs):
+        for m in range(41):
+            assert specfun.bessel_j(m, float(x)) == pytest.approx(tab[m, i], rel=1e-13,
+                                                                   abs=1e-300)
+
+
 def test_plain_table_builds_in_one_table_sized_buffer():
     # the recurrences fill the returned array and normalize it in place (the
     # Miller one alone in the second case), and the series fills its lanes

@@ -113,10 +113,10 @@ def test_blocked_transform_equals_one_buffer(monkeypatch, pad_delay, block_rows)
     655, 327 or 218 rows); then one row per block and one block for all."""
     mm = random_modes(250, 100)
     if block_rows is None:
-        rows = spectrum._DELAY_BLOCK_BYTES // (16 * 100 * pad_delay)
+        rows = spectrum._ROW_BLOCK_BYTES // (16 * 100 * pad_delay)
         assert rows < 2004 and 2004 % rows
     else:
-        monkeypatch.setattr(spectrum, "_DELAY_BLOCK_BYTES", 16 * 100 * pad_delay * block_rows)
+        monkeypatch.setattr(spectrum, "_ROW_BLOCK_BYTES", 16 * 100 * pad_delay * block_rows)
     got = spectrum.joint_spectrum(mm, pad_az=4, pad_delay=pad_delay).magnitudes
     assert np.array_equal(got, oracles.one_buffer_joint_spectrum(mm, 4, pad_delay))
 
@@ -130,7 +130,7 @@ def test_transform_holds_no_full_complex_buffer(pad_delay):
     mm = random_modes(250, 100)
     spectrum.joint_spectrum(mm, pad_az=4, pad_delay=pad_delay)  # numpy's one-time setup
     n_az, n_delay = 2004, 100 * pad_delay
-    rows = spectrum._DELAY_BLOCK_BYTES // (16 * n_delay)
+    rows = spectrum._ROW_BLOCK_BYTES // (16 * n_delay)
     map_bytes, az_bytes, block_bytes = 8 * n_az * n_delay, 16 * n_az * 100, 16 * rows * n_delay
     small = 64 << 10
     tracemalloc.start()
@@ -335,6 +335,27 @@ def test_exports_match_reference_writers(tmp_path, pad_delay):
     assert blob == (tmp_path / "text.csv").read_bytes()
     assert b",-400\n" in blob and b",0\n" in blob and b"e-0" in blob and b"\r" not in blob
     sp.export_pgm(tmp_path / "heatmap.pgm")
+    pixels = (tmp_path / "heatmap.pgm").read_bytes().split(b"255\n", 1)[1]
+    assert pixels == oracles.pgm_pixels(sp).tobytes()
+
+
+def test_heatmap_writer_holds_the_db_copy_and_one_block(tmp_path):
+    """Above the map, writing the heatmap holds its 8-byte dB copy and one
+    block of 8-bit rows, plus 64 KiB for small objects; an 8-bit image of
+    the whole map would add one byte a bin.  Its 1.5M bins take two blocks
+    of 750 rows, which write the reference writer's pixels."""
+    n_az, n_d = 1500, 1000
+    sp = spectrum.JointSpectrum(magnitudes=np.random.default_rng(5).random((n_az, n_d)) ** 4,
+                                pad_az=1, pad_delay=1, grid=GRID)
+    assert spectrum._ROW_BLOCK_BYTES < n_az * n_d < 2 * spectrum._ROW_BLOCK_BYTES
+    sp.export_pgm(tmp_path / "heatmap.pgm")  # numpy's one-time setup
+    tracemalloc.start()
+    try:
+        sp.export_pgm(tmp_path / "heatmap.pgm")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n_az * n_d + n_az // 2 * n_d + (64 << 10)
     pixels = (tmp_path / "heatmap.pgm").read_bytes().split(b"255\n", 1)[1]
     assert pixels == oracles.pgm_pixels(sp).tobytes()
 
