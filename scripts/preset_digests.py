@@ -13,11 +13,14 @@ to a value other than its default, so each field of the manifest's
 processing section is pinned.  Then comes the sweep.csv digest of a
 noiseless two-row fig4a sweep at azimuths -45, 0, 45 and 90: its e = 0 rows
 at +-45 degrees are exact half-bin ties, so the tie rule decides both their
-anchored and their global peaks.  Last come the four digests of fig12 with
+anchored and their global peaks.  Then come the four digests of fig12 with
 its one ring rotated by 90 degrees, a lone rotated folded ring, whose bank
 radii and phase tables come from its shape at rotation 0, and the four of
 fig3 with its ring rotated by 30 degrees, a rotated folded circle, whose
-FFT modes take their rotation from e^{jm alpha} alone.  Two commits
+FFT modes take their rotation from e^{jm alpha} alone.  Last come
+the four digests of fig13 in the average design: its two rings are rotated
+copies of one ellipse, so they share one folded shape group and one weight
+column.  Two commits
 produce the same numbers exactly when their outputs diff empty:
 
     PYTHONPATH=src python scripts/preset_digests.py > a.txt
@@ -113,8 +116,7 @@ def processing_argv(tmp: Path) -> list:
     defaults = {f.name: f.default for f in fields(pipeline.Processing)}
     assert defaults.keys() == cfg["processing"].keys()
     assert all(value != defaults[key] for key, value in cfg["processing"].items())
-    (tmp / "processing-run.json").write_text(json.dumps(cfg))
-    return ["run", "--config", str(tmp / "processing-run.json")]
+    return run_argv(tmp, "processing", cfg)
 
 
 def rotated_argv(tmp: Path, preset: str, degrees: float) -> list:
@@ -122,7 +124,19 @@ def rotated_argv(tmp: Path, preset: str, degrees: float) -> list:
     cfg = get_preset(preset)
     (ring,) = cfg["array"]
     ring["rotation_deg"] = degrees
-    path = tmp / f"{preset}-rotated-run.json"
+    return run_argv(tmp, f"{preset}-rotated", cfg)
+
+
+def average_argv(tmp: Path, preset: str) -> list:
+    """`run` arguments for a preset in the average design."""
+    cfg = get_preset(preset)
+    cfg["processing"]["design"] = "average"
+    return run_argv(tmp, f"{preset}-average", cfg)
+
+
+def run_argv(tmp: Path, label: str, cfg: dict) -> list:
+    """`run` arguments for a scenario document, written to tmp."""
+    path = tmp / f"{label}-run.json"
     path.write_text(json.dumps(cfg))
     return ["run", "--config", str(path)]
 
@@ -177,6 +191,7 @@ def main(argv=None):
                      sweep_digests))
         runs.append(("fig12-rot90", rotated_argv(Path(tmp), "fig12", 90.0), digests))
         runs.append(("fig3-rot30", rotated_argv(Path(tmp), "fig3", 30.0), digests))
+        runs.append(("fig13-average", average_argv(Path(tmp), "fig13"), digests))
         for label, argv, digest_of in runs:
             out = Path(tmp) / label
             with contextlib.redirect_stdout(io.StringIO()):

@@ -200,13 +200,13 @@ class FilterBank:
 
     All rings share one radius vector, `radii`, and `ring_columns[i]` lists
     the columns of ring i's representatives, in representative order.  A
-    folded ring (see `folded`) has representatives r = 0..P/4, each standing
-    for its quadrant mirrors P/2 - r, P/2 + r and P - r, with radii from its
-    shape at rotation 0, so rotated copies of one ellipse share all their
-    columns; a folded circle has one representative, its semi-major axis,
-    and so does an average-design ring, at (a + b)/2.  Without reduction
-    every sensor is its own representative.  Bitwise-equal radii share a
-    column, within a ring and across rings.  Weights are
+    folded ring (reduction "symmetric") has representatives r = 0..P/4, each
+    standing for its quadrant mirrors P/2 - r, P/2 + r and P - r, with radii
+    from its shape at rotation 0, so rotated copies of one ellipse share all
+    their columns; a folded circle has one representative, its semi-major
+    axis, and an average-design ring, folded or not, one column at (a + b)/2.
+    Without reduction every sensor is its own representative.  Bitwise-equal
+    radii share a column, within a ring and across rings.  Weights are
     evaluated per frequency sample over the columns, non-negative modes
     only; `unique_eval_count` reports how many (mode, column) filter
     evaluations per sample the representation implies, which is the
@@ -232,11 +232,6 @@ class FilterBank:
         return int(modes * self.radii.size)
 
     @property
-    def folded(self) -> bool:
-        """True when the expansion folds each ring's quadrant mirrors."""
-        return self.reduction == "symmetric" and self.design != "average"
-
-    @property
     def dense_weight_count(self) -> int:
         return int(self.mode_count * self.array.total_sensors)
 
@@ -254,8 +249,8 @@ class FilterBank:
         """W j^m at sample k from its (mode_half + 2, U) table slice: num (J -
         jJ') / (J^2 + J'^2) by real arithmetic (J' = 0 in the plain design),
         written into `out`, complex (mode_half + 1, U), with `den`, float
-        (mode_half + 2, U), as work space.  J^2 + J'^2 below
-        DENOMINATOR_FLOOR^2 is an InstabilityError naming m, p, ring and f."""
+        (mode_half + 2, U), as work space.  J^2 + J'^2 below DENOMINATOR_FLOOR^2
+        is an InstabilityError naming m, p (0..P-1 on a one-column ring), ring and f."""
         np.copyto(den, jk)  # one pass over the (strided) table slice
         j, im = den[:-1], out.imag
         if self.design == "plain":
@@ -268,8 +263,9 @@ class FilterBank:
         j += np.multiply(im, im, out=out.real)
         if j.min() < DENOMINATOR_FLOOR ** 2:
             m_bad, u_bad = np.unravel_index(int(j.argmin()), j.shape)
-            ring, p_bad = next((i, list(cols).index(u_bad))
-                               for i, cols in enumerate(self.ring_columns) if u_bad in cols)
+            ring, cols = next((i, list(c)) for i, c in enumerate(self.ring_columns) if u_bad in c)
+            p_bad = (cols.index(u_bad) if len(cols) > 1  # else one column stands for every sensor
+                     else f"0..{len(self.array.ring_xy(ring)) - 1}")
             raise InstabilityError(
                 f"filter denominator {math.sqrt(j.min()):.3e} below floor {DENOMINATOR_FLOOR:.1e}"
                 f" at m={int(m_bad)}, p={p_bad} (ring {ring}), f={self.grid.frequencies[k]} Hz")
@@ -289,26 +285,23 @@ def build_bank(array: SensorArray, grid: FrequencyGrid, design: str = "robust",
                mode_half: int = 0, reduction: str = "none") -> FilterBank:
     """Construct the filter bank for an array over a frequency grid.
 
-    reduction="symmetric" shares each ring's quadrant mirrors; it needs
-    sigma = 0 and P divisible by 4 on every ring, whatever the design, and
-    is rejected otherwise.  "auto" takes it where that holds and the design
-    is not "average", else "none"; the bank's `reduction` records the choice.
-    A folded ring's radii come from its shape at rotation 0 (see FilterBank).
-    The "average" design needs ellipse parameters (it evaluates at (a+b)/2).
+    reduction="auto" folds each ring's quadrant mirrors exactly when the
+    geometry allows it, in every design: every ring has ellipse parameters,
+    sigma = 0 and P divisible by 4.  The bank's `reduction` records the
+    choice, "symmetric" or "none"; "none" never folds.  A folded ring's
+    radii come from its shape at rotation 0 (see FilterBank).  The "average"
+    design needs ellipse parameters (it evaluates at (a+b)/2).
     """
     if design not in DESIGNS:
         raise DomainError(f"unknown filter design {design!r}")
-    if reduction not in ("auto", "none", "symmetric"):
+    if reduction not in ("auto", "none"):
         raise DomainError(f"unknown reduction {reduction!r}")
     if mode_half < 0:
         raise DomainError(f"mode_half must be >= 0, got {mode_half}")
     specs = [array.ring_spec(ring) for ring in range(array.ring_count)]
-    clean = all(s is not None and s.sigma_m == 0.0 and s.sensors % 4 == 0 for s in specs)
     if reduction == "auto":
-        reduction = "symmetric" if clean and design != "average" else "none"
-    elif reduction == "symmetric" and not clean:
-        raise ValidationError("symmetric reduction requires exact (sigma = 0) placement "
-                              "and P divisible by 4 on every ring")
+        clean = all(s is not None and s.sigma_m == 0.0 and s.sensors % 4 == 0 for s in specs)
+        reduction = "symmetric" if clean else "none"
     reps = []  # per ring: its representatives' radii
     for ring, spec in enumerate(specs):
         if design == "average":
@@ -341,15 +334,15 @@ class _ShapeTerms:
     weights_from_jtable), so the exact j^-m rides in the phase tables, or
     on a folded circle, which has none, in its one weight column.
 
-    Folded rings (FilterBank.folded) group by shape (semi-major axis,
-    eccentricity, sensor count) and take r = 0..P/4 of the shape at rotation
-    0, whose mirrors P/2 - r, P/2 + r and P - r sit at pi - theta_r,
-    pi + theta_r and -theta_r; ring g of the group is the shape turned by its
-    alpha_g.  A folded circle (eccentricity 0) has one weight column and its
-    sensors at theta_p = 2 pi p / P, so its fold is a DFT over all P sensors
-    and it needs no phase tables.  Any other ring is a group of its own and
-    its own fold: r = p, theta_r = phi_p, alpha = 0, B = 0; an average-design
-    ring's one weight column broadcasts over its sensors.
+    The rings of a folded bank (reduction "symmetric") group by shape
+    (semi-major axis, eccentricity, sensor count) and take r = 0..P/4 of
+    the shape at rotation 0, whose mirrors P/2 - r, P/2 + r and P - r sit at
+    pi - theta_r, pi + theta_r and -theta_r; ring g of the group is the shape
+    turned by its alpha_g.  A folded circle (eccentricity 0) has one weight
+    column and its sensors at theta_p = 2 pi p / P, so its fold is a DFT over
+    all P sensors and it needs no phase tables.  An unfolded ring is a group
+    and a fold of its own: r = p, theta_r = phi_p, alpha = 0, B = 0.  An
+    average-design ring's one weight column broadcasts over its representatives.
     """
 
     def __init__(self, channel: ChannelMatrix, bank: FilterBank, rings: Sequence[int]):
@@ -359,7 +352,7 @@ class _ShapeTerms:
         p, _, self.points = self.data[0].shape
         self.orders = np.arange(bank.mode_half + 1)
         self.turn = (-1j) ** (self.orders % 4)[:, None]  # j^-m, exactly
-        self.folded = bank.folded
+        self.folded = bank.reduction == "symmetric"
         columns = bank.ring_columns[self.rings[0]]
         for step in (1, -1):
             # a circle's or an average ring's one column, an unshared ring's
@@ -515,7 +508,8 @@ def _expand(channel: ChannelMatrix, bank: FilterBank, rings: Sequence[int],
     groups = {}
     for ring in rings:  # folded rings group by shape, any other ring is its own group
         spec = channel.array.ring_spec(ring)
-        key = (spec.semi_major_m, spec.eccentricity, spec.sensors) if bank.folded else ring
+        key = (spec.semi_major_m, spec.eccentricity, spec.sensors) if (
+            bank.reduction == "symmetric") else ring
         groups.setdefault(key, []).append(ring)
     terms = [_ShapeTerms(channel, bank, members) for members in groups.values()]
     # each ring's group, and the columns of its points in the group's products

@@ -145,6 +145,8 @@ def _resolved(t0: float, cfg: dict, resolved_cfg: dict, array: SensorArray,
                              "processing.modes ('auto' or an integer)")
         if total < 1:
             raise ConfigError("modes must be positive")
+    if not proc.mode_threshold > 0.0:  # NaN too; refused before the search that reads it
+        raise DomainError(f"processing.mode_threshold must be positive, got {proc.mode_threshold}")
     t = time.perf_counter()
     if proc.modes == "auto" and proc.design != "plain":
         # the robust denominators (the average design's too) put the limit

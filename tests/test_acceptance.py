@@ -216,7 +216,7 @@ def test_criterion_08_symmetry_reduction_equivalence():
         semi_major_m=0.5, eccentricity=0.7, sensors=720)])
     grid = channel.FrequencyGrid(f_start_hz=28e9, bandwidth_hz=2e9, samples=100)
     full = beamform.build_bank(arr, grid, mode_half=125, reduction="none")
-    red = beamform.build_bank(arr, grid, mode_half=125, reduction="symmetric")
+    red = beamform.build_bank(arr, grid, mode_half=125, reduction="auto")
     worst = 0.0
     for k in range(grid.samples):
         a = oracles.bank_weights_at(full, k)[:, oracles.sensor_columns(full, 0)]
@@ -304,7 +304,7 @@ def test_criterion_11_brute_force_equivalence():
     wave = channel.IncidentWave(azimuth_deg=72.5, delay_s=6e-9)
     ch = channel.superpose([wave], arr, grid)
     bank = beamform.build_bank(arr, grid, design="robust", mode_half=7,
-                               reduction="symmetric")
+                               reduction="auto")
     modes = beamform.expand_array(ch, bank)
     fast = spectrum.joint_spectrum(modes, pad_az=1, pad_delay=1).magnitudes
 

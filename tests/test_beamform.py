@@ -192,21 +192,10 @@ class TestMakeFilter:
 
 
 class TestBank:
-    def test_symmetric_requires_clean_and_divisible(self):
-        grid = small_grid()
-        noisy = make_array(sensors=720, sigma=1e-3, seed=1)
-        odd = make_array(sensors=30)
-        for design in beamform.DESIGNS:
-            with pytest.raises(ValidationError):
-                beamform.build_bank(noisy, grid, design=design, mode_half=4,
-                                    reduction="symmetric")
-            with pytest.raises(ValidationError):
-                beamform.build_bank(odd, grid, design=design, mode_half=4,
-                                    reduction="symmetric")
-
     def test_auto_folds_exactly_where_every_ring_allows(self):
         """The "auto" reduction folds when every ring has ellipse parameters,
-        sigma = 0 and P divisible by 4, and the design is not "average"."""
+        sigma = 0 and P divisible by 4, in every design; "none" and "auto"
+        are the only requests."""
         grid = small_grid(samples=2)
         clean = geometry.EllipseSpec(semi_major_m=0.15, eccentricity=0.7, sensors=36)
         perturbed = geometry.EllipseSpec(semi_major_m=0.2, sensors=36, sigma_m=1e-4, seed=1)
@@ -216,29 +205,32 @@ class TestBank:
             bank = beamform.build_bank(arr, grid, design=design, mode_half=4, reduction="auto")
             return bank.reduction
 
-        assert auto(geometry.build_concentric([clean])) == "symmetric"
-        assert auto(geometry.build_concentric([clean, perturbed])) == "none"
-        assert auto(make_array(sensors=30)) == "none"
-        assert auto(spec_less) == "none"
-        assert auto(geometry.build_concentric([clean]), design="average") == "none"
-        with pytest.raises(DomainError):
-            beamform.build_bank(spec_less, grid, reduction="folded")
+        for design in beamform.DESIGNS:
+            assert auto(geometry.build_concentric([clean]), design) == "symmetric"
+            assert auto(geometry.build_concentric([clean, perturbed]), design) == "none"
+            assert auto(make_array(sensors=30), design) == "none"
+        assert auto(spec_less) == "none"  # the average design needs ellipse parameters
+        for reduction in ("folded", "symmetric"):
+            with pytest.raises(DomainError, match="unknown reduction"):
+                beamform.build_bank(geometry.build_concentric([clean]), grid, reduction=reduction)
 
     def test_auto_bank_of_fig7_cea_is_the_symmetric_bank(self):
+        """fig7-cea's eight rotated copies of one ellipse share the P/4 + 1
+        columns of its shape's quadrant, and its circle, of the same
+        semi-major axis, the first of them (r = 0 sits on that axis)."""
         sc = pipeline.resolve(presets.get_preset("fig7-cea"))
-        auto, symmetric = (beamform.build_bank(sc.array, sc.grid, reduction=reduction,
-                                               mode_half=sc.processing.mode_half)
-                           for reduction in ("auto", "symmetric"))
-        assert auto.reduction == "symmetric" and auto.folded
-        assert np.array_equal(auto.radii, symmetric.radii)
-        assert [c.tolist() for c in auto.ring_columns] == [
-            c.tolist() for c in symmetric.ring_columns]
+        bank = beamform.build_bank(sc.array, sc.grid, reduction="auto",
+                                   mode_half=sc.processing.mode_half)
+        cols = bank.ring_columns
+        assert bank.reduction == "symmetric" and bank.radii.size == 720 // 4 + 1
+        assert all(np.array_equal(c, cols[0]) for c in cols[:8])
+        assert cols[8].tolist() == [cols[0][0]]
 
     def test_reduction_counts(self):
         grid = small_grid()
         arr = make_array(ecc=0.7)
         full = beamform.build_bank(arr, grid, mode_half=125, reduction="none")
-        red = beamform.build_bank(arr, grid, mode_half=125, reduction="symmetric")
+        red = beamform.build_bank(arr, grid, mode_half=125, reduction="auto")
         assert full.unique_eval_count == 251 * 720
         assert red.unique_eval_count == 126 * 181
         combined = full.unique_eval_count / red.unique_eval_count
@@ -250,7 +242,7 @@ class TestBank:
         grid = small_grid(samples=4)
         arr = make_array(ecc=0.7, sensors=48, alpha=30.0)
         full = beamform.build_bank(arr, grid, mode_half=20, reduction="none")
-        red = beamform.build_bank(arr, grid, mode_half=20, reduction="symmetric")
+        red = beamform.build_bank(arr, grid, mode_half=20, reduction="auto")
         for k in range(4):
             a = oracles.bank_dense_weights(full, 0, k)
             b = oracles.bank_dense_weights(red, 0, k)
@@ -259,7 +251,7 @@ class TestBank:
     def test_bitwise_sharing_where_radii_identical(self):
         grid = small_grid(samples=2)
         arr = make_array(sensors=48)
-        red = beamform.build_bank(arr, grid, mode_half=6, reduction="symmetric")
+        red = beamform.build_bank(arr, grid, mode_half=6, reduction="auto")
         full = beamform.build_bank(arr, grid, mode_half=6, reduction="none")
         radii = arr.ring_radii(0)
         rep = oracles.sensor_columns(red, 0)
@@ -272,7 +264,7 @@ class TestBank:
     def test_circle_bank_collapses(self):
         grid = small_grid(samples=2)
         arr = make_array(sensors=720)
-        red = beamform.build_bank(arr, grid, mode_half=8, reduction="symmetric")
+        red = beamform.build_bank(arr, grid, mode_half=8, reduction="auto")
         # every representative takes the semi-major axis, not its hypot radius
         assert red.radii.tolist() == [arr.ring_spec(0).semi_major_m]
         assert red.ring_columns[0].tolist() == [0]
@@ -284,7 +276,7 @@ class TestBank:
         circle = geometry.EllipseSpec(semi_major_m=0.15, sensors=36)
         arr = geometry.build_concentric([ellipse, copy, circle])
         grid = small_grid(samples=2)
-        bank = beamform.build_bank(arr, grid, mode_half=4, reduction="symmetric")
+        bank = beamform.build_bank(arr, grid, mode_half=4, reduction="auto")
         cols = bank.ring_columns
         assert [c.size for c in cols] == [36 // 4 + 1, 36 // 4 + 1, 1]
         assert np.array_equal(cols[1], cols[0])
@@ -341,11 +333,32 @@ class TestBank:
         with pytest.raises(InstabilityError, match=where):
             beamform.expand_array(ch, bank)
 
+    @pytest.mark.parametrize("ecc,design,reduction,where", [
+        (0.0, "robust", "auto", r"p=0\.\.23 \(ring 0\)"),
+        (0.5, "average", "auto", r"p=0\.\.23 \(ring 0\)"),
+        (0.5, "average", "none", r"p=0\.\.23 \(ring 0\)"),
+        (0.5, "robust", "auto", r"p=[0-6] \(ring 0\)"),
+        (0.5, "robust", "none", r"p=([0-9]|1[0-9]|2[0-3]) \(ring 0\)"),
+    ], ids=["folded-circle", "folded-average", "unfolded-average", "folded-ellipse",
+            "unfolded-ellipse"])
+    def test_instability_error_on_one_column_ring_names_every_sensor(
+            self, monkeypatch, ecc, design, reduction, where):
+        """A floor above every denominator fails at the smallest; the column
+        of a folded circle or of an average-design ring stands for all P
+        sensors of its ring, and any other column for one representative."""
+        arr = make_array(a=0.15, ecc=ecc, sensors=24)
+        grid = small_grid(samples=2)
+        bank = beamform.build_bank(arr, grid, design=design, mode_half=4, reduction=reduction)
+        ch = channel.superpose([channel.IncidentWave(azimuth_deg=10.0, delay_s=1e-9)], arr, grid)
+        monkeypatch.setattr(beamform, "DENOMINATOR_FLOOR", 1e3)
+        with pytest.raises(InstabilityError, match=r"at m=\d+, %s, f=" % where):
+            beamform.expand_array(ch, bank)
+
     def test_mode_limit_keeps_bank_stable(self):
         arr = make_array(ecc=0.7, sensors=128)
         grid = small_grid(samples=12)
         mh = beamform.mode_limit(arr, grid, 1e-6)
-        bank = beamform.build_bank(arr, grid, mode_half=mh, reduction="symmetric")
+        bank = beamform.build_bank(arr, grid, mode_half=mh, reduction="auto")
         for k in range(grid.samples):
             oracles.bank_weights_at(bank, k)  # must not raise
 
@@ -366,15 +379,15 @@ class TestWeightKernel:
 
     @pytest.mark.parametrize("design", ["robust", "plain"])
     @pytest.mark.parametrize("ecc,sensors,reduction,sigma", [
-        pytest.param(0.7, 36, "symmetric", 0.0, id="folded-ellipse"),
-        pytest.param(0.0, 36, "symmetric", 0.0, id="folded-circle"),
+        pytest.param(0.7, 36, "auto", 0.0, id="folded-ellipse"),
+        pytest.param(0.0, 36, "auto", 0.0, id="folded-circle"),
         pytest.param(0.5, 30, "none", 1e-3, id="perturbed-unreduced"),
     ])
     def test_matches_make_filter(self, ecc, sensors, reduction, sigma, design):
         self.assert_matches(make_array(a=0.15, ecc=ecc, sensors=sensors, sigma=sigma, seed=3),
                             design, reduction)
 
-    @pytest.mark.parametrize("reduction", ["none", "symmetric"])
+    @pytest.mark.parametrize("reduction", ["none", pytest.param("auto", id="symmetric")])
     def test_average_design_matches_make_filter(self, reduction):
         self.assert_matches(make_array(a=0.15, ecc=0.5, sensors=24), "average", reduction)
 
@@ -451,7 +464,7 @@ class TestExpansion:
         wave = channel.IncidentWave(azimuth_deg=37.0, delay_s=12e-9)
         ch = channel.superpose([wave], arr, grid)
         bank = beamform.build_bank(arr, grid, design="plain", mode_half=125,
-                                   reduction="symmetric")
+                                   reduction="auto")
         modes = beamform.expand_array(ch, bank)
         h0 = channel.wave_response_center(wave, grid)
         phi_l = math.radians(37.0)
@@ -468,7 +481,7 @@ class TestExpansion:
         wave = channel.IncidentWave(azimuth_deg=0.0, delay_s=0.0)
         ch = channel.superpose([wave], arr, grid)
         bank = beamform.build_bank(arr, grid, design="robust", mode_half=60,
-                                   reduction="symmetric")
+                                   reduction="auto")
         modes = beamform.expand_array(ch, bank)
         r = float(np.mean(arr.ring_radii(0)))
         for mi, m in enumerate(range(-60, 61)):
@@ -485,7 +498,7 @@ class TestExpansion:
         wave = channel.IncidentWave(azimuth_deg=72.5, delay_s=3e-9)
         ch = channel.superpose([wave], arr, grid)
         bank = beamform.build_bank(arr, grid, design="robust", mode_half=6,
-                                   reduction="symmetric")
+                                   reduction="auto")
         got = beamform.phase_mode_expand(ch, 0, bank).values
         want = oracles.brute_phase_mode(
             ch.values, arr.ring_azimuths(0), arr.ring_radii(0),
@@ -573,23 +586,24 @@ class TestFoldedExpansion:
     """The representative kernel against the literal per-sensor sum."""
 
     @pytest.mark.parametrize("ecc,alpha,sensors,mode_half,reduction,design,sigma", [
-        pytest.param(0.9, 0.0, 40, 8, "symmetric", "robust", 0.0, id="ellipse-rot0"),
-        pytest.param(0.7, 37.0, 36, 6, "symmetric", "robust", 0.0, id="ellipse-rot37"),
-        pytest.param(0.5, 200.0, 32, 7, "symmetric", "robust", 0.0, id="ellipse-rot200"),
+        pytest.param(0.9, 0.0, 40, 8, "auto", "robust", 0.0, id="ellipse-rot0"),
+        pytest.param(0.7, 37.0, 36, 6, "auto", "robust", 0.0, id="ellipse-rot37"),
+        pytest.param(0.5, 200.0, 32, 7, "auto", "robust", 0.0, id="ellipse-rot200"),
         # |W| reaches ~2e5 at m = 24 here: the phase regime dominates
-        pytest.param(0.0, 0.0, 64, 24, "symmetric", "robust", 0.0, id="circle"),
-        pytest.param(0.0, 37.0, 36, 6, "symmetric", "robust", 0.0, id="circle-rot37"),
+        pytest.param(0.0, 0.0, 64, 24, "auto", "robust", 0.0, id="circle"),
+        pytest.param(0.0, 37.0, 36, 6, "auto", "robust", 0.0, id="circle-rot37"),
         # modes past P/2 read FFT bins on both sides of P/2, past P a second block
-        pytest.param(0.0, 0.0, 16, 12, "symmetric", "robust", 0.0, id="circle-wrapped-bins"),
-        pytest.param(0.0, 20.0, 8, 10, "symmetric", "robust", 0.0, id="circle-modes-past-p"),
-        pytest.param(0.0, 0.0, 32, 7, "symmetric", "plain", 0.0, id="circle-plain"),
+        pytest.param(0.0, 0.0, 16, 12, "auto", "robust", 0.0, id="circle-wrapped-bins"),
+        pytest.param(0.0, 20.0, 8, 10, "auto", "robust", 0.0, id="circle-modes-past-p"),
+        pytest.param(0.0, 0.0, 32, 7, "auto", "plain", 0.0, id="circle-plain"),
         # the r = 0 and r = P/4 orbits have two members each
-        pytest.param(0.6, 0.0, 4, 1, "symmetric", "robust", 0.0, id="p4"),
-        pytest.param(0.6, 10.0, 8, 3, "symmetric", "robust", 0.0, id="p8"),
+        pytest.param(0.6, 0.0, 4, 1, "auto", "robust", 0.0, id="p4"),
+        pytest.param(0.6, 10.0, 8, 3, "auto", "robust", 0.0, id="p8"),
         pytest.param(0.5, 0.0, 30, 6, "none", "robust", 1e-3, id="perturbed-unreduced"),
-        pytest.param(0.5, 45.0, 24, 5, "symmetric", "plain", 0.0, id="plain"),
+        pytest.param(0.5, 45.0, 24, 5, "auto", "plain", 0.0, id="plain"),
         pytest.param(0.5, 0.0, 24, 5, "none", "average", 0.0, id="average"),
-        pytest.param(0.5, 0.0, 24, 5, "symmetric", "average", 0.0, id="average-symmetric"),
+        pytest.param(0.5, 0.0, 24, 5, "auto", "average", 0.0, id="average-symmetric"),
+        pytest.param(0.0, 37.0, 32, 6, "auto", "average", 0.0, id="average-circle"),
     ])
     def test_matches_literal(self, ecc, alpha, sensors, mode_half, reduction, design, sigma):
         arr = make_array(a=0.15, ecc=ecc, sensors=sensors, alpha=alpha, sigma=sigma, seed=3)
@@ -598,12 +612,34 @@ class TestFoldedExpansion:
         ch = channel.superpose([wave], arr, grid)
         bank = beamform.build_bank(arr, grid, design=design, mode_half=mode_half,
                                    reduction=reduction)
-        assert bank.folded == (reduction == "symmetric" and design != "average")
+        assert bank.reduction == ("symmetric" if reduction == "auto" else "none")
         got = beamform.phase_mode_expand(ch, 0, bank).values
         want = oracles.brute_phase_mode(
             ch.values, arr.ring_azimuths(0), literal_radii(arr, 0, design),
             grid.frequencies, mode_half=mode_half,
             design="plain" if design == "plain" else "robust")
+        assert np.abs(got - want).max() <= literal_tolerance(want, arr, ch, bank)
+
+    def test_average_rotated_copies_fold_as_one_shape(self, monkeypatch):
+        """Average-design rings fold as the robust design's do: rotated
+        copies of one ellipse share one shape group and one weight column."""
+        arr = geometry.build_concentric([geometry.EllipseSpec(
+            semi_major_m=0.15, eccentricity=0.5, rotation_deg=alpha, sensors=24)
+            for alpha in (0.0, 37.0)])
+        grid = small_grid(samples=3, f_start=4e9, bw=1e9)
+        ch = channel.superpose([channel.IncidentWave(azimuth_deg=72.5, delay_s=3e-9)], arr, grid)
+        bank = beamform.build_bank(arr, grid, design="average", mode_half=6, reduction="auto")
+        assert bank.reduction == "symmetric" and bank.radii.size == 1
+        groups = []
+        init = beamform._ShapeTerms.__init__
+        monkeypatch.setattr(beamform._ShapeTerms, "__init__",
+                            lambda self, c, b, rings: groups.append(list(rings)) or init(
+                                self, c, b, rings))
+        got = beamform.expand_array(ch, bank).values
+        assert groups == [[0, 1]]
+        want = np.mean([oracles.brute_phase_mode(
+            ch.ring_rows(i), arr.ring_azimuths(i), literal_radii(arr, i, "average"),
+            grid.frequencies, mode_half=6) for i in range(arr.ring_count)], axis=0)
         assert np.abs(got - want).max() <= literal_tolerance(want, arr, ch, bank)
 
     def test_three_rings_match_mean_of_literals(self):
@@ -616,7 +652,7 @@ class TestFoldedExpansion:
         grid = small_grid(samples=3, f_start=4e9, bw=1e9)
         wave = channel.IncidentWave(azimuth_deg=-40.0, delay_s=2e-9)
         ch = channel.superpose([wave], arr, grid)
-        bank = beamform.build_bank(arr, grid, mode_half=5, reduction="symmetric")
+        bank = beamform.build_bank(arr, grid, mode_half=5, reduction="auto")
         got = beamform.expand_array(ch, bank).values
         want = np.mean([oracles.brute_phase_mode(
             ch.ring_rows(i), arr.ring_azimuths(i), arr.ring_radii(i),
@@ -636,17 +672,19 @@ class TestBatchedExpansion:
         return stack, [channel.ChannelMatrix(array=arr, grid=grid, values=v) for v in points]
 
     @pytest.mark.parametrize("ecc,alpha,sensors,reduction,design,sigma", [
-        pytest.param(0.7, 37.0, 36, "symmetric", "robust", 0.0, id="folded-ellipse"),
-        pytest.param(0.0, 0.0, 64, "symmetric", "robust", 0.0, id="circle"),
-        pytest.param(0.0, 37.0, 36, "symmetric", "robust", 0.0, id="circle-rot37"),
+        pytest.param(0.7, 37.0, 36, "auto", "robust", 0.0, id="folded-ellipse"),
+        pytest.param(0.0, 0.0, 64, "auto", "robust", 0.0, id="circle"),
+        pytest.param(0.0, 37.0, 36, "auto", "robust", 0.0, id="circle-rot37"),
         pytest.param(0.5, 0.0, 30, "none", "robust", 1e-3, id="perturbed-unreduced"),
         pytest.param(0.5, 0.0, 24, "none", "average", 0.0, id="average"),
-        pytest.param(0.5, 0.0, 24, "symmetric", "average", 0.0, id="average-symmetric"),
+        pytest.param(0.5, 0.0, 24, "auto", "average", 0.0, id="average-symmetric"),
+        pytest.param(0.0, 37.0, 36, "auto", "average", 0.0, id="average-circle"),
     ])
     def test_stack_equals_single_points(self, ecc, alpha, sensors, reduction, design, sigma):
         arr = make_array(a=0.15, ecc=ecc, sensors=sensors, alpha=alpha, sigma=sigma, seed=3)
         grid = small_grid(samples=3, f_start=4e9, bw=1e9)
         bank = beamform.build_bank(arr, grid, design=design, mode_half=6, reduction=reduction)
+        assert bank.reduction == ("symmetric" if reduction == "auto" else "none")
         stack, points = self.stack_and_points(arr, grid)
         got = beamform.phase_mode_expand(stack, 0, bank).values
         assert got.shape == (13, 3, len(points))
@@ -662,7 +700,7 @@ class TestBatchedExpansion:
             geometry.EllipseSpec(semi_major_m=0.1, sensors=16),
         ])
         grid = small_grid(samples=3, f_start=4e9, bw=1e9)
-        bank = beamform.build_bank(arr, grid, mode_half=5, reduction="symmetric")
+        bank = beamform.build_bank(arr, grid, mode_half=5, reduction="auto")
         stack, points = self.stack_and_points(arr, grid)
         got = beamform.expand_array(stack, bank).values
         for b, point in enumerate(points):
@@ -680,7 +718,7 @@ class TestParityProducts:
     @pytest.mark.parametrize("points", [1, 3])
     @pytest.mark.parametrize("mode_half", [6, 7])
     @pytest.mark.parametrize("design", ["robust", "plain"])
-    @pytest.mark.parametrize("reduction", ["symmetric", "none"])
+    @pytest.mark.parametrize("reduction", [pytest.param("auto", id="symmetric"), "none"])
     def test_matches_parity_selection(self, reduction, design, mode_half, points):
         specs = [geometry.EllipseSpec(semi_major_m=0.15, eccentricity=0.7, rotation_deg=alpha,
                                       sensors=36) for alpha in (0.0, 37.0)]
@@ -693,7 +731,8 @@ class TestParityProducts:
                                    values=values if points > 1 else values[..., 0])
         bank = beamform.build_bank(arr, grid, design=design, mode_half=mode_half,
                                    reduction=reduction)
-        if bank.folded:  # representatives 0..P/4 of the shape at rotation 0
+        folded = bank.reduction == "symmetric"
+        if folded:  # representatives 0..P/4 of the shape at rotation 0
             groups, r = [[0, 1]], np.arange(36 // 4 + 1)
             xy = geometry.build_ellipse(specs[0])[r]
             thetas = [np.arctan2(xy[:, 1], xy[:, 0])]
@@ -704,7 +743,7 @@ class TestParityProducts:
         for rings, angle in zip(groups, angle_of):
             terms = beamform._ShapeTerms(ch, bank, rings)
             sums, diffs = terms.fold(0, grid.samples)
-            assert sums.shape == (grid.samples, len(rings) * points, r.size, 2 if bank.folded else 1)
+            assert sums.shape == (grid.samples, len(rings) * points, r.size, 2 if folded else 1)
             for k in range(grid.samples):
                 w_bank = oracles.bank_weights_at(bank, k)
                 # the products take the kernel's W j^m, their phase tables j^-m
@@ -735,7 +774,7 @@ class TestFold:
                            for az in (72.5, -10.0, 133.0)[:points]], axis=-1)
         ch = channel.ChannelMatrix(array=arr, grid=grid,
                                    values=values if points > 1 else values[..., 0])
-        bank = beamform.build_bank(arr, grid, mode_half=8, reduction="symmetric")
+        bank = beamform.build_bank(arr, grid, mode_half=8, reduction="auto")
         terms = beamform._ShapeTerms(ch, bank, rings)
         got, want = terms.fold(*span), oracles.stacked_fold(terms, *span)
         for fast, slow in zip(got, want):
@@ -773,7 +812,7 @@ class TestSharedBank:
         values = [channel.superpose([w], arr, grid).values for w in waves]
         ch = channel.ChannelMatrix(array=arr, grid=grid,
                                    values=np.stack(values, axis=-1) if batch else values[0])
-        return arr, grid, ch, beamform.build_bank(arr, grid, mode_half=8, reduction="symmetric")
+        return arr, grid, ch, beamform.build_bank(arr, grid, mode_half=8, reduction="auto")
 
     def assert_single_ring_banks(self, specs):
         """The array's expansion equals the mean of one-ring expansions bit
@@ -782,7 +821,7 @@ class TestSharedBank:
         singles = []
         for ring, spec in enumerate(specs):
             one = geometry.build_concentric([spec])
-            one_bank = beamform.build_bank(one, grid, mode_half=8, reduction="symmetric")
+            one_bank = beamform.build_bank(one, grid, mode_half=8, reduction="auto")
             one_ch = channel.ChannelMatrix(array=one, grid=grid, values=ch.ring_rows(ring))
             singles.append(beamform.expand_array(one_ch, one_bank))
         want = beamform.concentric_expand(singles).values
@@ -792,11 +831,11 @@ class TestSharedBank:
             shapes.setdefault((spec.semi_major_m, spec.eccentricity, spec.sensors), spec)
         first_copies = geometry.build_concentric(list(shapes.values()))
         assert np.array_equal(
-            bank.radii, beamform.build_bank(first_copies, grid, reduction="symmetric").radii)
+            bank.radii, beamform.build_bank(first_copies, grid, reduction="auto").radii)
         # the e = 0.9 copies evaluate the P/4 + 1 quadrant radii of their shape at rotation 0
         shape = geometry.build_concentric([geometry.EllipseSpec(
             semi_major_m=0.15, eccentricity=0.9, sensors=40)])
-        shape_radii = beamform.build_bank(shape, grid, reduction="symmetric").radii
+        shape_radii = beamform.build_bank(shape, grid, reduction="auto").radii
         assert shape_radii.size == 40 // 4 + 1
         assert np.isin(shape_radii, bank.radii).all()
 
@@ -824,7 +863,7 @@ class TestSharedBank:
         values = np.stack([channel.superpose([w], arr, grid).values for w in waves], axis=-1)
         ch = channel.ChannelMatrix(array=arr, grid=grid,
                                    values=values if points > 1 else values[..., 0])
-        bank = beamform.build_bank(arr, grid, mode_half=6, reduction="symmetric")
+        bank = beamform.build_bank(arr, grid, mode_half=6, reduction="auto")
         modes = beamform.expand_array(ch, bank).values.reshape(13, 8, points)
         literal_modes = np.mean([oracles.brute_phase_mode(
             ch.ring_rows(i).reshape(-1, 8, points), arr.ring_azimuths(i), arr.ring_radii(i),
@@ -864,7 +903,7 @@ class TestSharedBank:
         arr = geometry.build_concentric(self.interleaved_shapes())
         grid = small_grid(samples=128)
         ch = channel.superpose([channel.IncidentWave(azimuth_deg=30.0, delay_s=2e-9)], arr, grid)
-        bank = beamform.build_bank(arr, grid, mode_half=40, reduction="symmetric")
+        bank = beamform.build_bank(arr, grid, mode_half=40, reduction="auto")
         budget = 64 << 10
         assert 8 * (bank.mode_half + 2) * grid.samples * bank.radii.size > 8 * budget
 

@@ -1062,6 +1062,36 @@ class TestCli:
         err = self.assert_one_line_exit(tmp_path, capsys, ["run"], edit, 1, "config error: ")
         assert named in err
 
+    @pytest.mark.parametrize("threshold", [0, -1, math.nan], ids=["zero", "negative", "nan"])
+    def test_bad_mode_threshold_exits_2_before_the_mode_search(self, tmp_path, capsys,
+                                                               monkeypatch, threshold):
+        """The threshold is checked where it is read, not inside the search,
+        whose message would name processing.modes."""
+        def searched(*args, **kwargs):
+            raise AssertionError("the mode-limit search ran")
+
+        monkeypatch.setattr(pipeline, "mode_limit", searched)
+        err = self.assert_one_line_exit(
+            tmp_path, capsys, ["run"],
+            lambda cfg: cfg["processing"].update(mode_threshold=threshold), 2,
+            "validation error: processing.mode_threshold must be positive, got ")
+        assert "processing.modes" not in err
+
+    @pytest.mark.parametrize("eccentricity,design", [(0.0, "robust"), (0.5, "average")],
+                             ids=["folded-circle", "folded-average"])
+    def test_instability_on_one_column_ring_exits_3_naming_every_sensor(
+            self, tmp_path, capsys, monkeypatch, eccentricity, design):
+        """A folded circle's filter column, and a folded average ring's,
+        stands for all 256 sensors of the ring: the line names them all."""
+        def edit(cfg):
+            cfg["array"][0].update(eccentricity=eccentricity)
+            cfg["processing"].update(design=design)
+
+        monkeypatch.setattr(beamform, "DENOMINATOR_FLOOR", 1e3)
+        err = self.assert_one_line_exit(tmp_path, capsys, ["run"], edit, 3,
+                                        "numeric error: filter denominator ")
+        assert ", p=0..255 (ring 0), f=" in err
+
     def test_process_entry_exits_as_main_returns(self, tmp_path, capsys):
         """`python -m elliptic_doa.cli` runs `entry`: on success, a config
         error and a validation failure it exits with main's code and prints
@@ -1277,8 +1307,8 @@ def test_digest_check_names_differing_lines_and_skips_other_hosts():
     code, verdict = script.check(text, ["# host numpy 9.8", "# host simd A B"], [])
     assert code == 0
     assert verdict.startswith("not comparable: '# host numpy 9.8' here")
-    # the committed file carries the host facts and the 34 digest lines
+    # the committed file carries the host facts and the 38 digest lines
     committed = (ROOT / "scripts" / "preset_digests.txt").read_text().splitlines()
     assert [line.split()[2] for line in committed if line.startswith("# host ")] == [
         "numpy", "blas", "simd"]
-    assert len([line for line in committed if not line.startswith("#")]) == 34
+    assert len([line for line in committed if not line.startswith("#")]) == 38
